@@ -31,7 +31,8 @@ test-short:
 race:
 	GOMAXPROCS=4 $(GO) test -race -short ./...
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		./internal/core ./internal/obs ./internal/dhcp ./internal/dnssim ./internal/logsink
+		./internal/core ./internal/obs ./internal/dhcp ./internal/dnssim ./internal/logsink \
+		./internal/trace
 
 # Standard linters plus the repository's custom invariant analyzers.
 lint: lint-golangci lint-custom

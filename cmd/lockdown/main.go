@@ -360,14 +360,20 @@ func run(cfg config) error {
 				len(gen.Devices()), campus.NumDays, cfg.scale)
 			prog.SetTotal(int64(campus.NumDays))
 			prog.Start()
-			// Day-at-a-time driving is stream-identical to one Run call (the
-			// generator derives all state per (device, day)) and gives the
-			// progress reporter exact day-level completion for its ETA.
-			for day := campus.Day(0); day < campus.NumDays; day++ {
-				if err := gen.RunDays(pipe, day, day+1); err != nil {
-					return err
-				}
-				prog.SetDone(int64(day) + 1)
+			// One Run call lets the generator build day d+1 while the
+			// pipeline ingests day d. The progress reporter still gets exact
+			// day-level completion for its ETA from a sink-side counter of
+			// the generator's per-day flushes.
+			var sink trace.Sink = pipe
+			if prog != nil {
+				var days int64
+				sink = &trace.DayCounter{Sink: pipe, OnDay: func() {
+					days++
+					prog.SetDone(days)
+				}}
+			}
+			if err := gen.Run(sink); err != nil {
+				return err
 			}
 			for _, d := range gen.Devices() {
 				truth[pipe.DeviceID(d.MAC)] = d.Kind.TruthType()

@@ -190,21 +190,24 @@ func run(out, pcapOut string, scale float64, seed int64, from, to campus.Day, gz
 	var prog *obs.Progress
 	if progress > 0 {
 		m := obs.NewMetrics()
-		sink = countingSink{Sink: w, m: m}
 		prog = obs.NewProgress(m, &obs.TextReporter{W: os.Stderr}, progress)
 		prog.SetLabel("tracegen")
 		prog.SetTotal(int64(to - from))
+		// The generator flushes once per day; counting the flushes feeds
+		// the reporter exact day-level completion.
+		var days int64
+		sink = &trace.DayCounter{Sink: countingSink{Sink: w, m: m}, OnDay: func() {
+			days++
+			prog.SetDone(days)
+		}}
 		prog.Start()
 	}
-	// Day-at-a-time driving is stream-identical to one RunDays call and
-	// feeds the reporter exact day-level completion.
-	for day := from; day < to; day++ {
-		if err := gen.RunDays(sink, day, day+1); err != nil {
-			prog.Stop()
-			w.Close()
-			return err
-		}
-		prog.SetDone(int64(day - from + 1))
+	// One RunDays call lets the generator build day d+1 while the writer
+	// encodes day d.
+	if err := gen.RunDays(sink, from, to); err != nil {
+		prog.Stop()
+		w.Close()
+		return err
 	}
 	prog.Stop()
 	if err := w.Close(); err != nil {

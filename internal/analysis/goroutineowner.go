@@ -34,12 +34,14 @@ var GoroutineOwner = &Analyzer{
 
 // goroutineOwnerTargets are the long-lived packages (suffix-matched): the
 // concurrent ingest core, the observability layer (its progress reporter
-// and debug server outlive single calls), and the log replay source the
-// future lockdownd will tail.
+// and debug server outlive single calls), the log replay source lockdownd
+// tails, and the generator (its day producer must unwind when delivery
+// does).
 var goroutineOwnerTargets = []string{
 	"internal/core",
 	"internal/obs",
 	"internal/logsink",
+	"internal/trace",
 }
 
 func runGoroutineOwner(pass *Pass) error {

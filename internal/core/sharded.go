@@ -64,8 +64,11 @@ import (
 // the same devices and — field for field — the same Stats a single
 // Pipeline would produce under the same key.
 type ShardedPipeline struct {
-	reg    *universe.Registry
-	opts   Options
+	reg  *universe.Registry
+	opts Options
+	// pseudo is the group's keyed pseudonymizer: DeviceID derives from it
+	// directly (a pure HMAC) so callers never touch shard-owned caches.
+	pseudo *anonymize.Pseudonymizer
 	shards []*Pipeline
 	// joins[i] is shard i's pinned view over the shared stores; owned by
 	// that shard's worker goroutine after construction.
@@ -162,16 +165,21 @@ func NewShardedPipeline(reg *universe.Registry, opts Options, n int) (*ShardedPi
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
+	var pseudo *anonymize.Pseudonymizer
+	var err error
 	if opts.Key == nil {
-		pseudo, err := anonymize.NewRandomPseudonymizer()
-		if err != nil {
-			return nil, err
-		}
-		opts.Key = pseudo.Key()
+		pseudo, err = anonymize.NewRandomPseudonymizer()
+	} else {
+		pseudo, err = anonymize.NewPseudonymizer(opts.Key)
 	}
+	if err != nil {
+		return nil, err
+	}
+	opts.Key = pseudo.Key()
 	sp := &ShardedPipeline{
 		reg:          reg,
 		opts:         opts,
+		pseudo:       pseudo,
 		labels:       dnssim.NewLabelStore(nil),
 		leases:       dhcp.NewLeaseStore(),
 		queued:       make([]atomic.Int64, n),
@@ -270,9 +278,10 @@ func (sp *ShardedPipeline) RingStates() []obs.RingState {
 	return out
 }
 
-// DeviceID exposes the shared pseudonym mapping (all shards agree).
+// DeviceID exposes the shared pseudonym mapping (all shards agree). It
+// reads no shard state, so it is safe to call while the shards ingest.
 func (sp *ShardedPipeline) DeviceID(m packet.MAC) anonymize.DeviceID {
-	return sp.shards[0].DeviceID(m)
+	return sp.pseudo.Device(m)
 }
 
 // slot returns the next free slot of a shard's open batch. The caller

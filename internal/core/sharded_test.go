@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/anonymize"
 	"repro/internal/campus"
 	"repro/internal/trace"
 	"repro/internal/universe"
@@ -93,6 +94,50 @@ func TestShardedMatchesSingle(t *testing.T) {
 				t.Fatalf("device %v month %v steam differ", a.ID, m)
 			}
 		}
+	}
+}
+
+// TestShardedDeviceIDDuringIngest calls DeviceID for the whole population
+// at every day boundary, while the shard workers are still applying the
+// day just flushed — the access pattern of cmd/lockdown's ground-truth
+// rebuild. Under -race this fails if DeviceID reads shard-owned state.
+func TestShardedDeviceIDDuringIngest(t *testing.T) {
+	reg, err := universe.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := trace.DefaultConfig()
+	cfg.Scale = 0.01
+	key := []byte("sharded-deviceid-race-key-0123456")
+	gen, err := trace.New(cfg, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := NewShardedPipeline(reg, Options{Key: key}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := anonymize.NewPseudonymizer(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	days := 0
+	sink := &trace.DayCounter{Sink: sp, OnDay: func() {
+		days++
+		for _, d := range gen.Devices() {
+			if got := sp.DeviceID(d.MAC); got != want.Device(d.MAC) {
+				t.Fatalf("day %d: DeviceID(%v) = %v, want %v", days, d.MAC, got, want.Device(d.MAC))
+			}
+		}
+	}}
+	if err := gen.RunDays(sink, 20, 24); err != nil {
+		t.Fatal(err)
+	}
+	if days != 4 {
+		t.Errorf("saw %d day boundaries, want 4", days)
+	}
+	if ds := sp.Finalize(); len(ds.Devices) == 0 {
+		t.Error("no devices ingested")
 	}
 }
 

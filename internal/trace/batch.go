@@ -169,3 +169,32 @@ func (e *Event) Deliver(sink Sink) {
 		sink.Lease(e.Lease)
 	}
 }
+
+// DayCounter forwards a generator's stream to Sink and calls OnDay after
+// each delivered day, on the delivering goroutine. It is a BatchSink, so
+// the generator marks every day boundary with a Flush: a batch-capable
+// inner Sink receives the batches and flushes unchanged, a plain one
+// receives the events one by one through its per-event methods.
+type DayCounter struct {
+	Sink
+	OnDay func()
+}
+
+// EventBatch implements BatchSink.
+func (d *DayCounter) EventBatch(events []Event) {
+	if bs, ok := d.Sink.(BatchSink); ok {
+		bs.EventBatch(events)
+		return
+	}
+	for i := range events {
+		events[i].Deliver(d.Sink)
+	}
+}
+
+// Flush implements BatchSink.
+func (d *DayCounter) Flush() {
+	if bs, ok := d.Sink.(BatchSink); ok {
+		bs.Flush()
+	}
+	d.OnDay()
+}

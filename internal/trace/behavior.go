@@ -170,34 +170,49 @@ func (g *Generator) browse(ds *dayState, dev *Device, rng *rand.Rand, ip netip.A
 	}
 }
 
+// socialApps indexes the social apps for the spread-multiplier seeds and
+// memo.
+var socialApps = [...]string{"facebook", "instagram", "tiktok"}
+
 // social emits the day's Facebook/Instagram/TikTok sessions for a phone.
 func (g *Generator) social(ds *dayState, dev *Device, rng *rand.Rand, ip netip.Addr) {
 	month := campus.MonthOfDay(ds.behaviorDay)
-	run := func(appIdx int, app string, user bool) {
+	run := func(appIdx int, user bool) {
 		if !user {
 			return
 		}
+		app := socialApps[appIdx]
 		prof := socialProfiles[app][dev.HomeHeavy]
 		count := poisson(rng, prof.sessionsPerDay[month])
 		if count == 0 {
 			return
 		}
-		// Per-device-per-month spread multiplier (median 1): widens the
-		// cross-device distribution without moving the median.
-		spreadMult := 1.0
-		if s := prof.spread[month]; s > 0 {
-			r2 := rand.New(rand.NewSource(deviceDaySeed(g.cfg.Seed, dev.Index,
-				campus.Day(4000+int(month)*8+appIdx))))
-			spreadMult = logNormal(r2, 0, s)
-		}
+		spreadMult := g.spreadMult(dev, month, appIdx, prof.spread[month])
 		for i := 0; i < count; i++ {
 			minutes := logNormal(rng, 0, prof.sigma) * prof.medianMinutes * prof.lengthMult[month] * spreadMult
 			g.socialSession(ds, dev, rng, ip, app, time.Duration(minutes*float64(time.Minute)))
 		}
 	}
-	run(0, "facebook", dev.FacebookUser)
-	run(1, "instagram", dev.InstagramUser)
-	run(2, "tiktok", dev.TikTokAdoptMonth >= 0 && int(month) >= dev.TikTokAdoptMonth)
+	run(0, dev.FacebookUser)
+	run(1, dev.InstagramUser)
+	run(2, dev.TikTokAdoptMonth >= 0 && int(month) >= dev.TikTokAdoptMonth)
+}
+
+// spreadMult returns the per-device-per-month spread multiplier (median 1)
+// that widens the cross-device session-length distribution without moving
+// the median. It depends only on (device, month, app), so it is drawn from
+// its own seeded source once and memoized (0 marks "not drawn yet").
+func (g *Generator) spreadMult(dev *Device, month campus.Month, appIdx int, sigma float64) float64 {
+	if sigma <= 0 {
+		return 1
+	}
+	m := &g.spread[dev.Index][month][appIdx]
+	if *m == 0 {
+		r := rand.New(rand.NewSource(deviceDaySeed(g.cfg.Seed, dev.Index,
+			campus.Day(4000+int(month)*8+appIdx))))
+		*m = logNormal(r, 0, sigma)
+	}
+	return *m
 }
 
 // socialSession emits one stitched-session's worth of overlapping flows
@@ -245,8 +260,8 @@ func (g *Generator) socialSession(ds *dayState, dev *Device, rng *rand.Rand, ip 
 
 // zoom emits the day's class sessions (Figure 5).
 func (g *Generator) zoom(ds *dayState, dev *Device, rng *rand.Rand, ip netip.Addr) {
-	prof := zoomFor(dev.Kind, ds.behaviorDay)
-	if prof == nil || rng.Float64() >= prof.sessionP {
+	prof, ok := zoomFor(dev.Kind, ds.behaviorDay)
+	if !ok || rng.Float64() >= prof.sessionP {
 		return
 	}
 	count := poisson(rng, prof.meanCount)

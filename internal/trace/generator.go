@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"sort"
 	"time"
 
 	"repro/internal/campus"
@@ -40,8 +39,21 @@ type Generator struct {
 
 	zoomPrefixes []netip.Prefix
 
-	// batch is the reusable emission buffer for BatchSink consumers
-	// (capacity batchEmitCap; empty between days).
+	// Producer-side day state (see day.go), owned by RunDays's producer
+	// goroutine and its plan/build workers: the recycled per-worker RNG
+	// pools, the planned and leased active devices, and the memoized
+	// social spread multipliers (indexed by device, written only by the
+	// worker building the device).
+	rngs    [][]*rand.Rand
+	planned [][]activeDev
+	actives []activeDev
+	spread  [][campus.NumMonths][len(socialApps)]float64
+
+	// bufs are the two day buffers handed between producer and caller.
+	// merge and batch (the reusable emission buffer for BatchSink
+	// consumers, empty between days) belong to the caller of RunDays.
+	bufs  [2]dayBuf
+	merge merger
 	batch []Event
 }
 
@@ -64,6 +76,7 @@ func New(cfg Config, reg *universe.Registry) (*Generator, error) {
 		homePrefs: make(map[string][]svcPref),
 		homeWts:   make(map[string][]int),
 	}
+	g.spread = make([][campus.NumMonths][len(socialApps)]float64, len(g.devices))
 	g.usPrefs, g.homePrefs = buildPrefs(reg)
 	g.usWeights = weightsOf(g.usPrefs)
 	for code, prefs := range g.homePrefs {
@@ -108,43 +121,71 @@ func (g *Generator) Run(sink Sink) error {
 	return g.RunDays(sink, 0, campus.NumDays)
 }
 
-// RunDays generates days [from, to).
+// RunDays generates days [from, to). Planning and building run on a
+// producer goroutine one day ahead of delivery, so day d+1 is generated
+// while the sink ingests day d; the sink is still called only from the
+// caller's goroutine, and the stream is identical to generating the days
+// one call at a time.
 func (g *Generator) RunDays(sink Sink, from, to campus.Day) error {
 	if from < 0 || to > campus.NumDays || from > to {
 		return fmt.Errorf("trace: day range [%d,%d) outside study window", from, to)
 	}
+	// Batch-capable sinks get the same stream in slices (plus a Flush at
+	// the day boundary); the delivery order is identical either way, so
+	// the two paths are stream-equivalent (TestBatchDeliveryEquivalence).
+	b := NewBatcher(sink)
+	b.buf = g.batch
+	defer func() { g.batch = b.buf }()
+	// Unbuffered handoff plus a two-buffer free list: at most one day
+	// being delivered and one being built.
+	free := make(chan *dayBuf, len(g.bufs))
+	for i := range g.bufs {
+		free <- &g.bufs[i]
+	}
+	ready := make(chan *dayBuf)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go g.produce(from, to, free, ready, stop, done)
+	defer func() {
+		// Unwind the producer before returning, also when a sink panics
+		// mid-delivery: it owns the generator's producer-side state.
+		close(stop)
+		<-done
+	}()
 	for day := from; day < to; day++ {
-		g.generateDay(day, sink)
+		buf := <-ready
+		g.deliver(buf, b)
+		free <- buf
 	}
 	return nil
 }
 
-// event is one time-stamped artifact inside a day buffer.
-type event struct {
-	t    time.Time
-	seq  int // insertion order, the sort tie-breaker (stable order)
-	flow *flow.Record
-	dns  *dnssim.Entry
-	http *httplog.Entry
-}
-
-// eventSlice sorts by time then insertion order — equivalent to a stable
-// sort by time, without reflection on the hot path.
-type eventSlice []event
-
-func (s eventSlice) Len() int      { return len(s) }
-func (s eventSlice) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-func (s eventSlice) Less(i, j int) bool {
-	if !s[i].t.Equal(s[j].t) {
-		return s[i].t.Before(s[j].t)
+// produce builds days [from, to) into buffers taken from free and hands
+// each to ready in order. It exits early once stop is closed, and closes
+// done on exit.
+func (g *Generator) produce(from, to campus.Day, free <-chan *dayBuf, ready chan<- *dayBuf, stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	for day := from; day < to; day++ {
+		var buf *dayBuf
+		select {
+		case buf = <-free:
+		case <-stop:
+			return
+		}
+		g.buildDay(day, buf)
+		select {
+		case ready <- buf:
+		case <-stop:
+			return
+		}
 	}
-	return s[i].seq < s[j].seq
 }
 
 // dayState carries one day's shared generation context. day is the real
 // calendar day (timestamps); behaviorDay drives every behavioral decision —
 // in counterfactual (NoPandemic) mode it maps onto the matching February
-// weekday so the whole window behaves pre-pandemic.
+// weekday so the whole window behaves pre-pandemic. Each build worker
+// holds its own copy, pointing out at its chunk.
 type dayState struct {
 	day         campus.Day
 	behaviorDay campus.Day
@@ -154,110 +195,7 @@ type dayState struct {
 	// seasonal is a mild end-of-term uptick applied in counterfactual
 	// mode (ordinary years see slightly more traffic late in the term).
 	seasonal float64
-	events   []event
-}
-
-func (g *Generator) generateDay(day campus.Day, sink Sink) {
-	behaviorDay := day
-	seasonal := 1.0
-	if g.cfg.NoPandemic {
-		// day % 28 lands in February on the same weekday (28 = 4 weeks).
-		behaviorDay = day % 28
-		if campus.MonthOfDay(day) >= campus.April {
-			seasonal = 1.04
-		}
-	}
-	ds := &dayState{
-		day:         day,
-		behaviorDay: behaviorDay,
-		start:       day.Time(),
-		end:         day.Time().Add(24*time.Hour - time.Second),
-		hours:       dayHourWeights(behaviorDay),
-		seasonal:    seasonal,
-	}
-	// Batch-capable sinks get the same stream in slices (plus a Flush at
-	// the day boundary); the delivery order is identical either way, so
-	// the two paths are stream-equivalent (TestBatchDeliveryEquivalence).
-	bs, batched := sink.(BatchSink)
-	// Pass 1: decide who is active and lease addresses in deterministic
-	// time order (device-index microsecond offsets keep the DHCP request
-	// stream monotone).
-	type activeDev struct {
-		dev *Device
-		rng *rand.Rand
-		ip  netip.Addr
-	}
-	var actives []activeDev
-	for i, d := range g.devices {
-		if !d.Present(day) {
-			continue
-		}
-		rng := rand.New(rand.NewSource(deviceDaySeed(g.cfg.Seed, d.Index, day)))
-		if rng.Float64() >= activityP(d.Kind, behaviorDay) {
-			continue
-		}
-		lease, err := g.dhcpSrv.Request(d.MAC, ds.start.Add(time.Duration(i)*time.Microsecond))
-		if err != nil {
-			continue // pool exhausted: device silent today
-		}
-		if batched {
-			g.emitBatched(bs, Event{Kind: EventLease, Lease: lease})
-		} else {
-			sink.Lease(lease)
-		}
-		actives = append(actives, activeDev{dev: d, rng: rng, ip: lease.Addr})
-	}
-	// Pass 2: generate each active device's day.
-	for _, a := range actives {
-		g.deviceDay(ds, a.dev, a.rng, a.ip)
-	}
-	// Pass 3: deliver in time order.
-	for i := range ds.events {
-		ds.events[i].seq = i
-	}
-	sort.Sort(eventSlice(ds.events))
-	if batched {
-		for _, e := range ds.events {
-			switch {
-			case e.dns != nil:
-				g.emitBatched(bs, Event{Kind: EventDNS, DNS: *e.dns})
-			case e.flow != nil:
-				g.emitBatched(bs, Event{Kind: EventFlow, Flow: *e.flow})
-			case e.http != nil:
-				g.emitBatched(bs, Event{Kind: EventHTTP, HTTP: *e.http})
-			}
-		}
-		if len(g.batch) > 0 {
-			bs.EventBatch(g.batch)
-			g.batch = g.batch[:0]
-		}
-		bs.Flush()
-		return
-	}
-	for _, e := range ds.events {
-		switch {
-		case e.dns != nil:
-			sink.DNS(*e.dns)
-		case e.flow != nil:
-			sink.Flow(*e.flow)
-		case e.http != nil:
-			sink.HTTPMeta(*e.http)
-		}
-	}
-}
-
-// emitBatched buffers one event for a BatchSink, handing over a full
-// slice every batchEmitCap events. The buffer is reused, honoring the
-// borrow-only contract of EventBatch.
-func (g *Generator) emitBatched(bs BatchSink, ev Event) {
-	if g.batch == nil {
-		g.batch = make([]Event, 0, batchEmitCap)
-	}
-	g.batch = append(g.batch, ev)
-	if len(g.batch) == cap(g.batch) {
-		bs.EventBatch(g.batch)
-		g.batch = g.batch[:0]
-	}
+	out      *chunk
 }
 
 // deviceDaySeed derives a stable per-(device, day) RNG seed (splitmix64).
@@ -331,20 +269,19 @@ func (g *Generator) emitFlow(ds *dayState, rng *rand.Rand, dev *Device, devIP ne
 		}
 		server = entry.Answer
 		if spec.withDNS {
-			e := entry
-			ds.events = append(ds.events, event{t: e.Time, dns: &e})
+			ds.out.addDNS(entry)
 			// A fraction of resolver lookups also show up as visible
 			// UDP/53 flows to the campus resolver (never DNS-labeled —
 			// they exercise the pipeline's unlabeled path).
 			if rng.Float64() < 0.25 {
-				ds.events = append(ds.events, event{t: e.Time, flow: &flow.Record{
-					Start: e.Time, Duration: 40 * time.Millisecond,
+				ds.out.addFlow(flow.Record{
+					Start: entry.Time, Duration: 40 * time.Millisecond,
 					OrigAddr: devIP, OrigPort: uint16(32768 + rng.Intn(28000)),
 					RespAddr: g.reg.ResolverAddr(), RespPort: 53,
 					Proto:     flow.ProtoUDP,
 					OrigBytes: 64, RespBytes: 220, OrigPkts: 1, RespPkts: 1,
 					Service: "dns",
-				}})
+				})
 			}
 		}
 	}
@@ -363,7 +300,7 @@ func (g *Generator) emitFlow(ds *dayState, rng *rand.Rand, dev *Device, devIP ne
 	if spec.respPort == 80 {
 		service = "http"
 	}
-	rec := &flow.Record{
+	rec := flow.Record{
 		Start: spec.start, Duration: spec.dur,
 		OrigAddr: srcAddr, OrigPort: uint16(32768 + rng.Intn(28000)),
 		RespAddr: server, RespPort: spec.respPort,
@@ -372,8 +309,8 @@ func (g *Generator) emitFlow(ds *dayState, rng *rand.Rand, dev *Device, devIP ne
 		OrigPkts: origBytes/1200 + 1, RespPkts: spec.bytes/1380 + 1,
 		Service: service,
 	}
-	rec.State = connStateFor(rec)
-	ds.events = append(ds.events, event{t: rec.Start, flow: rec})
+	rec.State = connStateFor(&rec)
+	ds.out.addFlow(rec)
 }
 
 // connStateFor stamps a realistic conn_state mix: mostly clean SF closes
@@ -407,8 +344,7 @@ func (g *Generator) emitHTTPMeta(ds *dayState, rng *rand.Rand, dev *Device, devI
 	if !t.Before(ds.end) {
 		t = ds.end.Add(-time.Second)
 	}
-	e := &httplog.Entry{Time: t, Client: devIP, Host: host, UserAgent: ua}
-	ds.events = append(ds.events, event{t: t, http: e})
+	ds.out.addHTTP(httplog.Entry{Time: t, Client: devIP, Host: host, UserAgent: ua})
 	g.emitFlow(ds, rng, dev, devIP, flowSpec{
 		domain: host, start: t, dur: 2 * time.Second,
 		bytes: int64(2<<10 + rng.Intn(20<<10)), respPort: 80, withDNS: rng.Float64() < 0.5,

@@ -412,9 +412,9 @@ type zoomDayProfile struct {
 	endHour    int     // latest class start hour
 }
 
-// zoomFor returns the Zoom profile for a device kind on a day, or nil when
-// no Zoom traffic applies.
-func zoomFor(kind Kind, day campus.Day) *zoomDayProfile {
+// zoomFor returns the Zoom profile for a device kind on a day; ok is false
+// when no Zoom traffic applies.
+func zoomFor(kind Kind, day campus.Day) (prof zoomDayProfile, ok bool) {
 	phase := day.Phase()
 	online := phase == campus.OnlineTerm
 	var participate float64
@@ -426,32 +426,32 @@ func zoomFor(kind Kind, day campus.Day) *zoomDayProfile {
 	case KindPhone:
 		participate = 0.20
 	default:
-		return nil
+		return prof, false
 	}
 	switch {
 	case online && !day.IsWeekend():
 		// §5.1: most active 8am–6pm on weekdays.
-		return &zoomDayProfile{
+		return zoomDayProfile{
 			sessionP:  participate,
 			meanCount: 1.5, minMinutes: 45, expMinutes: 25,
 			startHour: 8, endHour: 17,
-		}
+		}, true
 	case online && day.IsWeekend():
 		// Small weekend afternoon bump: clubs, calls home.
-		return &zoomDayProfile{
+		return zoomDayProfile{
 			sessionP:  participate * 0.12,
 			meanCount: 1.0, minMinutes: 25, expMinutes: 20,
 			startHour: 12, endHour: 16,
-		}
+		}, true
 	case phase <= campus.PandemicDeparture && !day.IsWeekend():
 		// Pre-pandemic: occasional meetings.
-		return &zoomDayProfile{
+		return zoomDayProfile{
 			sessionP:  participate * 0.02,
 			meanCount: 1.0, minMinutes: 30, expMinutes: 15,
 			startHour: 9, endHour: 16,
-		}
+		}, true
 	default:
-		return nil
+		return prof, false
 	}
 }
 

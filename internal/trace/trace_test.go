@@ -353,9 +353,13 @@ func BenchmarkGenerateDay(b *testing.B) {
 	cfg.Scale = 0.05
 	g := newTestGenerator(b, cfg)
 	sink := &nullSink{}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.generateDay(campus.Day(i%campus.NumDays), sink)
+		day := campus.Day(i % campus.NumDays)
+		if err := g.RunDays(sink, day, day+1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
