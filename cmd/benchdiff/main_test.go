@@ -176,6 +176,29 @@ func TestBenchdiffOldBaselineCompat(t *testing.T) {
 	if code, err := run(devnull, newP, oldP, 0.99, 0, 0, 0, ""); err != nil || code != 0 {
 		t.Errorf("scaling baseline vs plain candidate: code %d, err %v; want 0", code, err)
 	}
+
+	// An append-run report as older builds wrote it still carries merge_ms,
+	// a metric no longer recorded: it loads and diffs cleanly both ways.
+	mergeP := filepath.Join(dir, "merge.json")
+	if err := os.WriteFile(mergeP, []byte(`{
+  "date": "2026-10-01", "go_version": "go1.24.0", "goos": "linux", "goarch": "amd64",
+  "cpus": 2, "maxprocs": 2, "scale": 0.05, "shards": 1, "seed": 1,
+  "wall_seconds": 20,
+  "ingest": {"events": 2000000, "flows": 1000000, "bytes": 9000000000, "seconds": 18,
+             "flows_per_sec": 100000, "bytes_per_sec": 500000000},
+  "figures_ms": {"fig1": 10},
+  "seal_ms": 0.4,
+  "merge_ms": 47.2
+}
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, err := run(devnull, mergeP, oldP, 0.30, 0, 0, 0, ""); err != nil || code != 0 {
+		t.Errorf("merge_ms baseline vs current candidate: code %d, err %v; want 0", code, err)
+	}
+	if code, err := run(devnull, oldP, mergeP, 0.30, 0, 0, 0, ""); err != nil || code != 0 {
+		t.Errorf("current baseline vs merge_ms candidate: code %d, err %v; want 0", code, err)
+	}
 }
 
 // TestBenchdiffFiguresWallCeiling: -max-figures-wall-ms is an absolute

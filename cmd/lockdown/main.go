@@ -240,7 +240,7 @@ func run(cfg config) error {
 	// Stats stage: the finalized Dataset plus the generator ground truth.
 	// A verified cache hit replaces the entire ingest (and, in logs mode,
 	// the truth-rebuild generator pass).
-	truth := map[anonymize.DeviceID]devclass.Type{}
+	var truth map[anonymize.DeviceID]devclass.Type
 	var ds *core.Dataset
 	var dsBytes, truthBytes []byte
 	statsStatus := "off"
@@ -335,24 +335,16 @@ func run(cfg config) error {
 			}
 			// Ground truth for the accuracy experiment: rebuild the same
 			// population the dataset was generated from (same scale/seed).
-			gcfg := trace.DefaultConfig()
-			gcfg.Scale = cfg.scale
-			gcfg.Seed = cfg.seed
-			gen, err := trace.New(gcfg, reg)
+			gen, err := trace.New(trace.ScaledConfig(cfg.scale, cfg.seed), reg)
 			if err != nil {
 				return err
 			}
-			for _, d := range gen.Devices() {
-				truth[pipe.DeviceID(d.MAC)] = d.Kind.TruthType()
-			}
+			truth = gen.Truth(pipe.DeviceID)
 		} else {
 			if pipe, err = newPipe(); err != nil {
 				return err
 			}
-			gcfg := trace.DefaultConfig()
-			gcfg.Scale = cfg.scale
-			gcfg.Seed = cfg.seed
-			gen, err := trace.New(gcfg, reg)
+			gen, err := trace.New(trace.ScaledConfig(cfg.scale, cfg.seed), reg)
 			if err != nil {
 				return err
 			}
@@ -375,9 +367,7 @@ func run(cfg config) error {
 			if err := gen.Run(sink); err != nil {
 				return err
 			}
-			for _, d := range gen.Devices() {
-				truth[pipe.DeviceID(d.MAC)] = d.Kind.TruthType()
-			}
+			truth = gen.Truth(pipe.DeviceID)
 		}
 		ds = pipe.Finalize()
 		ingestDur = time.Since(ingestStart)
@@ -436,9 +426,7 @@ func run(cfg config) error {
 		}
 		if baseDS == nil {
 			fmt.Fprintln(statusW, "simulating counterfactual baseline year...")
-			gcfg := trace.DefaultConfig()
-			gcfg.Scale = cfg.scale
-			gcfg.Seed = cfg.seed
+			gcfg := trace.ScaledConfig(cfg.scale, cfg.seed)
 			gcfg.NoPandemic = true
 			baseGen, err := trace.New(gcfg, reg)
 			if err != nil {
@@ -581,7 +569,6 @@ func run(cfg config) error {
 		}
 		if sd != nil {
 			br.SealMS = sd.sealMS
-			br.MergeMS = sd.mergeMS
 		}
 		if rc.store != nil {
 			c := rc.store.Counters()

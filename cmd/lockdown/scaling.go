@@ -57,10 +57,7 @@ func measureScaling(reg *universe.Registry, cfg config, shards int, statusW io.W
 	if shards < 2 {
 		return 0, 0, fmt.Errorf("-measure-scaling needs -shards ≥ 2 (got %d)", shards)
 	}
-	gcfg := trace.DefaultConfig()
-	gcfg.Scale = cfg.scale
-	gcfg.Seed = cfg.seed
-	gen, err := trace.New(gcfg, reg)
+	gen, err := trace.New(trace.ScaledConfig(cfg.scale, cfg.seed), reg)
 	if err != nil {
 		return 0, 0, err
 	}

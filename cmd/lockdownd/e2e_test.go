@@ -125,7 +125,12 @@ type epochInfo struct {
 	Day     string `json:"day"`
 	Final   bool   `json:"final"`
 	Flows   int64  `json:"flows"`
+	Bytes   int64  `json:"bytes"`
 	Devices int    `json:"devices"`
+	// The sealed day's own counts (absent on the final epoch).
+	DayFlows   int64 `json:"day_flows"`
+	DayBytes   int64 `json:"day_bytes"`
+	DayTouched int   `json:"day_touched"`
 }
 
 // get fetches a daemon URL, returning status, the X-Lockdown-Epoch header
@@ -392,6 +397,34 @@ func TestDaemonGrowsWithDatasetAndMatchesBatch(t *testing.T) {
 	}
 	if h1.Epoch != 1 || h1.Final || h1.Day != dayNames[0] {
 		t.Fatalf("/v1/epoch/1 = %+v, want epoch 1, non-final, day %s", h1, dayNames[0])
+	}
+
+	// Each incrementally sealed epoch's day counts are exactly the growth
+	// of the cumulative counts since the previous epoch, and a day with
+	// traffic touched at least one device.
+	var prev epochInfo
+	for n := 1; n < final.Epoch; n++ {
+		code, _, body := get(t, fmt.Sprintf("%s/v1/epoch/%d", base, n))
+		if code != http.StatusOK {
+			t.Fatalf("/v1/epoch/%d: status %d", n, code)
+		}
+		var cur epochInfo
+		if err := json.Unmarshal(body, &cur); err != nil {
+			t.Fatalf("/v1/epoch/%d: %v in %s", n, err, body)
+		}
+		if got, want := cur.Flows-prev.Flows, cur.DayFlows; got != want {
+			t.Fatalf("epoch %d: flows grew by %d, day_flows = %d", n, got, want)
+		}
+		if got, want := cur.Bytes-prev.Bytes, cur.DayBytes; got != want {
+			t.Fatalf("epoch %d: bytes grew by %d, day_bytes = %d", n, got, want)
+		}
+		if cur.DayFlows > 0 && cur.DayTouched == 0 {
+			t.Fatalf("epoch %d: %d flows but day_touched = 0", n, cur.DayFlows)
+		}
+		prev = cur
+	}
+	if prev.DayFlows == 0 {
+		t.Fatal("degenerate run: the last sealed day carried no flows")
 	}
 	code, eh, fig1old := get(t, base+"/v1/figures/fig1_active_devices.csv?epoch=1")
 	if code != http.StatusOK || eh != 1 {

@@ -7,13 +7,12 @@
 // one epoch — while ingest runs hot; the X-Lockdown-Epoch header names
 // the epoch a response came from.
 //
-// Each epoch is sealed incrementally: the pipeline closes the day into a
-// mergeable partial aggregate, re-renders only the devices that day
-// touched on top of the previous epoch's copy-on-write snapshot, and
-// recomputes the figures from the delta snapshot (figset.Incremental,
-// which also cross-checks the merged partials against the snapshot's
-// cumulative stats on every seal). Every published epoch is retained, so
-// the full seal history stays queryable.
+// Each epoch is sealed incrementally (figset.Incremental): the pipeline
+// closes the day into its Stats delta and touched-device set, re-renders
+// only the devices that day touched on top of the previous epoch's
+// copy-on-write snapshot, and recomputes the figures from the delta
+// snapshot. Every published epoch is retained, so the full seal history
+// stays queryable.
 //
 // Endpoints (on -addr, sharing the port with expvar/pprof under /debug/):
 //
@@ -55,7 +54,6 @@ import (
 
 	"repro/internal/anonymize"
 	"repro/internal/core"
-	"repro/internal/devclass"
 	"repro/internal/faultline"
 	"repro/internal/figset"
 	"repro/internal/logsink"
@@ -81,13 +79,12 @@ type config struct {
 }
 
 // snapshotPipeline is the pipeline surface the daemon needs: streaming
-// ingest, per-day seals with copy-on-write delta snapshots (the
-// figset.Sealer contract), and the final seal.
+// ingest, per-day seals with copy-on-write delta snapshots, and the final
+// seal.
 type snapshotPipeline interface {
 	trace.Sink
+	figset.Sealer
 	DeviceID(m packet.MAC) anonymize.DeviceID
-	SealDay(label string) *core.DayPartial
-	SnapshotDelta(prev *core.Dataset, dp *core.DayPartial) *core.Dataset
 	Finalize() *core.Dataset
 }
 
@@ -145,18 +142,11 @@ func run(cfg config) error {
 	// Ground truth for the accuracy experiments: rebuild the population
 	// the dataset was generated from, before ingest starts (pseudonyms
 	// only need the key, not traffic).
-	gcfg := trace.DefaultConfig()
-	gcfg.Scale = cfg.scale
-	gcfg.Seed = cfg.seed
-	gen, err := trace.New(gcfg, reg)
+	gen, err := trace.New(trace.ScaledConfig(cfg.scale, cfg.seed), reg)
 	if err != nil {
 		return err
 	}
-	truth := map[anonymize.DeviceID]devclass.Type{}
-	for _, d := range gen.Devices() {
-		truth[pipe.DeviceID(d.MAC)] = d.Kind.TruthType()
-	}
-	figParams := figset.Params{Scale: cfg.scale, Seed: cfg.seed, Truth: truth}
+	figParams := figset.Params{Scale: cfg.scale, Seed: cfg.seed, Truth: gen.Truth(pipe.DeviceID)}
 
 	policy, err := faultline.ParsePolicy(cfg.faultPolicy)
 	if err != nil {
@@ -208,9 +198,6 @@ func run(cfg config) error {
 			}
 			ep, err := inc.Seal(day)
 			if err != nil {
-				// A merge-consistency failure means the published figures
-				// could drift from the ingested data — stop rather than
-				// keep serving.
 				sealErr = err
 				stopFn()
 				return

@@ -35,8 +35,8 @@ var checkpointMagic = [4]byte{'L', 'K', 'C', 'P'}
 //
 // Only a single (unsharded) pipeline with its private join tables can be
 // checkpointed, and only at a seal boundary (nothing accumulated since the
-// last SealDay): mid-day state would silently omit the in-progress day
-// accumulator. Static configuration (key, registry, options) is NOT in the
+// last SealDay): mid-day state would silently omit the in-progress day's
+// touched set. Static configuration (key, registry, options) is NOT in the
 // payload — the caller must restore with the same ones, which the stage
 // cache guarantees by keying on them.
 //
@@ -150,8 +150,8 @@ func RestoreCheckpoint(reg *universe.Registry, opts Options, b []byte) (*Pipelin
 	p.geoCls.Restore(geoRecs)
 	p.geoClsAblate.Restore(geoAblRecs)
 	// The checkpoint was taken at a seal boundary: the next delta starts
-	// from the restored cumulative stats, with nothing touched and an
-	// empty day accumulator (both of which newPipeline already set up).
+	// from the restored cumulative stats, with nothing touched (which
+	// newPipeline already set up).
 	p.lastSealStats = p.stats
 	return p, nil
 }

@@ -5,31 +5,19 @@ import (
 	"sort"
 
 	"repro/internal/anonymize"
-	"repro/internal/stats"
 )
 
-// dayHLLPrecision is the register precision of the per-day distinct-device
-// estimator (2^12 registers ≈ 1.6% standard error — far below the
-// day-to-day variation the summaries report).
-const dayHLLPrecision = 12
-
-// DayPartial is one sealed day's mergeable aggregate: the delta of the run
-// Stats over the day, a stats.Partial summary (flows, bytes, distinct
-// devices, flow-size sketch, hour-of-week matrix), and the set of devices
-// whose accumulated state changed during the day. Partials are produced by
-// Pipeline.SealDay / ShardedPipeline.SealDay at UTC day rollovers; merging
-// them (MergeDayPartials) over any day range reproduces exactly what a
-// monolithic pass over those days would have counted, which is what lets
-// the daemon serve historical epochs and the batch runner recompute only
-// appended days.
+// DayPartial is one sealed day: the delta of the run Stats over the day
+// and the set of devices whose accumulated state changed during the day.
+// Partials are produced by Pipeline.SealDay / ShardedPipeline.SealDay at
+// UTC day rollovers; the touched set is exactly what SnapshotDelta must
+// re-render on top of the previous epoch's snapshot.
 type DayPartial struct {
 	// Label names the day (the rotated layout's directory name, e.g.
 	// "day-042", or the daemon's epoch label).
 	Label string
 	// Stats is the run-counter delta accumulated during the day.
 	Stats Stats
-	// Summary holds the mergeable sketches for the day.
-	Summary *stats.Partial
 	// Touched lists, in ascending order, every device whose state changed
 	// during the day — the exact set a delta snapshot must re-render.
 	Touched []anonymize.DeviceID
@@ -67,13 +55,12 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// MergeDayPartials reduces day partials (in the order given — merge Hours
-// in day order for bit-reproducibility, per the stats.Partial contract)
-// into one aggregate covering their union: Stats add, summaries merge,
-// touched sets union. No input is mutated. The Label is taken from the
-// last partial — the aggregate covers "through that day".
+// MergeDayPartials reduces day partials into one aggregate covering their
+// union: Stats add, touched sets union. No input is mutated. The Label is
+// taken from the last partial — the aggregate covers "through that day".
+// The error result is always nil; it is kept so existing callers compile.
 func MergeDayPartials(parts []*DayPartial) (*DayPartial, error) {
-	out := &DayPartial{Summary: &stats.Partial{}}
+	out := &DayPartial{}
 	seen := make(map[anonymize.DeviceID]bool)
 	for _, dp := range parts {
 		if dp == nil {
@@ -81,9 +68,6 @@ func MergeDayPartials(parts []*DayPartial) (*DayPartial, error) {
 		}
 		out.Label = dp.Label
 		out.Stats = out.Stats.Add(dp.Stats)
-		if err := out.Summary.Merge(dp.Summary); err != nil {
-			return nil, fmt.Errorf("core: merge day partials: %w", err)
-		}
 		for _, id := range dp.Touched {
 			if !seen[id] {
 				seen[id] = true
@@ -95,22 +79,11 @@ func MergeDayPartials(parts []*DayPartial) (*DayPartial, error) {
 	return out, nil
 }
 
-// newDayAccum builds the always-on per-day summary accumulator.
-func newDayAccum() *stats.Partial {
-	part, err := stats.NewPartial(dayHLLPrecision)
-	if err != nil {
-		panic(err) // precision is a package constant; cannot fail
-	}
-	part.Hours = stats.NewHourMatrix()
-	return part
-}
-
 // SealDay closes the day currently being accumulated and returns its
-// partial; the pipeline keeps running and the next day accumulates into a
-// fresh accumulator. Call at a UTC day rollover (between events): the
+// partial; the pipeline keeps running and the next day starts with an
+// empty touched set. Call at a UTC day rollover (between events): the
 // returned Stats delta is whatever arrived since the previous seal (or
-// since construction, for the first). The returned partial owns its
-// sketches — later ingest never mutates it.
+// since construction, for the first).
 func (p *Pipeline) SealDay(label string) *DayPartial {
 	if p.finalized {
 		panic("core: SealDay after Finalize")
@@ -118,19 +91,16 @@ func (p *Pipeline) SealDay(label string) *DayPartial {
 	dp := &DayPartial{
 		Label:   label,
 		Stats:   p.stats.Sub(p.lastSealStats),
-		Summary: p.dayAccum,
 		Touched: append([]anonymize.DeviceID(nil), p.touched...),
 	}
 	sort.Slice(dp.Touched, func(i, j int) bool { return dp.Touched[i] < dp.Touched[j] })
 	p.lastSealStats = p.stats
-	p.dayAccum = newDayAccum()
 	p.touched = p.touched[:0]
 	p.curSeal++
 	return dp
 }
 
-// SealDay quiesces the shards and merges their per-shard day partials
-// (summaries in shard order, the pinned order; touched sets are disjoint
+// SealDay quiesces the shards and concatenates their touched sets (disjoint
 // by construction — each device lives on one shard). The Stats delta is
 // taken against the merged cumulative stats, so dispatcher-side counters
 // (broadcasts, routing cuts) are included. Must be called from the ingest
@@ -141,17 +111,9 @@ func (sp *ShardedPipeline) SealDay(label string) *DayPartial {
 	}
 	sp.Quiesce()
 	cur := sp.statsNow()
-	merged := &DayPartial{
-		Label:   label,
-		Stats:   cur.Sub(sp.lastSealStats),
-		Summary: &stats.Partial{},
-	}
+	merged := &DayPartial{Label: label, Stats: cur.Sub(sp.lastSealStats)}
 	for _, p := range sp.shards {
-		dp := p.SealDay(label)
-		if err := merged.Summary.Merge(dp.Summary); err != nil {
-			panic(fmt.Sprintf("core: shard partial merge: %v", err))
-		}
-		merged.Touched = append(merged.Touched, dp.Touched...)
+		merged.Touched = append(merged.Touched, p.SealDay(label).Touched...)
 	}
 	sort.Slice(merged.Touched, func(i, j int) bool { return merged.Touched[i] < merged.Touched[j] })
 	sp.lastSealStats = cur
@@ -162,7 +124,8 @@ func (sp *ShardedPipeline) SealDay(label string) *DayPartial {
 // Finalize merge policy without rendering datasets: shard counters sum
 // (and a broadcast counted by a shard panics — the join tables are
 // dispatcher-owned), dispatcher cuts add, broadcast counters are
-// dispatcher-owned. Callable only while the shards are quiescent.
+// dispatcher-owned. Callable only while the shards are quiescent or
+// finished.
 func (sp *ShardedPipeline) statsNow() Stats {
 	var out Stats
 	for i, p := range sp.shards {

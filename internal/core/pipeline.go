@@ -35,7 +35,6 @@ import (
 	"repro/internal/httplog"
 	"repro/internal/obs"
 	"repro/internal/packet"
-	"repro/internal/stats"
 	"repro/internal/universe"
 )
 
@@ -110,11 +109,10 @@ type Pipeline struct {
 	// om is the observability sink (nil when disabled; see Options.Obs).
 	om *obs.Metrics
 
-	// Incremental day-seal state (see partial.go): dayAccum collects the
-	// current day's mergeable summary, touched the devices mutated since
-	// the last seal (a device is on the list iff its sealEpoch equals
-	// curSeal), lastSealStats the cumulative Stats at the last seal.
-	dayAccum      *stats.Partial
+	// Incremental day-seal state (see partial.go): touched lists the
+	// devices mutated since the last seal (a device is on the list iff its
+	// sealEpoch equals curSeal), lastSealStats the cumulative Stats at the
+	// last seal.
 	touched       []anonymize.DeviceID
 	curSeal       int
 	lastSealStats Stats
@@ -307,7 +305,6 @@ func newPipeline(reg *universe.Registry, opts Options, join joinState) (*Pipelin
 	// Seal generations start at 1 so a freshly allocated deviceState
 	// (sealEpoch 0) always registers as touched.
 	p.curSeal = 1
-	p.dayAccum = newDayAccum()
 	return p, nil
 }
 
@@ -466,8 +463,6 @@ func (p *Pipeline) Flow(r flow.Record) {
 	m.Add(obs.StageAggregate, bytes)
 	t = m.Lap(obs.StageDHCPNormalize, t)
 	p.presence.Observe(id, day)
-	p.dayAccum.Observe(uint64(id), bytes)
-	p.dayAccum.Hours.Add(uint64(id), campus.HourOfWeek(r.Start), float64(bytes))
 	d := p.device(id)
 	d.mac = mac
 	d.flows++

@@ -49,7 +49,7 @@ func (t *teeSink) Lease(l dhcp.Lease) {
 //     full Snapshot (the copy-on-write delta re-renders exactly the
 //     touched set);
 //  2. the per-day Stats deltas sum to the cumulative Stats, and the merged
-//     day summaries reproduce the attributed flow/byte totals;
+//     touched sets cover every device;
 //  3. sealing is side-effect free: Finalize equals a never-sealed run.
 func TestSealDayMatchesSnapshot(t *testing.T) {
 	reg, err := universe.New()
@@ -95,12 +95,6 @@ func TestSealDayMatchesSnapshot(t *testing.T) {
 	if merged.Stats != final.Stats {
 		t.Fatalf("merged partial stats %+v != final stats %+v", merged.Stats, final.Stats)
 	}
-	if merged.Summary.Flows != final.Stats.FlowsProcessed {
-		t.Fatalf("merged summary flows %d != processed %d", merged.Summary.Flows, final.Stats.FlowsProcessed)
-	}
-	if merged.Summary.Bytes != final.Stats.BytesProcessed {
-		t.Fatalf("merged summary bytes %d != processed %d", merged.Summary.Bytes, final.Stats.BytesProcessed)
-	}
 	if got, want := len(merged.Touched), len(final.Devices); got != want {
 		t.Fatalf("merged touched %d devices, dataset has %d", got, want)
 	}
@@ -115,10 +109,10 @@ func TestSealDayMatchesSnapshot(t *testing.T) {
 }
 
 // TestShardedSealDayMatchesSingle extends the seal contract to the sharded
-// pipeline: per-day Stats deltas, merged summary counters, touched sets
-// and — decisively — the delta snapshots must match the single pipeline's
-// at every day boundary, and the final datasets must be byte-identical
-// under the canonical encoding.
+// pipeline: per-day Stats deltas, touched sets and — decisively — the
+// delta snapshots must match the single pipeline's at every day boundary,
+// and the final datasets must be byte-identical under the canonical
+// encoding.
 func TestShardedSealDayMatchesSingle(t *testing.T) {
 	reg, err := universe.New()
 	if err != nil {
@@ -144,13 +138,6 @@ func TestShardedSealDayMatchesSingle(t *testing.T) {
 
 		if dpS.Stats != dpP.Stats {
 			t.Fatalf("day %d: stats delta differs:\nsingle  %+v\nsharded %+v", day, dpS.Stats, dpP.Stats)
-		}
-		if dpS.Summary.Flows != dpP.Summary.Flows || dpS.Summary.Bytes != dpP.Summary.Bytes {
-			t.Fatalf("day %d: summary counters differ: single %d/%d sharded %d/%d",
-				day, dpS.Summary.Flows, dpS.Summary.Bytes, dpP.Summary.Flows, dpP.Summary.Bytes)
-		}
-		if e1, e2 := dpS.Summary.Devices.Estimate(), dpP.Summary.Devices.Estimate(); e1 != e2 {
-			t.Fatalf("day %d: device estimates differ: %v vs %v", day, e1, e2)
 		}
 		if len(dpS.Touched) != len(dpP.Touched) {
 			t.Fatalf("day %d: touched %d vs %d devices", day, len(dpS.Touched), len(dpP.Touched))

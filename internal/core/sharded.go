@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"net/netip"
 	"runtime"
 	"sort"
@@ -607,34 +606,18 @@ func (sp *ShardedPipeline) SnapshotDelta(prev *Dataset, dp *DayPartial) *Dataset
 }
 
 // merge combines per-shard datasets (rendered by get — Finalize or
-// Snapshot) under the documented Stats merge policy.
+// Snapshot) under the documented Stats merge policy (statsNow). Both
+// callers have the shards quiescent or finished.
 func (sp *ShardedPipeline) merge(get func(*Pipeline) *Dataset) *Dataset {
 	merged := &Dataset{byID: map[anonymize.DeviceID]*DeviceData{}}
-	for i, p := range sp.shards {
+	for _, p := range sp.shards {
 		ds := get(p)
 		merged.Devices = append(merged.Devices, ds.Devices...)
 		for id, d := range ds.byID {
 			merged.byID[id] = d
 		}
-		s := ds.Stats
-		if s.DNSEntries != 0 || s.Leases != 0 {
-			panic(fmt.Sprintf("core: broadcast reached shard %d: %d DNS entries / %d leases (join tables are dispatcher-owned)",
-				i, s.DNSEntries, s.Leases))
-		}
-		merged.Stats.FlowsProcessed += s.FlowsProcessed
-		merged.Stats.FlowsTapDropped += s.FlowsTapDropped
-		merged.Stats.FlowsUnattributed += s.FlowsUnattributed
-		merged.Stats.FlowsUnlabeled += s.FlowsUnlabeled
-		merged.Stats.FlowsOutOfWindow += s.FlowsOutOfWindow
-		merged.Stats.BytesProcessed += s.BytesProcessed
-		merged.Stats.HTTPEntries += s.HTTPEntries
 	}
-	merged.Stats.FlowsTapDropped += sp.dispStats.FlowsTapDropped
-	merged.Stats.FlowsOutOfWindow += sp.dispStats.FlowsOutOfWindow
-	merged.Stats.FlowsUnattributed += sp.dispStats.FlowsUnattributed
-	merged.Stats.HTTPEntries += sp.dispStats.HTTPEntries
-	merged.Stats.DNSEntries = sp.dispStats.DNSEntries
-	merged.Stats.Leases = sp.dispStats.Leases
+	merged.Stats = sp.statsNow()
 	sort.Slice(merged.Devices, func(i, j int) bool { return merged.Devices[i].ID < merged.Devices[j].ID })
 	return merged
 }

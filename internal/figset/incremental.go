@@ -1,23 +1,19 @@
 package figset
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // Sealer is the slice of core.Pipeline / core.ShardedPipeline the
-// incremental maintainer drives: seal a day into a mergeable partial
-// aggregate, then re-render only the devices that day touched on top of the
-// previous copy-on-write snapshot.
+// incremental maintainer drives: seal a day into its Stats delta and
+// touched set, then re-render only the devices that day touched on top of
+// the previous copy-on-write snapshot.
 type Sealer interface {
 	SealDay(label string) *core.DayPartial
 	SnapshotDelta(prev *core.Dataset, dp *core.DayPartial) *core.Dataset
 }
 
-// Epoch is one sealed day's output: the day's partial aggregate, the
-// copy-on-write snapshot it produced, the figure set recomputed over that
-// snapshot, and the per-figure timings for bench accounting.
+// Epoch is one sealed day's output: the day's partial, the copy-on-write
+// snapshot it produced, the figure set recomputed over that snapshot, and
+// the per-figure timings for bench accounting.
 type Epoch struct {
 	Partial   *core.DayPartial
 	Dataset   *core.Dataset
@@ -30,46 +26,27 @@ type Epoch struct {
 // O(devices touched that day) on the snapshot side — untouched devices'
 // records are shared with the previous epoch, not re-rendered — plus one
 // figure recompute; a full Snapshot re-renders every device every epoch.
-//
-// Every Seal also merges all partials sealed so far and requires the merge
-// to reproduce the snapshot's cumulative stats exactly. The figures are
-// therefore provably computed over state the merged partial aggregates
-// account for — the check runs in production, not just in tests.
+// The previous snapshot is the only state kept between seals.
 type Incremental struct {
-	sealer   Sealer
-	params   Params
-	base     core.Stats
-	prev     *core.Dataset
-	partials []*core.DayPartial
+	sealer Sealer
+	params Params
+	prev   *core.Dataset
 }
 
-// NewIncremental returns a maintainer over s. base is the pipeline's stats
-// at construction time (zero for a fresh pipeline) — the anchor the
-// merged-partials consistency check adds day deltas onto.
+// NewIncremental returns a maintainer over s.
+// base is unused (the snapshot carries its own cumulative stats); it is
+// kept so existing callers compile.
 func NewIncremental(s Sealer, p Params, base core.Stats) *Incremental {
-	return &Incremental{sealer: s, params: p, base: base}
+	return &Incremental{sealer: s, params: p}
 }
 
 // Seal closes the day under label and returns its epoch: partial, delta
-// snapshot, and recomputed figures. It errors (leaving the snapshot chain
-// unadvanced) if the merged partials disagree with the snapshot's stats.
+// snapshot, and recomputed figures.
+// The error result is always nil; it is kept so existing callers compile.
 func (inc *Incremental) Seal(label string) (*Epoch, error) {
 	dp := inc.sealer.SealDay(label)
 	ds := inc.sealer.SnapshotDelta(inc.prev, dp)
-	merged, err := core.MergeDayPartials(append(inc.partials, dp))
-	if err != nil {
-		return nil, err
-	}
-	if got, want := inc.base.Add(merged.Stats), ds.Stats; got != want {
-		return nil, fmt.Errorf("figset: merged day partials %+v != snapshot stats %+v", got, want)
-	}
 	res, figMS, figWallMS := Compute(ds, inc.params)
-	inc.partials = append(inc.partials, dp)
 	inc.prev = ds
 	return &Epoch{Partial: dp, Dataset: ds, Results: res, FigMS: figMS, FigWallMS: figWallMS}, nil
-}
-
-// Partials returns the day partials sealed so far, in seal order.
-func (inc *Incremental) Partials() []*core.DayPartial {
-	return append([]*core.DayPartial(nil), inc.partials...)
 }

@@ -76,14 +76,11 @@ type BenchReport struct {
 	// the parallel finalization pool overlaps figures on spare cores.
 	FiguresMS     map[string]float64 `json:"figures_ms"`
 	FiguresWallMS float64            `json:"figures_wall_ms,omitempty"`
-	// SealMS and MergeMS time the incremental-stats machinery: the total
-	// cost of sealing per-day partial aggregates, and of merging them for
-	// the merged-vs-monolithic consistency check. Written by runs that take
-	// the per-day checkpoint path (-cache-dir over a rotated dataset);
+	// SealMS is the total cost of the per-day seals. Written by runs that
+	// take the per-day checkpoint path (-cache-dir over a rotated dataset);
 	// omitted otherwise, with the usual ≤0-skip baseline compatibility.
-	SealMS  float64         `json:"seal_ms,omitempty"`
-	MergeMS float64         `json:"merge_ms,omitempty"`
-	Stages  []StageSnapshot `json:"stages,omitempty"`
+	SealMS float64         `json:"seal_ms,omitempty"`
+	Stages []StageSnapshot `json:"stages,omitempty"`
 	// Cache is the stage-cache accounting (runs with -cache-dir only).
 	Cache *CacheBench `json:"cache,omitempty"`
 }
@@ -163,7 +160,6 @@ func CompareBench(old, cur *BenchReport, maxRegress float64) []BenchDelta {
 	compare("wall_seconds", old.WallSeconds, cur.WallSeconds, false)
 	compare("figures_wall_ms", old.FiguresWallMS, cur.FiguresWallMS, false)
 	compare("seal_ms", old.SealMS, cur.SealMS, false)
-	compare("merge_ms", old.MergeMS, cur.MergeMS, false)
 	var figs []string
 	for name := range old.FiguresMS {
 		if _, ok := cur.FiguresMS[name]; ok {

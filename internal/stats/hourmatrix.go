@@ -1,7 +1,5 @@
 package stats
 
-import "sort"
-
 // HoursPerWeek is the number of hour-of-week buckets (7×24).
 const HoursPerWeek = 168
 
@@ -35,9 +33,7 @@ func (m *HourMatrix) Add(device uint64, hour int, v float64) {
 func (m *HourMatrix) Devices() int { return len(m.byDevice) }
 
 // Clone returns a deep copy of the matrix: rows are copied, so mutating
-// the clone (or the original) never reaches the other. Snapshot
-// publication uses this so sealed epochs and the live accumulator don't
-// alias the same rows.
+// the clone (or the original) never reaches the other.
 func (m *HourMatrix) Clone() *HourMatrix {
 	out := NewHourMatrix()
 	for dev, row := range m.byDevice {
@@ -45,37 +41,6 @@ func (m *HourMatrix) Clone() *HourMatrix {
 		out.byDevice[dev] = &cp
 	}
 	return out
-}
-
-// Merge folds other's rows into m by per-bucket addition. The resulting
-// per-device rows do not depend on merge order up to float rounding:
-// float64 addition is commutative exactly but associative only
-// approximately, so callers needing bit-for-bit reproducibility merge in
-// a fixed order (the pipeline merges day partials in day order). Devices
-// are folded in sorted order so a single Merge call is itself
-// deterministic.
-func (m *HourMatrix) Merge(other *HourMatrix) {
-	if other == nil {
-		return
-	}
-	devs := make([]uint64, 0, len(other.byDevice))
-	//lintlock:ignore determinism keys are sorted before any row is folded
-	for dev := range other.byDevice {
-		devs = append(devs, dev)
-	}
-	sort.Slice(devs, func(i, j int) bool { return devs[i] < devs[j] })
-	for _, dev := range devs {
-		src := other.byDevice[dev]
-		row := m.byDevice[dev]
-		if row == nil {
-			cp := *src
-			m.byDevice[dev] = &cp
-			continue
-		}
-		for h, v := range src {
-			row[h] += v
-		}
-	}
 }
 
 // Medians returns, for each hour of the week, the median per-device volume

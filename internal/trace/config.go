@@ -89,6 +89,16 @@ func DefaultConfig() Config {
 	}
 }
 
+// ScaledConfig returns DefaultConfig with the population scale and
+// generator seed set — the two knobs the commands expose as -scale and
+// -seed.
+func ScaledConfig(scale float64, seed int64) Config {
+	cfg := DefaultConfig()
+	cfg.Scale = scale
+	cfg.Seed = seed
+	return cfg
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {

@@ -3,6 +3,7 @@ package trace
 import (
 	"math/rand"
 
+	"repro/internal/anonymize"
 	"repro/internal/campus"
 	"repro/internal/devclass"
 	"repro/internal/packet"
@@ -56,6 +57,18 @@ func (k Kind) TruthType() devclass.Type {
 	default:
 		return devclass.IoT
 	}
+}
+
+// Truth maps every device's pseudonym, as id derives it from the MAC, to
+// the type the classifier should resolve it to — the ground truth the
+// accuracy experiments score against. Pseudonyms need only the key, so a
+// pipeline can rebuild the truth before or after ingest.
+func (g *Generator) Truth(id func(packet.MAC) anonymize.DeviceID) map[anonymize.DeviceID]devclass.Type {
+	truth := make(map[anonymize.DeviceID]devclass.Type, len(g.devices))
+	for _, d := range g.devices {
+		truth[id(d.MAC)] = d.Kind.TruthType()
+	}
+	return truth
 }
 
 // Device is one simulated network device with its behavioral parameters.
