@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race lint lint-golangci lint-custom fuzz-smoke fault-smoke daemon-smoke cache-smoke append-smoke ci bench cover figures figures-full examples clean
+.PHONY: all build vet test test-short bench-check race lint lint-golangci lint-custom fuzz-smoke fault-smoke daemon-smoke cache-smoke append-smoke ci bench cover figures figures-full examples clean
 
 BENCH_JSON ?= BENCH_$(shell date +%F).json
 BENCH_SHARDED_JSON ?= BENCH_shards4_$(shell date +%F).json
@@ -22,6 +22,12 @@ test:
 
 test-short:
 	$(GO) test -short ./...
+
+# bench/ is its own module (repro/bench, replace repro => ../), invisible
+# to the root ./... patterns: vet and short-test it so an internal API
+# change cannot silently break lockbench (CI job bench-module).
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Full race pass at four scheduler procs so the lock-free ring, the
 # route/figure worker pools, and the epoch-snapshot stores see real

@@ -444,6 +444,29 @@ func TestDaemonGrowsWithDatasetAndMatchesBatch(t *testing.T) {
 		t.Fatalf("malformed epoch selector: status %d, want 400", code)
 	}
 
+	// epochs_published counts sealed join-table epochs of a sharded
+	// pipeline. A single pipeline seals none, however many served epochs
+	// /v1/epoch has reported.
+	code, _, body = get(t, base+"/debug/vars")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/vars: status %d", code)
+	}
+	var vars struct {
+		Obs *struct {
+			EpochsPublished int64 `json:"epochs_published"`
+		} `json:"obs"`
+	}
+	if err := json.Unmarshal(body, &vars); err != nil {
+		t.Fatalf("/debug/vars: %v", err)
+	}
+	if vars.Obs == nil {
+		t.Fatal("/debug/vars: no obs metrics")
+	}
+	if vars.Obs.EpochsPublished != 0 {
+		t.Fatalf("epochs_published = %d after %d served epochs at -shards 1, want 0",
+			vars.Obs.EpochsPublished, final.Epoch)
+	}
+
 	// Clean shutdown on SIGTERM with exit code 0.
 	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)

@@ -204,7 +204,6 @@ func run(cfg config) error {
 			}
 			state.publish(&epochSnapshot{epoch: epoch, day: day, res: ep.Results,
 				stats: ep.Dataset.Stats, devices: summarizeDevices(ep.Dataset), partial: ep.Partial})
-			metrics.EpochPublish()
 			fmt.Fprintf(os.Stderr, "lockdownd: epoch %d sealed (%s): %d flows, %d devices (day: %d flows, %d touched)\n",
 				epoch, day, ep.Dataset.Stats.FlowsProcessed, len(ep.Dataset.Devices),
 				ep.Partial.Stats.FlowsProcessed, len(ep.Partial.Touched))
@@ -221,7 +220,6 @@ func run(cfg config) error {
 		res, _, _ := figset.Compute(ds, figParams)
 		state.publish(&epochSnapshot{epoch: epoch, day: lastDay(cfg.root), final: true,
 			res: res, stats: ds.Stats, devices: summarizeDevices(ds)})
-		metrics.EpochPublish()
 		if guard != nil {
 			fmt.Fprintf(os.Stderr, "lockdownd: fault guard: %s\n", guard.Summary())
 		}
@@ -235,15 +233,9 @@ func run(cfg config) error {
 // lastDay names the dataset's final day directory (for /v1/epoch after
 // finalize); empty when unreadable.
 func lastDay(root string) string {
-	entries, err := os.ReadDir(root)
+	days, err := logsink.DayDirs(root)
 	if err != nil {
 		return ""
 	}
-	last := ""
-	for _, e := range entries {
-		if e.IsDir() && e.Name() > last {
-			last = e.Name()
-		}
-	}
-	return last
+	return days[len(days)-1]
 }

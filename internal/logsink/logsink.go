@@ -23,7 +23,7 @@ import (
 )
 
 // File names within a dataset directory. Gzipped variants (name + ".gz")
-// are produced by NewGzipWriter and detected transparently by Replay — the
+// are produced by NewGzipWriter and detected transparently on replay — the
 // same convention Zeek's log rotation uses.
 const (
 	ConnFile = "conn.log"
@@ -185,250 +185,188 @@ func (o ReplayOptions) inject(r io.Reader, name string) io.Reader {
 	return faultline.NewReader(r, o.Inject.Sub(name))
 }
 
+// day sub-seeds injection for one day directory of a rotated dataset
+// (then per file, in inject), so corruption is independent across every
+// file of the dataset and a day's stream is the same on every path.
+func (o ReplayOptions) day(name string) ReplayOptions {
+	if o.Inject != nil {
+		sub := o.Inject.Sub(name)
+		o.Inject = &sub
+	}
+	return o
+}
+
 // lenient reports whether decode errors are survivable (duplicate
 // detection is only worth its comparison cost then).
 func (o ReplayOptions) lenient() bool {
 	return o.Guard.Policy() != faultline.PolicyStrict
 }
 
-// Replay streams a dataset directory into sink: DHCP leases first (they
-// index address bindings), then flows, DNS entries and HTTP metadata merged
-// in timestamp order, matching the live generation order. A sink that
-// implements trace.BatchSink (the sharded pipeline) receives the same
-// events in batched runs instead of one interface call each.
-func Replay(dir string, sink trace.Sink) error {
-	return ReplayWithOptions(dir, sink, ReplayOptions{})
-}
-
-// ReplayWithOptions is Replay with the fault-robustness layer: an optional
-// corruption injector on every log stream and an error-budget guard over
-// every decode failure. Log headers stay fatal under every policy — a file
-// whose schema cannot be read contributes nothing to skip over. Under a
-// lenient policy, adjacent identical records (the duplicated-write fault)
-// are detected per stream and dropped as decodeerr.Duplicate.
+// ReplayWithOptions streams a flat dataset directory into sink under the
+// fault-robustness layer: an optional corruption injector on every log
+// stream and an error-budget guard over every decode failure. Leases come
+// first, then the traffic logs merged by timestamp (see replayDir).
 func ReplayWithOptions(dir string, sink trace.Sink, opts ReplayOptions) error {
-	if err := replayLeases(dir, sink, opts); err != nil {
-		return err
-	}
-	return replayMerged(dir, sink, opts)
+	return replayDir(dir, sink, opts, openLog)
 }
 
-// replayLeases streams the day's DHCP log into sink under the fault layer.
-func replayLeases(dir string, sink trace.Sink, opts ReplayOptions) error {
+// logStream is the shape every per-file reader shares (conn, dns, dhcp,
+// http): typed record iteration plus the raw line and line number the
+// guard reports on rejects.
+type logStream[T any] interface {
+	Next() (T, error)
+	Raw() string
+	Line() int
+}
+
+// streamHead is the merge head of one log stream.
+type streamHead[T any] struct {
+	cur  T
+	ok   bool
+	prev string // previous raw line, for lenient duplicate detection
+}
+
+// advanceHead fills a merge head with the stream's next accepted record,
+// applying the guard policy and (under lenient policies) adjacent-
+// duplicate detection.
+func advanceHead[T any](h *streamHead[T], r logStream[T], source string, opts ReplayOptions) error {
 	g := opts.Guard
 	lenient := opts.lenient()
-	dhcpF, err := openLog(dir, DHCPFile)
-	if err != nil {
-		return err
-	}
-	defer dhcpF.Close()
-	dhcpR, err := dhcp.NewLogReader(opts.inject(dhcpF, DHCPFile))
-	if err != nil {
-		return fmt.Errorf("dhcp.log: %w", err)
-	}
-	var prevLease string
 	for {
-		l, err := dhcpR.Next()
+		v, err := r.Next()
 		if err == io.EOF {
+			h.ok = false
 			return nil
 		}
 		if err != nil {
-			if rerr := g.Reject("dhcp", dhcpR.Raw(), err); rerr != nil {
+			if rerr := g.Reject(source, r.Raw(), err); rerr != nil {
 				return rerr
 			}
 			continue
 		}
 		if lenient {
-			if raw := dhcpR.Raw(); raw != "" && raw == prevLease {
-				if rerr := g.RejectDuplicate("dhcp", dhcpR.Line(), raw); rerr != nil {
+			if raw := r.Raw(); raw != "" && raw == h.prev {
+				if rerr := g.RejectDuplicate(source, r.Line(), raw); rerr != nil {
 					return rerr
 				}
 				continue
 			} else {
-				prevLease = raw
+				h.prev = raw
 			}
 		}
 		g.Accept()
-		sink.Lease(l)
+		h.cur, h.ok = v, true
+		return nil
 	}
 }
 
-// replayMerged streams the day's traffic logs (conn, dns, http) into sink
-// as a timestamp-ordered three-way merge under the fault layer.
-func replayMerged(dir string, sink trace.Sink, opts ReplayOptions) error {
-	out := trace.NewBatcher(sink)
-	g := opts.Guard
-	lenient := opts.lenient()
-
-	connF, err := openLog(dir, ConnFile)
-	if err != nil {
-		return err
+// replayDir streams one dataset directory (a flat dataset or one day of a
+// rotated one) into sink. It is the only replay path: batch, per-day and
+// live-tail replay differ only in how open reaches a log file.
+//
+// Replay order: the directory's DHCP leases in file order, then its DNS,
+// conn and http records merged by timestamp, ties going to DNS, then the
+// flow, then HTTP. Leases first means every binding a flow can match is
+// known before any flow is attributed (lease lookups are time-aware), and
+// a lease whose timestamp is corrupt cannot hold back the leases behind
+// it. DNS first on ties means a resolution precedes the flows it labels.
+// The guard sees records in the same order, so drops, quarantined lines
+// and the point where a policy stops the replay are the same on every
+// path. Log headers are read up front and stay fatal under every policy —
+// a file whose schema cannot be read contributes nothing to skip over.
+//
+// Events pass through a trace.Batcher, flushed at each UTC day rollover
+// of the merged traffic and at the end of the directory: each boundary is
+// an epoch seal for a batch-capable sink (the sharded pipeline) and a
+// no-op for a plain one.
+func replayDir(dir string, sink trace.Sink, opts ReplayOptions, open func(dir, name string) (io.ReadCloser, error)) error {
+	var logs [4]io.Reader
+	for i, name := range [4]string{DHCPFile, ConnFile, DNSFile, HTTPFile} {
+		f, err := open(dir, name)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		logs[i] = opts.inject(f, name)
 	}
-	defer connF.Close()
-	dnsF, err := openLog(dir, DNSFile)
+	dhcpR, err := dhcp.NewLogReader(logs[0])
 	if err != nil {
-		return err
+		return fmt.Errorf("dhcp.log: %w", err)
 	}
-	defer dnsF.Close()
-	httpF, err := openLog(dir, HTTPFile)
-	if err != nil {
-		return err
-	}
-	defer httpF.Close()
-
-	connR, err := zeeklog.NewConnReader(opts.inject(connF, ConnFile))
+	connR, err := zeeklog.NewConnReader(logs[1])
 	if err != nil {
 		return fmt.Errorf("conn.log: %w", err)
 	}
-	dnsR, err := dnssim.NewLogReader(opts.inject(dnsF, DNSFile))
+	dnsR, err := dnssim.NewLogReader(logs[2])
 	if err != nil {
 		return fmt.Errorf("dns.log: %w", err)
 	}
-	httpR, err := httplog.NewReader(opts.inject(httpF, HTTPFile))
+	httpR, err := httplog.NewReader(logs[3])
 	if err != nil {
 		return fmt.Errorf("http.log: %w", err)
 	}
 
-	// Three-way merge by timestamp.
+	out := trace.NewBatcher(sink)
+	var lease streamHead[dhcp.Lease]
+	for {
+		if err := advanceHead(&lease, dhcpR, "dhcp", opts); err != nil {
+			return err
+		}
+		if !lease.ok {
+			break
+		}
+		out.Lease(lease.cur)
+	}
+
 	var (
-		curFlow  flow.Record
-		curDNS   dnssim.Entry
-		curHTTP  httplog.Entry
-		haveFlow bool
-		haveDNS  bool
-		haveHTTP bool
-		prevConn string
-		prevDNS  string
-		prevHTTP string
+		fl streamHead[flow.Record]
+		dn streamHead[dnssim.Entry]
+		ht streamHead[httplog.Entry]
 	)
-	advanceFlow := func() error {
-		for {
-			r, err := connR.Next()
-			if err == io.EOF {
-				haveFlow = false
-				return nil
-			}
-			if err != nil {
-				if rerr := g.Reject("conn", connR.Raw(), err); rerr != nil {
-					return rerr
-				}
-				continue
-			}
-			if lenient {
-				if raw := connR.Raw(); raw != "" && raw == prevConn {
-					if rerr := g.RejectDuplicate("conn", connR.Line(), raw); rerr != nil {
-						return rerr
-					}
-					continue
-				} else {
-					prevConn = raw
-				}
-			}
-			g.Accept()
-			curFlow, haveFlow = r, true
-			return nil
-		}
-	}
-	advanceDNS := func() error {
-		for {
-			e, err := dnsR.Next()
-			if err == io.EOF {
-				haveDNS = false
-				return nil
-			}
-			if err != nil {
-				if rerr := g.Reject("dns", dnsR.Raw(), err); rerr != nil {
-					return rerr
-				}
-				continue
-			}
-			if lenient {
-				if raw := dnsR.Raw(); raw != "" && raw == prevDNS {
-					if rerr := g.RejectDuplicate("dns", dnsR.Line(), raw); rerr != nil {
-						return rerr
-					}
-					continue
-				} else {
-					prevDNS = raw
-				}
-			}
-			g.Accept()
-			curDNS, haveDNS = e, true
-			return nil
-		}
-	}
-	advanceHTTP := func() error {
-		for {
-			e, err := httpR.Next()
-			if err == io.EOF {
-				haveHTTP = false
-				return nil
-			}
-			if err != nil {
-				if rerr := g.Reject("http", httpR.Raw(), err); rerr != nil {
-					return rerr
-				}
-				continue
-			}
-			if lenient {
-				if raw := httpR.Raw(); raw != "" && raw == prevHTTP {
-					if rerr := g.RejectDuplicate("http", httpR.Line(), raw); rerr != nil {
-						return rerr
-					}
-					continue
-				} else {
-					prevHTTP = raw
-				}
-			}
-			g.Accept()
-			curHTTP, haveHTTP = e, true
-			return nil
-		}
-	}
-	if err := advanceFlow(); err != nil {
+	if err := advanceHead(&fl, connR, "conn", opts); err != nil {
 		return err
 	}
-	if err := advanceDNS(); err != nil {
+	if err := advanceHead(&dn, dnsR, "dns", opts); err != nil {
 		return err
 	}
-	if err := advanceHTTP(); err != nil {
+	if err := advanceHead(&ht, httpR, "http", opts); err != nil {
 		return err
 	}
-	// Day-rollover flushes tag batch epochs onto the replay stream the way
-	// the generator's per-day flushes do for live traces: each UTC day
-	// boundary becomes a stream boundary, so a batch-capable sink (the
-	// sharded pipeline) seals and publishes its join-table delta at least
-	// once per replayed day instead of only at end of input.
 	var curDay time.Time
-	rollDay := func(t time.Time) {
+	for {
+		// Earliest timestamp wins; a later stream must be strictly
+		// earlier to displace an earlier one, which encodes the tie order.
+		best, t := 0, time.Time{}
+		if dn.ok {
+			best, t = 1, dn.cur.Time
+		}
+		if fl.ok && (best == 0 || fl.cur.Start.Before(t)) {
+			best, t = 2, fl.cur.Start
+		}
+		if ht.ok && (best == 0 || ht.cur.Time.Before(t)) {
+			best, t = 3, ht.cur.Time
+		}
+		if best == 0 {
+			break
+		}
 		day := t.UTC().Truncate(24 * time.Hour)
 		if !curDay.IsZero() && day.After(curDay) {
 			out.Flush()
 		}
 		curDay = day
-	}
-	for haveFlow || haveDNS || haveHTTP {
-		// Pick the earliest of the available heads; DNS wins ties so
-		// resolutions precede the flows they label.
-		switch {
-		case haveDNS && (!haveFlow || !curFlow.Start.Before(curDNS.Time)) && (!haveHTTP || !curHTTP.Time.Before(curDNS.Time)):
-			rollDay(curDNS.Time)
-			out.DNS(curDNS)
-			if err := advanceDNS(); err != nil {
-				return err
-			}
-		case haveFlow && (!haveHTTP || !curHTTP.Time.Before(curFlow.Start)):
-			rollDay(curFlow.Start)
-			out.Flow(curFlow)
-			if err := advanceFlow(); err != nil {
-				return err
-			}
+		switch best {
+		case 1:
+			out.DNS(dn.cur)
+			err = advanceHead(&dn, dnsR, "dns", opts)
+		case 2:
+			out.Flow(fl.cur)
+			err = advanceHead(&fl, connR, "conn", opts)
 		default:
-			rollDay(curHTTP.Time)
-			out.HTTPMeta(curHTTP)
-			if err := advanceHTTP(); err != nil {
-				return err
-			}
+			out.HTTPMeta(ht.cur)
+			err = advanceHead(&ht, httpR, "http", opts)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	out.Flush()

@@ -79,7 +79,7 @@ func TestWriteThenReplayMatchesLive(t *testing.T) {
 	}
 
 	replayed := &tally{t: t}
-	if err := Replay(dir, replayed); err != nil {
+	if err := ReplayWithOptions(dir, replayed, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if replayed.flows != live.flows || replayed.dns != live.dns ||
@@ -156,11 +156,11 @@ func TestReplayBatchedMatchesPerEvent(t *testing.T) {
 	}
 
 	plain := &tally{t: t}
-	if err := Replay(dir, plain); err != nil {
+	if err := ReplayWithOptions(dir, plain, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	batched := &batchTally{tally: tally{t: t}}
-	if err := Replay(dir, batched); err != nil {
+	if err := ReplayWithOptions(dir, batched, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Replay seals an epoch at every UTC day rollover plus one final flush
@@ -179,7 +179,7 @@ func TestReplayBatchedMatchesPerEvent(t *testing.T) {
 }
 
 func TestReplayMissingDir(t *testing.T) {
-	if err := Replay("/nonexistent-dataset-dir", &tally{t: t}); err == nil {
+	if err := ReplayWithOptions("/nonexistent-dataset-dir", &tally{t: t}, ReplayOptions{}); err == nil {
 		t.Error("missing directory accepted")
 	}
 }
@@ -217,7 +217,7 @@ func TestGzipRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := &tally{t: t}
-		if err := Replay(dir, got); err != nil {
+		if err := ReplayWithOptions(dir, got, ReplayOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		return got
@@ -252,7 +252,7 @@ func TestWriterCreatesDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Empty logs are valid and replayable.
-	if err := Replay(dir, &tally{t: t}); err != nil {
+	if err := ReplayWithOptions(dir, &tally{t: t}, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }

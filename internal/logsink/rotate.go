@@ -105,66 +105,26 @@ func (rw *RotatingWriter) Close() error {
 	return rw.err
 }
 
-// ReplayRotated replays a rotated dataset: every day directory under root,
-// in date order. Because DHCP leases can span day boundaries, all lease
-// logs are replayed before any traffic.
-func ReplayRotated(root string, sink trace.Sink) error {
-	return ReplayRotatedWithOptions(root, sink, ReplayOptions{})
-}
-
-// ReplayRotatedWithOptions is ReplayRotated with the fault-robustness
-// layer. One guard spans the whole dataset (the error budget is global,
-// matching a multi-month run); injection sub-seeds per day directory, then
-// per file, so corruption is independent across every file of the dataset.
+// ReplayRotatedWithOptions replays a rotated dataset: every day directory
+// under root, in date order, each through ReplayRotatedDay. One guard
+// spans the whole dataset (the error budget is global, matching a
+// multi-month run).
 func ReplayRotatedWithOptions(root string, sink trace.Sink, opts ReplayOptions) error {
-	entries, err := os.ReadDir(root)
+	days, err := DayDirs(root)
 	if err != nil {
 		return err
 	}
-	var days []string
-	for _, e := range entries {
-		if e.IsDir() {
-			days = append(days, e.Name())
-		}
-	}
-	if len(days) == 0 {
-		return fmt.Errorf("logsink: no day directories under %s", root)
-	}
-	sort.Strings(days) // YYYY-MM-DD sorts chronologically
-	dayOpts := func(d string) ReplayOptions {
-		o := opts
-		if opts.Inject != nil {
-			sub := opts.Inject.Sub(d)
-			o.Inject = &sub
-		}
-		return o
-	}
-	// Pass 1: leases.
 	for _, d := range days {
-		if err := replayLeases(filepath.Join(root, d), sink, dayOpts(d)); err != nil {
-			return err
-		}
-	}
-	// Pass 2: traffic, day by day. The dhcp logs are not re-read (pass 1
-	// consumed them), so leases are neither double-offered to the guard
-	// nor double-counted by the injector; leaseless keeps any stray lease
-	// out of the sink regardless.
-	for _, d := range days {
-		if err := replayMerged(filepath.Join(root, d), &leaseless{sink}, dayOpts(d)); err != nil {
+		if err := ReplayRotatedDay(root, d, sink, opts); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// leaseless forwards everything except leases (already replayed globally).
-type leaseless struct{ trace.Sink }
-
-func (l *leaseless) Lease(dhcp.Lease) {}
-
 // DayDirs returns the dataset's day directory names under root in date
 // order (YYYY-MM-DD sorts chronologically) — the unit the per-day stats
-// cache keys and replays.
+// cache keys and replays. A root without day directories is an error.
 func DayDirs(root string) ([]string, error) {
 	entries, err := os.ReadDir(root)
 	if err != nil {
@@ -183,29 +143,9 @@ func DayDirs(root string) ([]string, error) {
 	return days, nil
 }
 
-// ReplayRotatedDay replays exactly one day directory: its lease log first,
-// then its merged traffic (with leases filtered out of the merged pass,
-// mirroring ReplayRotatedWithOptions). Injection sub-seeds per day the
-// same way the whole-dataset replay does, so a given day's stream is
-// byte-for-byte the one ReplayRotatedWithOptions would feed for that day.
-//
-// Replaying days one at a time (day d's leases immediately before day d's
-// traffic) is equivalent to the whole-dataset order (all leases, then all
-// traffic) for every lookup the pipeline performs: a lease can only match
-// timestamps at or after its start, so leases from later days are
-// invisible to earlier traffic, and a renewal that coalesces with a span
-// from an earlier day only extends its end — affecting only lookups at or
-// after the renewal day. The daemon's live tail ingests in exactly this
-// per-day order and its CI parity check pins the equivalence end to end.
+// ReplayRotatedDay replays exactly one day directory of a rotated dataset
+// in replayDir's order, with injection sub-seeded per day, so a day's
+// stream is the one every other path feeds for that day.
 func ReplayRotatedDay(root, day string, sink trace.Sink, opts ReplayOptions) error {
-	o := opts
-	if opts.Inject != nil {
-		sub := opts.Inject.Sub(day)
-		o.Inject = &sub
-	}
-	dir := filepath.Join(root, day)
-	if err := replayLeases(dir, sink, o); err != nil {
-		return err
-	}
-	return replayMerged(dir, &leaseless{sink}, o)
+	return replayDir(filepath.Join(root, day), sink, opts.day(day), openLog)
 }

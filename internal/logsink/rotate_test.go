@@ -3,6 +3,7 @@ package logsink
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/trace"
@@ -34,7 +35,7 @@ func TestRotatingWriterMatchesMonolithic(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := &tally{t: t}
-	if err := Replay(monoDir, ref); err != nil {
+	if err := ReplayWithOptions(monoDir, ref, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -65,7 +66,7 @@ func TestRotatingWriterMatchesMonolithic(t *testing.T) {
 	}
 
 	got := &tally{t: t}
-	if err := ReplayRotated(rotDir, got); err != nil {
+	if err := ReplayRotatedWithOptions(rotDir, got, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got.flows != ref.flows || got.bytes != ref.bytes ||
@@ -74,10 +75,28 @@ func TestRotatingWriterMatchesMonolithic(t *testing.T) {
 			[5]int64{int64(got.flows), got.bytes, int64(got.dns), int64(got.http), int64(got.leases)},
 			[5]int64{int64(ref.flows), ref.bytes, int64(ref.dns), int64(ref.http), int64(ref.leases)})
 	}
+
+	// Both layouts replay in one order. A directory's leases come first,
+	// so the flat replay delivers every lease before the traffic and the
+	// rotated one each day's leases before that day's traffic; apart from
+	// where the leases sit, the two sequences are the same.
+	flat, rot := &recorder{}, &recorder{}
+	if err := ReplayWithOptions(monoDir, flat, ReplayOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReplayRotatedWithOptions(rotDir, rot, ReplayOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	isLease := func(e streamEvent) bool { return e.kind == trace.EventLease }
+	notLease := func(e streamEvent) bool { return !isLease(e) }
+	requireSameSeq(t, "flat vs rotated leases",
+		slices.DeleteFunc(flat.events(), notLease), slices.DeleteFunc(rot.events(), notLease))
+	requireSameSeq(t, "flat vs rotated traffic",
+		slices.DeleteFunc(flat.events(), isLease), slices.DeleteFunc(rot.events(), isLease))
 }
 
 func TestReplayRotatedEmpty(t *testing.T) {
-	if err := ReplayRotated(t.TempDir(), &tally{t: t}); err == nil {
+	if err := ReplayRotatedWithOptions(t.TempDir(), &tally{t: t}, ReplayOptions{}); err == nil {
 		t.Error("empty root accepted")
 	}
 }

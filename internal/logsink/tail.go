@@ -9,12 +9,7 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/dhcp"
-	"repro/internal/dnssim"
-	"repro/internal/flow"
-	"repro/internal/httplog"
 	"repro/internal/trace"
-	"repro/internal/zeeklog"
 )
 
 // TailSentinel is the default marker file name: its existence under a
@@ -54,15 +49,10 @@ type TailOptions struct {
 // TailRotated follows a growing rotated dataset under root, streaming
 // events into sink as the writer produces them, and returns once the
 // sentinel file declares the dataset complete (or with ErrTailStopped on
-// Stop). It is the live-ingest counterpart of ReplayRotatedWithOptions
-// and produces the same event stream with one documented difference:
-// DHCP leases are merged into each day's traffic in timestamp order
-// (winning ties) instead of being replayed in a global first pass — a
-// tail cannot read future days. The result is equivalent: every lease
-// lookup is time-aware, a lease starting after t never matches nor
-// terminates a lookup at t, and leases still arrive in global start
-// order, so attribution, coalescing, and the final dataset are identical
-// (the tail parity tests pin this).
+// Stop). It is the live-ingest counterpart of ReplayRotatedWithOptions:
+// each day goes through the same replayDir, so the event stream, the
+// guard's decisions and the flush positions are identical. Since a day's
+// leases come first, its traffic is replayed once its lease log is final.
 //
 // Within a day the tail blocks at end-of-file until more bytes arrive: a
 // torn final line means "the writer is mid-append" and parsing resumes
@@ -85,15 +75,6 @@ func TailRotated(root string, sink trace.Sink, opts TailOptions) error {
 	}
 	sentinelPath := filepath.Join(root, sentinel)
 
-	dayOpts := func(d string) ReplayOptions {
-		o := opts.ReplayOptions
-		if o.Inject != nil {
-			sub := o.Inject.Sub(d)
-			o.Inject = &sub
-		}
-		return o
-	}
-
 	seen := 0 // day directories fully replayed so far
 	for {
 		days, err := dayDirs(root)
@@ -111,7 +92,7 @@ func TailRotated(root string, sink trace.Sink, opts TailOptions) error {
 				ds, err := dayDirs(root)
 				return err == nil && len(ds) > next
 			}
-			if err := tailDay(filepath.Join(root, day), sink, dayOpts(day), poll, opts.Stop, final); err != nil {
+			if err := tailDay(filepath.Join(root, day), sink, opts.day(day), poll, opts.Stop, final); err != nil {
 				return err
 			}
 			seen = next
@@ -231,164 +212,11 @@ func openTail(dir, name string, poll time.Duration, stop <-chan struct{}, final 
 	}
 }
 
-// logStream is the shape every per-file reader shares (conn, dns, dhcp,
-// http): typed record iteration plus the raw line and line number the
-// guard reports on rejects.
-type logStream[T any] interface {
-	Next() (T, error)
-	Raw() string
-	Line() int
-}
-
-// streamHead is the merge head of one tailed stream.
-type streamHead[T any] struct {
-	cur  T
-	ok   bool
-	prev string // previous raw line, for lenient duplicate detection
-}
-
-// advanceHead fills a merge head with the stream's next accepted record,
-// applying the guard policy and (under lenient policies) adjacent-
-// duplicate detection — the same per-record loop batch replay runs.
-func advanceHead[T any](h *streamHead[T], r logStream[T], source string, opts ReplayOptions) error {
-	g := opts.Guard
-	lenient := opts.lenient()
-	for {
-		v, err := r.Next()
-		if err == io.EOF {
-			h.ok = false
-			return nil
-		}
-		if err != nil {
-			if rerr := g.Reject(source, r.Raw(), err); rerr != nil {
-				return rerr
-			}
-			continue
-		}
-		if lenient {
-			if raw := r.Raw(); raw != "" && raw == h.prev {
-				if rerr := g.RejectDuplicate(source, r.Line(), raw); rerr != nil {
-					return rerr
-				}
-				continue
-			} else {
-				h.prev = raw
-			}
-		}
-		g.Accept()
-		h.cur, h.ok = v, true
-		return nil
-	}
-}
-
-// tailDay streams one day directory into sink as a timestamp-ordered
-// four-way merge (leases win ties, then DNS, then flows, then HTTP — so
-// a binding precedes the flows it attributes and a resolution precedes
-// the flows it labels), blocking at each file's tail until the day is
-// final. The sink's batcher is flushed at day end, which is the epoch
-// seal for a batch-capable sink.
+// tailDay replays one day directory through replayDir, blocking at each
+// file's tail until the day is final. replayDir's closing flush is the
+// epoch seal for a batch-capable sink.
 func tailDay(dir string, sink trace.Sink, opts ReplayOptions, poll time.Duration, stop <-chan struct{}, final func() bool) error {
-	open := func(name string) (io.ReadCloser, error) {
+	return replayDir(dir, sink, opts, func(dir, name string) (io.ReadCloser, error) {
 		return openTail(dir, name, poll, stop, final)
-	}
-	dhcpF, err := open(DHCPFile)
-	if err != nil {
-		return err
-	}
-	defer dhcpF.Close()
-	connF, err := open(ConnFile)
-	if err != nil {
-		return err
-	}
-	defer connF.Close()
-	dnsF, err := open(DNSFile)
-	if err != nil {
-		return err
-	}
-	defer dnsF.Close()
-	httpF, err := open(HTTPFile)
-	if err != nil {
-		return err
-	}
-	defer httpF.Close()
-
-	// The header reads at construction block until the writer has written
-	// each file's schema line; header errors stay fatal under every
-	// policy, exactly as in batch replay.
-	dhcpR, err := dhcp.NewLogReader(opts.inject(dhcpF, DHCPFile))
-	if err != nil {
-		return fmt.Errorf("dhcp.log: %w", err)
-	}
-	connR, err := zeeklog.NewConnReader(opts.inject(connF, ConnFile))
-	if err != nil {
-		return fmt.Errorf("conn.log: %w", err)
-	}
-	dnsR, err := dnssim.NewLogReader(opts.inject(dnsF, DNSFile))
-	if err != nil {
-		return fmt.Errorf("dns.log: %w", err)
-	}
-	httpR, err := httplog.NewReader(opts.inject(httpF, HTTPFile))
-	if err != nil {
-		return fmt.Errorf("http.log: %w", err)
-	}
-
-	var (
-		lease streamHead[dhcp.Lease]
-		fl    streamHead[flow.Record]
-		dn    streamHead[dnssim.Entry]
-		ht    streamHead[httplog.Entry]
-	)
-	if err := advanceHead(&lease, dhcpR, "dhcp", opts); err != nil {
-		return err
-	}
-	if err := advanceHead(&fl, connR, "conn", opts); err != nil {
-		return err
-	}
-	if err := advanceHead(&dn, dnsR, "dns", opts); err != nil {
-		return err
-	}
-	if err := advanceHead(&ht, httpR, "http", opts); err != nil {
-		return err
-	}
-
-	out := trace.NewBatcher(sink)
-	for lease.ok || fl.ok || dn.ok || ht.ok {
-		// Earliest timestamp wins; on ties the earlier consider call wins,
-		// encoding the lease > DNS > flow > HTTP priority.
-		best := 0
-		var bt time.Time
-		consider := func(code int, ok bool, t time.Time) {
-			if ok && (best == 0 || t.Before(bt)) {
-				best, bt = code, t
-			}
-		}
-		consider(1, lease.ok, lease.cur.Start)
-		consider(2, dn.ok, dn.cur.Time)
-		consider(3, fl.ok, fl.cur.Start)
-		consider(4, ht.ok, ht.cur.Time)
-		switch best {
-		case 1:
-			out.Lease(lease.cur)
-			if err := advanceHead(&lease, dhcpR, "dhcp", opts); err != nil {
-				return err
-			}
-		case 2:
-			out.DNS(dn.cur)
-			if err := advanceHead(&dn, dnsR, "dns", opts); err != nil {
-				return err
-			}
-		case 3:
-			out.Flow(fl.cur)
-			if err := advanceHead(&fl, connR, "conn", opts); err != nil {
-				return err
-			}
-		default:
-			out.HTTPMeta(ht.cur)
-			if err := advanceHead(&ht, httpR, "http", opts); err != nil {
-				return err
-			}
-		}
-	}
-	out.Flush()
-	return nil
+	})
 }

@@ -61,15 +61,13 @@ func listDays(t *testing.T, root string) []string {
 
 // TestTailRotatedMatchesReplayStatic tails an already-complete dataset and
 // checks stream-for-stream equality with batch replay — including full
-// pipeline-dataset parity under a fixed key, which pins the lease-merge
-// equivalence (tail interleaves leases by timestamp; batch replays them in
-// a global first pass).
+// pipeline-dataset parity under a fixed key.
 func TestTailRotatedMatchesReplayStatic(t *testing.T) {
 	src := writeRotated(t)
 	writeSentinel(t, src)
 
 	clean := &tally{t: t}
-	if err := ReplayRotated(src, clean); err != nil {
+	if err := ReplayRotatedWithOptions(src, clean, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if clean.flows == 0 {
@@ -117,7 +115,7 @@ func TestTailRotatedMatchesReplayStatic(t *testing.T) {
 		return p
 	}
 	batchP := mk()
-	if err := ReplayRotated(src, batchP); err != nil {
+	if err := ReplayRotatedWithOptions(src, batchP, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	tailP := mk()
@@ -146,7 +144,7 @@ func TestTailRotatedMatchesReplayStatic(t *testing.T) {
 func TestTailRotatedGrowingDataset(t *testing.T) {
 	src := writeRotated(t)
 	clean := &tally{t: t}
-	if err := ReplayRotated(src, clean); err != nil {
+	if err := ReplayRotatedWithOptions(src, clean, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	days := listDays(t, src)
@@ -273,7 +271,7 @@ func tornCut(t *testing.T, data []byte, rng *rand.Rand) int {
 func TestTailTornResumeSeededOffsets(t *testing.T) {
 	src := writeRotated(t)
 	clean := &tally{t: t}
-	if err := ReplayRotated(src, clean); err != nil {
+	if err := ReplayRotatedWithOptions(src, clean, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	days := listDays(t, src)
@@ -377,7 +375,7 @@ func TestTailTornResumeSeededOffsets(t *testing.T) {
 func TestTailFinalTornRecordDropsLikeBatch(t *testing.T) {
 	src := writeRotated(t)
 	clean := &tally{t: t}
-	if err := ReplayRotated(src, clean); err != nil {
+	if err := ReplayRotatedWithOptions(src, clean, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	torn := copyRotated(t, src)

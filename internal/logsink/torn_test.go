@@ -124,7 +124,7 @@ func TestTornRotationBoundary(t *testing.T) {
 	src := writeRotated(t)
 
 	clean := &tally{t: t}
-	if err := ReplayRotated(src, clean); err != nil {
+	if err := ReplayRotatedWithOptions(src, clean, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if clean.flows == 0 {
@@ -166,7 +166,7 @@ func TestTornRotationBoundary(t *testing.T) {
 func TestTornTailInjectorOnRotation(t *testing.T) {
 	src := writeRotated(t)
 	clean := &tally{t: t}
-	if err := ReplayRotated(src, clean); err != nil {
+	if err := ReplayRotatedWithOptions(src, clean, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -32,17 +32,6 @@ func (m *HourMatrix) Add(device uint64, hour int, v float64) {
 // Devices returns the number of devices with any recorded traffic.
 func (m *HourMatrix) Devices() int { return len(m.byDevice) }
 
-// Clone returns a deep copy of the matrix: rows are copied, so mutating
-// the clone (or the original) never reaches the other.
-func (m *HourMatrix) Clone() *HourMatrix {
-	out := NewHourMatrix()
-	for dev, row := range m.byDevice {
-		cp := *row
-		out.byDevice[dev] = &cp
-	}
-	return out
-}
-
 // Medians returns, for each hour of the week, the median per-device volume
 // across all devices seen in this matrix (devices idle in an hour
 // contribute zero for that hour). An empty matrix yields all zeros.

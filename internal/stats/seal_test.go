@@ -122,25 +122,6 @@ func TestSealedSnapshotConcurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-func TestHourMatrixCloneIsolation(t *testing.T) {
-	m := NewHourMatrix()
-	m.Add(1, 10, 5)
-	m.Add(2, 20, 7)
-	c := m.Clone()
-	m.Add(1, 10, 100)
-	m.Add(3, 30, 1)
-	if c.Devices() != 2 {
-		t.Fatalf("clone devices = %d, want 2", c.Devices())
-	}
-	if got := c.Totals()[10]; got != 5 {
-		t.Fatalf("clone bucket 10 = %v after mutating original, want 5", got)
-	}
-	c.Add(2, 20, 50)
-	if got := m.Totals()[20]; got != 7 {
-		t.Fatalf("original bucket 20 = %v after mutating clone, want 7", got)
-	}
-}
-
 func TestReservoirSnapshotIsolation(t *testing.T) {
 	r := NewReservoir[int](4, 1)
 	for i := 0; i < 4; i++ {

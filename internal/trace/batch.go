@@ -51,7 +51,7 @@ type BatchSink interface {
 }
 
 // batchEmitCap is the producer-side run length: Run/RunDays and
-// logsink.Replay hand a BatchSink slices of at most this many events.
+// logsink replay hand a BatchSink slices of at most this many events.
 const batchEmitCap = 1024
 
 // Batcher adapts per-event emission to the fastest delivery path its sink
