@@ -69,6 +69,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzConnReader -fuzztime 30s ./internal/zeeklog
 	$(GO) test -run '^$$' -fuzz FuzzLeaseLine -fuzztime 30s ./internal/dhcp
 	$(GO) test -run '^$$' -fuzz FuzzHTTPEntry -fuzztime 30s ./internal/httplog
+	$(GO) test -run '^$$' -fuzz FuzzDNSLogReader -fuzztime 30s ./internal/dnssim
+	$(GO) test -run '^$$' -fuzz FuzzFieldBytes -fuzztime 30s ./internal/zeeklog
 
 # Corruption-replay smoke: generate a 5%-scale dataset, replay it with 0.1%
 # seeded corruption under the skip policy — once through the single

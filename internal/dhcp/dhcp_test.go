@@ -310,3 +310,19 @@ func BenchmarkNormalizerLookup(b *testing.B) {
 		n.Lookup(l.Addr, l.Start)
 	}
 }
+
+// TestParseMACMatchesPacket holds the in-place MAC decode to
+// packet.ParseMAC: the same value, or the same error, on every input.
+func TestParseMACMatchesPacket(t *testing.T) {
+	for _, s := range []string{
+		"aa:bb:cc:dd:ee:ff", "00:1A:2b:3C:4d:5E", "aa:bb:cc:dd:ee:f", "aa:bb:cc:dd:ee:fff",
+		"aa-bb-cc-dd-ee-ff", "aa:bb:cc:dd:ee:gg", "aabb:cc:dd:ee:ff:", ":aa:bb:cc:dd:eeff", "", "-",
+		"+a:bb:cc:dd:ee:ff", "a:bb:cc:dd:ee:ff0",
+	} {
+		got, err := parseMAC([]byte(s))
+		want, werr := packet.ParseMAC(s)
+		if got != want || (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+			t.Errorf("parseMAC(%q) = %v, %v; packet.ParseMAC = %v, %v", s, got, err, want, werr)
+		}
+	}
+}

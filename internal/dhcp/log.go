@@ -2,7 +2,6 @@ package dhcp
 
 import (
 	"io"
-	"net/netip"
 
 	"repro/internal/decodeerr"
 	"repro/internal/packet"
@@ -60,29 +59,61 @@ func NewLogReader(r io.Reader) (*LogReader, error) {
 // Next returns the next lease or io.EOF. Failures are classified
 // (*decodeerr.Error) so a fault-tolerant replay can skip-and-count them.
 func (lr *LogReader) Next() (Lease, error) {
-	values, err := lr.r.Next()
+	f, err := lr.r.Next()
 	if err != nil {
 		return Lease{}, err
 	}
 	line := lr.r.Line()
 	var l Lease
-	if l.Start, err = zeeklog.ParseTime(values[0]); err != nil {
+	if l.Start, err = zeeklog.ParseTimeBytes(f[0]); err != nil {
 		return l, err
 	}
-	if l.MAC, err = packet.ParseMAC(values[1]); err != nil {
+	if l.MAC, err = parseMAC(f[1]); err != nil {
 		return l, decodeerr.New(decodeerr.Malformed, "dhcp", line, err)
 	}
-	if l.Addr, err = netip.ParseAddr(values[2]); err != nil {
-		return l, decodeerr.Newf(decodeerr.Malformed, "dhcp", line, "bad address %q: %w", values[2], err)
+	if l.Addr, err = zeeklog.ParseAddrBytes(f[2]); err != nil {
+		return l, decodeerr.Newf(decodeerr.Malformed, "dhcp", line, "bad address %q: %w", f[2], err)
 	}
-	if l.End, err = zeeklog.ParseTime(values[3]); err != nil {
+	if l.End, err = zeeklog.ParseTimeBytes(f[3]); err != nil {
 		return l, err
 	}
 	return l, nil
 }
 
-// Raw returns the data line behind the most recent Next.
-func (lr *LogReader) Raw() string { return lr.r.Raw() }
+// parseMAC is packet.ParseMAC on a borrowed field: six colon-separated
+// two-digit hex octets decode in place, anything else goes to ParseMAC.
+func parseMAC(b []byte) (packet.MAC, error) {
+	var m packet.MAC
+	if len(b) == 17 {
+		ok := true
+		for i := range m {
+			hi, lo := unhex(b[3*i]), unhex(b[3*i+1])
+			ok = ok && hi < 16 && lo < 16 && (i == 5 || b[3*i+2] == ':')
+			m[i] = hi<<4 | lo
+		}
+		if ok {
+			return m, nil
+		}
+	}
+	return packet.ParseMAC(string(b))
+}
+
+// unhex returns a hex digit's value, or 16 for any other byte.
+func unhex(c byte) byte {
+	switch {
+	case c >= '0' && c <= '9':
+		return c - '0'
+	case c >= 'a' && c <= 'f':
+		return c - 'a' + 10
+	case c >= 'A' && c <= 'F':
+		return c - 'A' + 10
+	}
+	return 16
+}
+
+// Raw returns the data line behind the most recent Next, borrowed until
+// the next call.
+func (lr *LogReader) Raw() []byte { return lr.r.Raw() }
 
 // Line returns the input line number of the most recent Next.
 func (lr *LogReader) Line() int { return lr.r.Line() }

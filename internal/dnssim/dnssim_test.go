@@ -223,3 +223,42 @@ func BenchmarkLabel(b *testing.B) {
 		l.Label(e.Answer, t0.Add(time.Minute))
 	}
 }
+
+// TestLogReaderZeroAllocs pins the in-place decode: after warm-up, a
+// canonical IPv4 dns log line decodes without allocating.
+func TestLogReaderZeroAllocs(t *testing.T) {
+	r, _ := testResolver(t)
+	var buf bytes.Buffer
+	w := NewLogWriter(&buf)
+	domains := []string{"facebook.com", "zoom.us", "bilibili.com", "steampowered.com"}
+	for i := 0; i < 400; i++ {
+		client := netip.AddrFrom4([4]byte{10, 5, byte(i >> 8), byte(i)})
+		e, ok := r.Query(client, domains[i%len(domains)], t0.Add(time.Duration(i)*time.Second))
+		if !ok {
+			t.Fatal("query did not resolve")
+		}
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lr, err := NewLogReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ { // warm-up: fills the query vocabulary
+		if _, err := lr.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := lr.Next(); err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("LogReader.Next: %v allocs per line, want 0", allocs)
+	}
+}

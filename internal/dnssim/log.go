@@ -2,7 +2,6 @@ package dnssim
 
 import (
 	"io"
-	"net/netip"
 
 	"repro/internal/decodeerr"
 	"repro/internal/zeeklog"
@@ -46,7 +45,8 @@ func (lw *LogWriter) Close() error { return lw.w.Close() }
 
 // LogReader reads entries back from a Zeek-style dns log.
 type LogReader struct {
-	r *zeeklog.Reader
+	r     *zeeklog.Reader
+	query zeeklog.Vocab
 }
 
 // NewLogReader validates the header and returns a reader.
@@ -61,30 +61,31 @@ func NewLogReader(r io.Reader) (*LogReader, error) {
 // Next returns the next entry or io.EOF. Failures are classified
 // (*decodeerr.Error) so a fault-tolerant replay can skip-and-count them.
 func (lr *LogReader) Next() (Entry, error) {
-	values, err := lr.r.Next()
+	f, err := lr.r.Next()
 	if err != nil {
 		return Entry{}, err
 	}
 	line := lr.r.Line()
 	var e Entry
-	if e.Time, err = zeeklog.ParseTime(values[0]); err != nil {
+	if e.Time, err = zeeklog.ParseTimeBytes(f[0]); err != nil {
 		return e, err
 	}
-	if e.Client, err = netip.ParseAddr(values[1]); err != nil {
-		return e, decodeerr.Newf(decodeerr.Malformed, "dns", line, "bad client %q: %w", values[1], err)
+	if e.Client, err = zeeklog.ParseAddrBytes(f[1]); err != nil {
+		return e, decodeerr.Newf(decodeerr.Malformed, "dns", line, "bad client %q: %w", f[1], err)
 	}
-	e.Query = zeeklog.ParseString(values[2])
-	if e.Answer, err = netip.ParseAddr(values[3]); err != nil {
-		return e, decodeerr.Newf(decodeerr.Malformed, "dns", line, "bad answer %q: %w", values[3], err)
+	e.Query = lr.query.Parse(f[2])
+	if e.Answer, err = zeeklog.ParseAddrBytes(f[3]); err != nil {
+		return e, decodeerr.Newf(decodeerr.Malformed, "dns", line, "bad answer %q: %w", f[3], err)
 	}
-	if e.TTL, err = zeeklog.ParseInterval(values[4]); err != nil {
+	if e.TTL, err = zeeklog.ParseIntervalBytes(f[4]); err != nil {
 		return e, err
 	}
 	return e, nil
 }
 
-// Raw returns the data line behind the most recent Next.
-func (lr *LogReader) Raw() string { return lr.r.Raw() }
+// Raw returns the data line behind the most recent Next, borrowed until
+// the next call.
+func (lr *LogReader) Raw() []byte { return lr.r.Raw() }
 
 // Line returns the input line number of the most recent Next.
 func (lr *LogReader) Line() int { return lr.r.Line() }

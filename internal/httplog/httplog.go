@@ -59,7 +59,8 @@ func (lw *Writer) Close() error { return lw.w.Close() }
 
 // Reader reads entries back.
 type Reader struct {
-	r *zeeklog.Reader
+	r        *zeeklog.Reader
+	host, ua zeeklog.Vocab
 }
 
 // NewReader validates the header and returns a reader.
@@ -74,25 +75,26 @@ func NewReader(r io.Reader) (*Reader, error) {
 // Next returns the next entry or io.EOF. Failures are classified
 // (*decodeerr.Error) so a fault-tolerant replay can skip-and-count them.
 func (lr *Reader) Next() (Entry, error) {
-	values, err := lr.r.Next()
+	f, err := lr.r.Next()
 	if err != nil {
 		return Entry{}, err
 	}
 	line := lr.r.Line()
 	var e Entry
-	if e.Time, err = zeeklog.ParseTime(values[0]); err != nil {
+	if e.Time, err = zeeklog.ParseTimeBytes(f[0]); err != nil {
 		return e, err
 	}
-	if e.Client, err = netip.ParseAddr(values[1]); err != nil {
-		return e, decodeerr.Newf(decodeerr.Malformed, "http", line, "bad client %q: %w", values[1], err)
+	if e.Client, err = zeeklog.ParseAddrBytes(f[1]); err != nil {
+		return e, decodeerr.Newf(decodeerr.Malformed, "http", line, "bad client %q: %w", f[1], err)
 	}
-	e.Host = zeeklog.ParseString(values[2])
-	e.UserAgent = zeeklog.ParseString(values[3])
+	e.Host = lr.host.Parse(f[2])
+	e.UserAgent = lr.ua.Parse(f[3])
 	return e, nil
 }
 
-// Raw returns the data line behind the most recent Next.
-func (lr *Reader) Raw() string { return lr.r.Raw() }
+// Raw returns the data line behind the most recent Next, borrowed until
+// the next call.
+func (lr *Reader) Raw() []byte { return lr.r.Raw() }
 
 // Line returns the input line number of the most recent Next.
 func (lr *Reader) Line() int { return lr.r.Line() }

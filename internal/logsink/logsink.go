@@ -11,7 +11,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/dhcp"
 	"repro/internal/dnssim"
@@ -133,8 +132,8 @@ func (w *Writer) Close() error {
 }
 
 // openLog opens a dataset log, preferring the plain file and falling back
-// to the gzipped variant.
-func openLog(dir, name string) (io.ReadCloser, error) {
+// to the gzipped variant. It never blocks, so it ignores stop.
+func openLog(dir, name string, _ <-chan struct{}) (io.ReadCloser, error) {
 	if f, err := os.Open(filepath.Join(dir, name)); err == nil {
 		return f, nil
 	}
@@ -208,167 +207,4 @@ func (o ReplayOptions) lenient() bool {
 // first, then the traffic logs merged by timestamp (see replayDir).
 func ReplayWithOptions(dir string, sink trace.Sink, opts ReplayOptions) error {
 	return replayDir(dir, sink, opts, openLog)
-}
-
-// logStream is the shape every per-file reader shares (conn, dns, dhcp,
-// http): typed record iteration plus the raw line and line number the
-// guard reports on rejects.
-type logStream[T any] interface {
-	Next() (T, error)
-	Raw() string
-	Line() int
-}
-
-// streamHead is the merge head of one log stream.
-type streamHead[T any] struct {
-	cur  T
-	ok   bool
-	prev string // previous raw line, for lenient duplicate detection
-}
-
-// advanceHead fills a merge head with the stream's next accepted record,
-// applying the guard policy and (under lenient policies) adjacent-
-// duplicate detection.
-func advanceHead[T any](h *streamHead[T], r logStream[T], source string, opts ReplayOptions) error {
-	g := opts.Guard
-	lenient := opts.lenient()
-	for {
-		v, err := r.Next()
-		if err == io.EOF {
-			h.ok = false
-			return nil
-		}
-		if err != nil {
-			if rerr := g.Reject(source, r.Raw(), err); rerr != nil {
-				return rerr
-			}
-			continue
-		}
-		if lenient {
-			if raw := r.Raw(); raw != "" && raw == h.prev {
-				if rerr := g.RejectDuplicate(source, r.Line(), raw); rerr != nil {
-					return rerr
-				}
-				continue
-			} else {
-				h.prev = raw
-			}
-		}
-		g.Accept()
-		h.cur, h.ok = v, true
-		return nil
-	}
-}
-
-// replayDir streams one dataset directory (a flat dataset or one day of a
-// rotated one) into sink. It is the only replay path: batch, per-day and
-// live-tail replay differ only in how open reaches a log file.
-//
-// Replay order: the directory's DHCP leases in file order, then its DNS,
-// conn and http records merged by timestamp, ties going to DNS, then the
-// flow, then HTTP. Leases first means every binding a flow can match is
-// known before any flow is attributed (lease lookups are time-aware), and
-// a lease whose timestamp is corrupt cannot hold back the leases behind
-// it. DNS first on ties means a resolution precedes the flows it labels.
-// The guard sees records in the same order, so drops, quarantined lines
-// and the point where a policy stops the replay are the same on every
-// path. Log headers are read up front and stay fatal under every policy —
-// a file whose schema cannot be read contributes nothing to skip over.
-//
-// Events pass through a trace.Batcher, flushed at each UTC day rollover
-// of the merged traffic and at the end of the directory: each boundary is
-// an epoch seal for a batch-capable sink (the sharded pipeline) and a
-// no-op for a plain one.
-func replayDir(dir string, sink trace.Sink, opts ReplayOptions, open func(dir, name string) (io.ReadCloser, error)) error {
-	var logs [4]io.Reader
-	for i, name := range [4]string{DHCPFile, ConnFile, DNSFile, HTTPFile} {
-		f, err := open(dir, name)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		logs[i] = opts.inject(f, name)
-	}
-	dhcpR, err := dhcp.NewLogReader(logs[0])
-	if err != nil {
-		return fmt.Errorf("dhcp.log: %w", err)
-	}
-	connR, err := zeeklog.NewConnReader(logs[1])
-	if err != nil {
-		return fmt.Errorf("conn.log: %w", err)
-	}
-	dnsR, err := dnssim.NewLogReader(logs[2])
-	if err != nil {
-		return fmt.Errorf("dns.log: %w", err)
-	}
-	httpR, err := httplog.NewReader(logs[3])
-	if err != nil {
-		return fmt.Errorf("http.log: %w", err)
-	}
-
-	out := trace.NewBatcher(sink)
-	var lease streamHead[dhcp.Lease]
-	for {
-		if err := advanceHead(&lease, dhcpR, "dhcp", opts); err != nil {
-			return err
-		}
-		if !lease.ok {
-			break
-		}
-		out.Lease(lease.cur)
-	}
-
-	var (
-		fl streamHead[flow.Record]
-		dn streamHead[dnssim.Entry]
-		ht streamHead[httplog.Entry]
-	)
-	if err := advanceHead(&fl, connR, "conn", opts); err != nil {
-		return err
-	}
-	if err := advanceHead(&dn, dnsR, "dns", opts); err != nil {
-		return err
-	}
-	if err := advanceHead(&ht, httpR, "http", opts); err != nil {
-		return err
-	}
-	var curDay time.Time
-	for {
-		// Earliest timestamp wins; a later stream must be strictly
-		// earlier to displace an earlier one, which encodes the tie order.
-		best, t := 0, time.Time{}
-		if dn.ok {
-			best, t = 1, dn.cur.Time
-		}
-		if fl.ok && (best == 0 || fl.cur.Start.Before(t)) {
-			best, t = 2, fl.cur.Start
-		}
-		if ht.ok && (best == 0 || ht.cur.Time.Before(t)) {
-			best, t = 3, ht.cur.Time
-		}
-		if best == 0 {
-			break
-		}
-		day := t.UTC().Truncate(24 * time.Hour)
-		if !curDay.IsZero() && day.After(curDay) {
-			out.Flush()
-		}
-		curDay = day
-		switch best {
-		case 1:
-			out.DNS(dn.cur)
-			err = advanceHead(&dn, dnsR, "dns", opts)
-		case 2:
-			out.Flow(fl.cur)
-			err = advanceHead(&fl, connR, "conn", opts)
-		default:
-			out.HTTPMeta(ht.cur)
-			err = advanceHead(&ht, httpR, "http", opts)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	out.Flush()
-	return nil
 }

@@ -147,16 +147,18 @@ func fileExists(path string) bool {
 // end-of-file it polls for more bytes, returning io.EOF only once the
 // day is final (checked before a read that still found nothing — the
 // writer closed the file before the finality marker appeared, so no more
-// bytes can arrive), and ErrTailStopped when stop closes. The parsers'
-// line scanners block inside Read, which is exactly the torn-tail
-// contract: an incomplete final line waits for the writer instead of
-// decoding as truncated.
+// bytes can arrive), ErrTailStopped when stop closes, and errUnwound
+// when the replay reading it unwinds. The parsers' line scanners
+// block inside Read, which is exactly the torn-tail contract: an
+// incomplete final line waits for the writer instead of decoding as
+// truncated.
 type tailReader struct {
-	f     *os.File
-	poll  time.Duration
-	stop  <-chan struct{}
-	final func() bool
-	fin   bool // finality observed before the previous empty read
+	f      *os.File
+	poll   time.Duration
+	stop   <-chan struct{}
+	unwind <-chan struct{}
+	final  func() bool
+	fin    bool // finality observed before the previous empty read
 }
 
 func (r *tailReader) Read(p []byte) (int, error) {
@@ -177,23 +179,34 @@ func (r *tailReader) Read(p []byte) (int, error) {
 			r.fin = true
 			continue
 		}
-		select {
-		case <-r.stop:
-			return 0, ErrTailStopped
-		case <-time.After(r.poll):
+		if err := waitPoll(r.poll, r.stop, r.unwind); err != nil {
+			return 0, err
 		}
 	}
 }
 
 func (r *tailReader) Close() error { return r.f.Close() }
 
+// waitPoll sleeps one poll interval, returning early with ErrTailStopped
+// when stop closes or errUnwound when unwind does.
+func waitPoll(poll time.Duration, stop, unwind <-chan struct{}) error {
+	select {
+	case <-stop:
+		return ErrTailStopped
+	case <-unwind:
+		return errUnwound
+	case <-time.After(poll):
+		return nil
+	}
+}
+
 // openTail opens one log for tailing, waiting for the file to appear (a
 // freshly rotated day directory may not have all files yet).
-func openTail(dir, name string, poll time.Duration, stop <-chan struct{}, final func() bool) (io.ReadCloser, error) {
+func openTail(dir, name string, poll time.Duration, stop, unwind <-chan struct{}, final func() bool) (io.ReadCloser, error) {
 	for {
 		f, err := os.Open(filepath.Join(dir, name))
 		if err == nil {
-			return &tailReader{f: f, poll: poll, stop: stop, final: final}, nil
+			return &tailReader{f: f, poll: poll, stop: stop, unwind: unwind, final: final}, nil
 		}
 		if !os.IsNotExist(err) {
 			return nil, err
@@ -204,10 +217,8 @@ func openTail(dir, name string, poll time.Duration, stop <-chan struct{}, final 
 		if final() {
 			return nil, fmt.Errorf("logsink: %s missing in finalized day directory %s", name, dir)
 		}
-		select {
-		case <-stop:
-			return nil, ErrTailStopped
-		case <-time.After(poll):
+		if err := waitPoll(poll, stop, unwind); err != nil {
+			return nil, err
 		}
 	}
 }
@@ -216,7 +227,7 @@ func openTail(dir, name string, poll time.Duration, stop <-chan struct{}, final 
 // file's tail until the day is final. replayDir's closing flush is the
 // epoch seal for a batch-capable sink.
 func tailDay(dir string, sink trace.Sink, opts ReplayOptions, poll time.Duration, stop <-chan struct{}, final func() bool) error {
-	return replayDir(dir, sink, opts, func(dir, name string) (io.ReadCloser, error) {
-		return openTail(dir, name, poll, stop, final)
+	return replayDir(dir, sink, opts, func(dir, name string, unwind <-chan struct{}) (io.ReadCloser, error) {
+		return openTail(dir, name, poll, stop, unwind, final)
 	})
 }

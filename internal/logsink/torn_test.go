@@ -15,7 +15,7 @@ import (
 )
 
 // writeRotated generates a small rotated dataset and returns its root.
-func writeRotated(t *testing.T) string {
+func writeRotated(t testing.TB) string {
 	t.Helper()
 	root := t.TempDir()
 	reg, err := universe.New()

@@ -2,7 +2,6 @@ package zeeklog
 
 import (
 	"io"
-	"net/netip"
 	"strconv"
 
 	"repro/internal/decodeerr"
@@ -69,7 +68,8 @@ func (c *ConnWriter) Close() error { return c.w.Close() }
 
 // ConnReader reads a conn.log back into flow records.
 type ConnReader struct {
-	r *Reader
+	r       *Reader
+	service Vocab
 }
 
 // NewConnReader validates the header of r and returns a reader.
@@ -86,56 +86,61 @@ func NewConnReader(r io.Reader) (*ConnReader, error) {
 // their domain are out-of-range, and a record that parses but fails
 // semantic validation is out-of-range too.
 func (c *ConnReader) Next() (flow.Record, error) {
-	values, err := c.r.Next()
+	f, err := c.r.Next()
 	if err != nil {
 		return flow.Record{}, err
 	}
 	line := c.r.Line()
 	var rec flow.Record
-	if rec.Start, err = ParseTime(values[0]); err != nil {
+	if rec.Start, err = ParseTimeBytes(f[0]); err != nil {
 		return rec, err
 	}
-	if rec.OrigAddr, err = netip.ParseAddr(values[1]); err != nil {
-		return rec, decodeerr.Newf(decodeerr.Malformed, "conn", line, "bad orig addr %q: %w", values[1], err)
+	if rec.OrigAddr, err = ParseAddrBytes(f[1]); err != nil {
+		return rec, decodeerr.Newf(decodeerr.Malformed, "conn", line, "bad orig addr %q: %w", f[1], err)
 	}
-	op, err := strconv.ParseUint(values[2], 10, 16)
-	if err != nil {
-		return rec, decodeerr.Newf(decodeerr.NumericClass(err), "conn", line, "bad orig port %q: %w", values[2], err)
+	if rec.OrigPort, err = ParsePortBytes(f[2]); err != nil {
+		return rec, decodeerr.Newf(decodeerr.NumericClass(err), "conn", line, "bad orig port %q: %w", f[2], err)
 	}
-	rec.OrigPort = uint16(op)
-	if rec.RespAddr, err = netip.ParseAddr(values[3]); err != nil {
-		return rec, decodeerr.Newf(decodeerr.Malformed, "conn", line, "bad resp addr %q: %w", values[3], err)
+	if rec.RespAddr, err = ParseAddrBytes(f[3]); err != nil {
+		return rec, decodeerr.Newf(decodeerr.Malformed, "conn", line, "bad resp addr %q: %w", f[3], err)
 	}
-	rp, err := strconv.ParseUint(values[4], 10, 16)
-	if err != nil {
-		return rec, decodeerr.Newf(decodeerr.NumericClass(err), "conn", line, "bad resp port %q: %w", values[4], err)
+	if rec.RespPort, err = ParsePortBytes(f[4]); err != nil {
+		return rec, decodeerr.Newf(decodeerr.NumericClass(err), "conn", line, "bad resp port %q: %w", f[4], err)
 	}
-	rec.RespPort = uint16(rp)
-	if rec.Proto, err = flow.ParseProto(values[5]); err != nil {
+	// Matched in place: ParseProto would copy the field on every line;
+	// it runs only to build the error.
+	switch string(f[5]) {
+	case "tcp":
+		rec.Proto = flow.ProtoTCP
+	case "udp":
+		rec.Proto = flow.ProtoUDP
+	default:
+		_, err = flow.ParseProto(string(f[5]))
 		return rec, decodeerr.New(decodeerr.Malformed, "conn", line, err)
 	}
-	rec.Service = ParseString(values[6])
-	rec.State = flow.ParseConnState(values[7])
-	if rec.Duration, err = ParseInterval(values[8]); err != nil {
+	rec.Service = c.service.Parse(f[6])
+	rec.State = flow.ParseConnState(string(f[7]))
+	if rec.Duration, err = ParseIntervalBytes(f[8]); err != nil {
 		return rec, err
 	}
-	if rec.OrigBytes, err = ParseCount(values[9]); err != nil {
+	if rec.OrigBytes, err = ParseCountBytes(f[9]); err != nil {
 		return rec, err
 	}
-	if rec.RespBytes, err = ParseCount(values[10]); err != nil {
+	if rec.RespBytes, err = ParseCountBytes(f[10]); err != nil {
 		return rec, err
 	}
-	if rec.OrigPkts, err = ParseCount(values[11]); err != nil {
+	if rec.OrigPkts, err = ParseCountBytes(f[11]); err != nil {
 		return rec, err
 	}
-	if rec.RespPkts, err = ParseCount(values[12]); err != nil {
+	if rec.RespPkts, err = ParseCountBytes(f[12]); err != nil {
 		return rec, err
 	}
 	return rec, decodeerr.New(decodeerr.OutOfRange, "conn", line, rec.Validate())
 }
 
-// Raw returns the data line behind the most recent Next.
-func (c *ConnReader) Raw() string { return c.r.Raw() }
+// Raw returns the data line behind the most recent Next, borrowed until
+// the next call.
+func (c *ConnReader) Raw() []byte { return c.r.Raw() }
 
 // Line returns the input line number of the most recent Next.
 func (c *ConnReader) Line() int { return c.r.Line() }

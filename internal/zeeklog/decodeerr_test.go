@@ -78,7 +78,7 @@ func TestRowArityClassification(t *testing.T) {
 				t.Errorf("err = %v, want wrapped ErrFieldCount", err)
 			}
 			// The raw line and its position survive for quarantine.
-			if r.Raw() != tc.row {
+			if string(r.Raw()) != tc.row {
 				t.Errorf("Raw() = %q, want %q", r.Raw(), tc.row)
 			}
 			if r.Line() <= 0 {

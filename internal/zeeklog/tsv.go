@@ -7,6 +7,7 @@ package zeeklog
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -130,10 +131,10 @@ type Reader struct {
 	s      *bufio.Scanner
 	schema Schema
 	line   int
-	raw    string
-	// values is the reusable record buffer Next splits into; the slice
-	// handed to the caller is borrowed and overwritten by the next call.
-	values []string
+	raw    []byte
+	// fields is the reusable record buffer Next splits into; the slice
+	// and the bytes it points at are borrowed until the next call.
+	fields [][]byte
 }
 
 // NewReader parses the header from r and validates it against schema.
@@ -183,48 +184,46 @@ func (r *Reader) checkColumns(got []string, sel func(Field) string) error {
 	return nil
 }
 
-// Next returns the next record's raw values, or io.EOF. Comment lines
+// Next returns the next record's fields, or io.EOF. Comment lines
 // (including #close) are skipped. A wrong-arity row yields a classified
 // *decodeerr.Error wrapping ErrFieldCount — truncated when short (the
 // record lost its tail), malformed when long — and leaves the reader
 // positioned at the following line.
 //
-// The returned slice is borrowed: it is the Reader's reusable record
-// buffer and the next Next call overwrites it. Callers must finish with
-// (or copy) the values before advancing. The string elements themselves
-// are ordinary immutable strings and safe to retain.
-func (r *Reader) Next() ([]string, error) {
+// The fields are split in place from the scanner's line buffer: the
+// slice and every byte it points at are borrowed, and the next Next call
+// overwrites them. Callers decode (or copy) the values before advancing;
+// the Parse*Bytes helpers and Vocab decode without copying.
+func (r *Reader) Next() ([][]byte, error) {
 	for r.s.Scan() {
 		r.line++
-		line := r.s.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := r.s.Bytes()
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
 		r.raw = line
-		// Split into the reusable buffer: the per-record strings.Split
-		// allocation was the last per-line allocation on the replay hot
-		// path besides the line itself.
-		values := r.values[:0]
+		fields := r.fields[:0]
 		for {
-			i := strings.IndexByte(line, '\t')
+			i := bytes.IndexByte(line, '\t')
 			if i < 0 {
-				values = append(values, line)
+				fields = append(fields, line)
 				break
 			}
-			values = append(values, line[:i])
+			fields = append(fields, line[:i])
 			line = line[i+1:]
 		}
-		r.values = values
-		if len(values) != len(r.schema.Fields) {
+		r.fields = fields
+		if len(fields) != len(r.schema.Fields) {
 			class := decodeerr.Malformed
-			if len(values) < len(r.schema.Fields) {
+			if len(fields) < len(r.schema.Fields) {
 				class = decodeerr.Truncated
 			}
 			return nil, decodeerr.Newf(class, "zeeklog", r.line,
-				"%w: %d values for %d fields", ErrFieldCount, len(values), len(r.schema.Fields))
+				"%w: %d values for %d fields", ErrFieldCount, len(fields), len(r.schema.Fields))
 		}
-		return values, nil
+		return fields, nil
 	}
+	r.raw = nil
 	if err := r.s.Err(); err != nil {
 		return nil, err
 	}
@@ -233,8 +232,9 @@ func (r *Reader) Next() ([]string, error) {
 
 // Raw returns the data line behind the most recent Next (accepted or
 // rejected) — the replay guard quarantines it and detects verbatim
-// adjacent duplicates with it.
-func (r *Reader) Raw() string { return r.raw }
+// adjacent duplicates with it. Like the fields, it is borrowed until the
+// next Next call: a caller that keeps it must copy it.
+func (r *Reader) Raw() []byte { return r.raw }
 
 // Line returns the 1-based input line number of the most recent Next.
 func (r *Reader) Line() int { return r.line }
@@ -252,8 +252,10 @@ func ParseTime(s string) (time.Time, error) {
 		return time.Time{}, decodeerr.Newf(decodeerr.NumericClass(err), "zeeklog", 0,
 			"bad time %q: %w", s, err)
 	}
-	return time.UnixMicro(int64(math.Round(f * 1e6))).UTC(), nil
+	return timeOf(f), nil
 }
+
+func timeOf(f float64) time.Time { return time.UnixMicro(int64(math.Round(f * 1e6))).UTC() }
 
 // FormatInterval encodes a duration as fractional seconds.
 func FormatInterval(d time.Duration) string {
@@ -267,8 +269,10 @@ func ParseInterval(s string) (time.Duration, error) {
 		return 0, decodeerr.Newf(decodeerr.NumericClass(err), "zeeklog", 0,
 			"bad interval %q: %w", s, err)
 	}
-	return time.Duration(f * float64(time.Second)), nil
+	return intervalOf(f), nil
 }
+
+func intervalOf(f float64) time.Duration { return time.Duration(f * float64(time.Second)) }
 
 // FormatCount encodes a non-negative integer.
 func FormatCount(v int64) string { return strconv.FormatInt(v, 10) }
@@ -285,11 +289,18 @@ func ParseCount(s string) (int64, error) {
 	return v, nil
 }
 
-// FormatString encodes a string value, mapping "" to the empty marker and
-// escaping embedded separators.
+// FormatString encodes a string value in Zeek's escaping: "" becomes the
+// empty marker, a backslash is doubled, tab and newline become \x09 and
+// \x0a, and a value that spells one of the two markers has its first byte
+// hex-escaped so it does not read back as unset or empty.
 func FormatString(s string) string {
-	if s == "" {
+	switch s {
+	case "":
 		return Empty
+	case Unset:
+		return `\x2d`
+	case Empty:
+		return `\x28empty)`
 	}
 	s = strings.ReplaceAll(s, "\\", "\\\\")
 	s = strings.ReplaceAll(s, "\t", "\\x09")
@@ -297,16 +308,54 @@ func FormatString(s string) string {
 	return s
 }
 
-// ParseString decodes a string value.
+// ParseString decodes a string value in one left-to-right pass: the two
+// markers decode to "", \\ to a backslash, \xHH to the byte 0xHH, and any
+// other backslash stands for itself. ParseString(FormatString(s)) == s for
+// every s. A value without a backslash is returned as is, without a copy.
 func ParseString(s string) string {
 	switch s {
-	case Empty:
-		return ""
-	case Unset:
+	case Empty, Unset:
 		return ""
 	}
-	s = strings.ReplaceAll(s, "\\x09", "\t")
-	s = strings.ReplaceAll(s, "\\x0a", "\n")
-	s = strings.ReplaceAll(s, "\\\\", "\\")
-	return s
+	i := strings.IndexByte(s, '\\')
+	if i < 0 {
+		return s
+	}
+	out := make([]byte, i, len(s))
+	copy(out, s)
+	for ; i < len(s); i++ {
+		c := s[i]
+		if c == '\\' && i+1 < len(s) {
+			if s[i+1] == '\\' {
+				i++
+			} else if v, ok := hexEscape(s[i+1:]); ok {
+				c = v
+				i += 3
+			}
+		}
+		out = append(out, c)
+	}
+	return string(out)
+}
+
+// hexEscape decodes the "xHH" tail of a \xHH escape.
+func hexEscape(s string) (byte, bool) {
+	if len(s) < 3 || s[0] != 'x' {
+		return 0, false
+	}
+	hi, ok1 := hexDigit(s[1])
+	lo, ok2 := hexDigit(s[2])
+	return hi<<4 | lo, ok1 && ok2
+}
+
+func hexDigit(c byte) (byte, bool) {
+	switch {
+	case c >= '0' && c <= '9':
+		return c - '0', true
+	case c >= 'a' && c <= 'f':
+		return c - 'a' + 10, true
+	case c >= 'A' && c <= 'F':
+		return c - 'A' + 10, true
+	}
+	return 0, false
 }

@@ -55,23 +55,23 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseTime(got0[0])
+	back, err := ParseTimeBytes(got0[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !back.Equal(ts) {
 		t.Errorf("time round trip: %v != %v", back, ts)
 	}
-	if ParseString(got0[1]) != "alpha" || got0[2] != "42" {
-		t.Errorf("row 0 = %v", got0)
+	if ParseString(string(got0[1])) != "alpha" || string(got0[2]) != "42" {
+		t.Errorf("row 0 = %q", got0)
 	}
 	got1, _ := r.Next()
-	if ParseString(got1[1]) != "" {
-		t.Errorf("empty string round trip = %q", ParseString(got1[1]))
+	if s := ParseString(string(got1[1])); s != "" {
+		t.Errorf("empty string round trip = %q", s)
 	}
 	got2, _ := r.Next()
-	if ParseString(got2[1]) != "tab\there" {
-		t.Errorf("escaped string round trip = %q", ParseString(got2[1]))
+	if s := ParseString(string(got2[1])); s != "tab\there" {
+		t.Errorf("escaped string round trip = %q", s)
 	}
 	if _, err := r.Next(); err != io.EOF {
 		t.Errorf("err = %v, want EOF", err)
