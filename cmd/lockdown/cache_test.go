@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"expvar"
 	"fmt"
 	"io"
 	"os"
@@ -210,6 +212,81 @@ func TestCacheCorruptionRecovery(t *testing.T) {
 	wantIdenticalOutputs(t, "manifest damage", want, readOutputs(t, manifestDir))
 }
 
+// TestCacheCountersOneSource checks that every reader of the cache
+// accounting sees the same registered cells: the store's own Counters
+// (rendered in the "cache:" status line), the bench report's cache block,
+// and the expvar "obs" variable's counters object. The probed run is set
+// up so all four counters are nonzero: the main stats entry hits, the
+// damaged counterfactual entry fails verification, and the figures entry
+// is invalidated by a changed -fig-workers.
+func TestCacheCountersOneSource(t *testing.T) {
+	cacheDir := t.TempDir()
+	base := cacheTestConfig(t, cacheDir)
+	base.scale = 0.002
+	base.yoy = true
+
+	cold := base
+	cold.out = t.TempDir()
+	cold.figWorkers = 2
+	runCached(t, cold)
+
+	// The counterfactual entry is the stats entry without a truth payload.
+	entries, err := filepath.Glob(filepath.Join(cacheDir, "stats", "*", "dataset.bin"))
+	if err != nil || len(entries) != 2 {
+		t.Fatalf("stats entries = %v (err %v), want two", entries, err)
+	}
+	var damaged int
+	for _, payload := range entries {
+		if _, err := os.Stat(filepath.Join(filepath.Dir(payload), "truth.bin")); err == nil {
+			continue
+		}
+		b, err := os.ReadFile(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)/2] ^= 0x01
+		if err := os.WriteFile(payload, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		damaged++
+	}
+	if damaged != 1 {
+		t.Fatalf("damaged %d counterfactual entries, want 1", damaged)
+	}
+
+	probe := base
+	probe.out = t.TempDir()
+	probe.figWorkers = 1
+	probe.debugAddr = "127.0.0.1:0"
+	probe.benchJSON = filepath.Join(t.TempDir(), "bench.json")
+	status := runCached(t, probe)
+	br, err := obs.LoadBench(probe.benchJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := obs.CacheBench{Hits: 1, Misses: 2, Invalidations: 1, VerifyFailures: 1}
+	if br.Cache == nil || *br.Cache != want {
+		t.Fatalf("bench cache block = %+v, want %+v", br.Cache, want)
+	}
+	statusHas(t, "store counters", status, fmt.Sprintf("hits=%d misses=%d invalidations=%d verify_failures=%d",
+		want.Hits, want.Misses, want.Invalidations, want.VerifyFailures))
+	var served struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if err := json.Unmarshal([]byte(expvar.Get("obs").String()), &served); err != nil {
+		t.Fatal(err)
+	}
+	got := obs.CacheBench{
+		Hits:           served.Counters["cache_hits"],
+		Misses:         served.Counters["cache_misses"],
+		Invalidations:  served.Counters["cache_invalidations"],
+		VerifyFailures: served.Counters["cache_verify_failures"],
+	}
+	if got != want {
+		t.Errorf("expvar obs.counters cache cells = %+v, want %+v", got, want)
+	}
+}
+
 // TestCacheRandomKeyStaysOff pins the privacy interlock: without a fixed
 // -key the pseudonyms in a cached dataset are unlinkable, so the cache
 // must refuse to engage (with a visible note) rather than serve
@@ -322,13 +399,13 @@ func TestStageKeySensitivity(t *testing.T) {
 		}
 	}
 	mustNotMove := map[string]func(*config){
-		"shards":       func(c *config) { c.shards = 8 },
-		"out":          func(c *config) { c.out = "elsewhere" },
-		"quiet":        func(c *config) { c.quiet = false },
-		"progress":     func(c *config) { c.progressEvery = 1; c.progressFormat = "json" },
-		"bench":        func(c *config) { c.benchJSON = "bench.json" },
-		"fig-workers":  func(c *config) { c.figWorkers = 7 },
-		"cache-dir":    func(c *config) { c.cacheDir = "other" },
+		"shards":      func(c *config) { c.shards = 8 },
+		"out":         func(c *config) { c.out = "elsewhere" },
+		"quiet":       func(c *config) { c.quiet = false },
+		"progress":    func(c *config) { c.progressEvery = 1; c.progressFormat = "json" },
+		"bench":       func(c *config) { c.benchJSON = "bench.json" },
+		"fig-workers": func(c *config) { c.figWorkers = 7 },
+		"cache-dir":   func(c *config) { c.cacheDir = "other" },
 		"fault knobs (generate mode)": func(c *config) {
 			c.faultPolicy = "skip"
 			c.faultInject = 0.5

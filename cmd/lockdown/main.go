@@ -534,6 +534,9 @@ func run(cfg config) error {
 		if shards == 0 {
 			shards = runtime.GOMAXPROCS(0)
 		}
+		// The report reads the registered cells through the same snapshot
+		// expvar and -progress serve.
+		snap := metrics.Snapshot()
 		br := &obs.BenchReport{
 			Date:        time.Now().UTC().Format("2006-01-02"),
 			GoVersion:   runtime.Version(),
@@ -546,18 +549,18 @@ func run(cfg config) error {
 			Seed:        cfg.seed,
 			WallSeconds: time.Since(start).Seconds(),
 			Ingest: obs.IngestBench{
-				Events:          metrics.Events(),
+				Events:          snap.Events,
 				Flows:           ds.Stats.FlowsProcessed,
 				Bytes:           ds.Stats.BytesProcessed,
 				Seconds:         ingestDur.Seconds(),
 				FlowsPerSec:     float64(ds.Stats.FlowsProcessed) / ingestDur.Seconds(),
 				BytesPerSec:     float64(ds.Stats.BytesProcessed) / ingestDur.Seconds(),
-				EpochsPublished: metrics.EpochsPublished(),
-				SnapshotBytes:   metrics.SnapshotBytes(),
+				EpochsPublished: snap.Counters["epochs_published"],
+				SnapshotBytes:   snap.Counters["snapshot_bytes"],
 			},
 			FiguresMS:     figMS,
 			FiguresWallMS: figWallMS,
-			Stages:        metrics.Snapshot().Stages,
+			Stages:        snap.Stages,
 		}
 		if statsStatus == "hit" || (sd != nil && sd.hits > 0) {
 			// A warm run's "ingest" is a cache replay (full, or every day
@@ -571,12 +574,11 @@ func run(cfg config) error {
 			br.SealMS = sd.sealMS
 		}
 		if rc.store != nil {
-			c := rc.store.Counters()
 			br.Cache = &obs.CacheBench{
-				Hits:           c.Hits,
-				Misses:         c.Misses,
-				Invalidations:  c.Invalidations,
-				VerifyFailures: c.VerifyFailures,
+				Hits:           snap.Counters["cache_hits"],
+				Misses:         snap.Counters["cache_misses"],
+				Invalidations:  snap.Counters["cache_invalidations"],
+				VerifyFailures: snap.Counters["cache_verify_failures"],
 			}
 		}
 		if cfg.measureScaling {

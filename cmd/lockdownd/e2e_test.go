@@ -445,7 +445,9 @@ func TestDaemonGrowsWithDatasetAndMatchesBatch(t *testing.T) {
 	}
 
 	// epochs_published counts sealed join-table epochs of a sharded
-	// pipeline. A single pipeline seals none, however many served epochs
+	// pipeline, registered under obs.counters (the path the sharded
+	// counter test in internal/core reads nonzero). A single pipeline
+	// registers no epoch cells and seals none, however many served epochs
 	// /v1/epoch has reported.
 	code, _, body = get(t, base+"/debug/vars")
 	if code != http.StatusOK {
@@ -453,18 +455,19 @@ func TestDaemonGrowsWithDatasetAndMatchesBatch(t *testing.T) {
 	}
 	var vars struct {
 		Obs *struct {
-			EpochsPublished int64 `json:"epochs_published"`
+			Events   int64            `json:"events"`
+			Counters map[string]int64 `json:"counters"`
 		} `json:"obs"`
 	}
 	if err := json.Unmarshal(body, &vars); err != nil {
 		t.Fatalf("/debug/vars: %v", err)
 	}
-	if vars.Obs == nil {
+	if vars.Obs == nil || vars.Obs.Events == 0 {
 		t.Fatal("/debug/vars: no obs metrics")
 	}
-	if vars.Obs.EpochsPublished != 0 {
-		t.Fatalf("epochs_published = %d after %d served epochs at -shards 1, want 0",
-			vars.Obs.EpochsPublished, final.Epoch)
+	if n, ok := vars.Obs.Counters["epochs_published"]; ok && n != 0 {
+		t.Fatalf("obs.counters.epochs_published = %d after %d served epochs at -shards 1, want 0",
+			n, final.Epoch)
 	}
 
 	// Clean shutdown on SIGTERM with exit code 0.

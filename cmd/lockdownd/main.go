@@ -234,7 +234,7 @@ func run(cfg config) error {
 // finalize); empty when unreadable.
 func lastDay(root string) string {
 	days, err := logsink.DayDirs(root)
-	if err != nil {
+	if err != nil || len(days) == 0 {
 		return ""
 	}
 	return days[len(days)-1]

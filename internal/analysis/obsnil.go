@@ -7,9 +7,9 @@ import (
 )
 
 // ObsNil guards the zero-alloc disabled path of the observability layer:
-// the pipeline holds possibly-nil *obs.Metrics / *obs.Progress handles,
-// and every exported pointer-receiver method must tolerate a nil receiver
-// (doc contract of package obs; verified dynamically by
+// the pipeline holds possibly-nil *obs.Metrics / *obs.Progress /
+// *obs.Counter handles, and every exported pointer-receiver method must
+// tolerate a nil receiver (doc contract of package obs; verified dynamically by
 // TestNilMetricsZeroAlloc, enforced structurally here). A method may not
 // touch its receiver before either an early-return nil guard
 // (`if m == nil { return ... }`) or a wrapping non-nil guard
@@ -24,7 +24,7 @@ var ObsNil = &Analyzer{
 // obsNilGuarded maps package path suffix → receiver type names whose
 // methods carry the nil-receiver contract.
 var obsNilGuarded = map[string][]string{
-	"internal/obs": {"Metrics", "Progress"},
+	"internal/obs": {"Metrics", "Progress", "Counter"},
 }
 
 func runObsNil(pass *Pass) error {

@@ -1,5 +1,6 @@
 // Fixture for the obsnil analyzer, loaded with import path suffix
-// internal/obs so the Metrics/Progress nil-receiver contract applies.
+// internal/obs so the Metrics/Progress/Counter nil-receiver contract
+// applies.
 package obs
 
 // Metrics mirrors the obs handle contract: a possibly-nil pointer every
@@ -57,6 +58,20 @@ type Progress struct{ done int64 }
 
 func (p *Progress) SetDone(n int64) { // want "nil guard"
 	p.done = n
+}
+
+// Counter is the registered metric cell, also a guarded handle type.
+type Counter struct{ v int64 }
+
+func (c *Counter) Load() int64 { // early-return guard: fine
+	if c == nil {
+		return 0
+	}
+	return c.v
+}
+
+func (c *Counter) Add(n int64) { // want "nil guard"
+	c.v += n
 }
 
 // Other is not a guarded handle type; no guard required.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/anonymize"
@@ -124,7 +125,7 @@ func (p *Pipeline) Finalize() *Dataset {
 	}
 	p.finalized = true
 	p.stitcher.Flush()
-	return p.buildDataset(false)
+	return p.buildDataset()
 }
 
 // Snapshot produces a point-in-time Dataset without closing the pipeline:
@@ -135,12 +136,18 @@ func (p *Pipeline) Finalize() *Dataset {
 // switch-detection reads are side-effect free, so snapshotting never
 // perturbs the eventual Finalize. Not safe for concurrent use with
 // feeding; call it at a stream boundary (the daemon snapshots at epoch
-// seals).
+// seals). It is SnapshotDelta's render path over every device, merged
+// onto an empty dataset.
 func (p *Pipeline) Snapshot() *Dataset {
 	if p.finalized {
 		panic("core: Snapshot after Finalize")
 	}
-	return p.buildDataset(true)
+	ids := make([]anonymize.DeviceID, 0, len(p.devices))
+	for id := range p.devices {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return mergeDelta(&Dataset{}, p.renderTouched(ids), p.stats)
 }
 
 // cloneF32 deep-copies a daily/hourly accumulator slice (nil stays nil —
@@ -152,37 +159,16 @@ func cloneF32(s []float32) []float32 {
 	return append([]float32(nil), s...)
 }
 
-// buildDataset renders the accumulated state as a Dataset. In snapshot
-// mode the stitcher's open sessions are overlaid without closing them and
-// mutable slices are copied; in finalize mode (stitcher already flushed)
-// the device records alias the accumulator slices — the pipeline is done
-// with them.
-func (p *Pipeline) buildDataset(snapshot bool) *Dataset {
-	var pending map[anonymize.DeviceID]*[campus.NumMonths][3]SocialMonth
-	if snapshot {
-		pending = make(map[anonymize.DeviceID]*[campus.NumMonths][3]SocialMonth)
-		p.stitcher.VisitOpen(func(s appsig.Session) {
-			month, idx, ok := sessionCell(s)
-			if !ok {
-				return
-			}
-			id := anonymize.DeviceID(s.Device)
-			cell := pending[id]
-			if cell == nil {
-				cell = new([campus.NumMonths][3]SocialMonth)
-				pending[id] = cell
-			}
-			cell[month][idx].Duration += s.Duration()
-			cell[month][idx].Sessions++
-		})
-	}
-
+// buildDataset renders the finalized state as a Dataset (stitcher
+// already flushed): the device records alias the accumulator slices — the
+// pipeline is done with them.
+func (p *Pipeline) buildDataset() *Dataset {
 	ds := &Dataset{
 		Stats: p.stats,
 		byID:  make(map[anonymize.DeviceID]*DeviceData, len(p.devices)),
 	}
 	for id, st := range p.devices {
-		d := p.renderDevice(id, st, snapshot, pending[id])
+		d := p.renderDevice(id, st, false, nil)
 		ds.Devices = append(ds.Devices, d)
 		ds.byID[id] = d
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -22,6 +24,31 @@ func stageByName(t *testing.T, s obs.Snapshot, name string) obs.StageSnapshot {
 	}
 	t.Fatalf("snapshot has no stage %q (stages: %+v)", name, s.Stages)
 	return obs.StageSnapshot{}
+}
+
+// expvarCounters serves m on a loopback debug endpoint and returns the
+// registered cells at the JSON path /debug/vars serves them under.
+func expvarCounters(t *testing.T, m *obs.Metrics) map[string]int64 {
+	t.Helper()
+	d, err := obs.ServeDebug("127.0.0.1:0", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	resp, err := http.Get("http://" + d.Addr() + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var vars struct {
+		Obs struct {
+			Counters map[string]int64 `json:"counters"`
+		} `json:"obs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+		t.Fatal(err)
+	}
+	return vars.Obs.Counters
 }
 
 // TestPipelineCounterAccuracy checks that the obs layer's per-stage
@@ -91,6 +118,9 @@ func TestPipelineCounterAccuracy(t *testing.T) {
 	if len(snap.Shards) != 0 {
 		t.Errorf("single pipeline should have no shard snapshots, got %d", len(snap.Shards))
 	}
+	if len(snap.Counters) != 0 {
+		t.Errorf("single pipeline registered cells %v, want none", snap.Counters)
+	}
 }
 
 // TestShardedCounterAccuracy is the satellite's race-detector target: four
@@ -157,14 +187,21 @@ func TestShardedCounterAccuracy(t *testing.T) {
 	// reflects the shared tables' retained bytes. Publishes are
 	// bookkeeping, not events — they must not have inflated the ingest
 	// counter above (the equality already proves they didn't).
-	if snap.EpochsPublished == 0 {
+	if snap.Counters["epochs_published"] == 0 {
 		t.Error("no snapshot epochs published by a sharded run")
 	}
-	if snap.EpochPins == 0 {
+	if snap.Counters["epoch_pins"] == 0 {
 		t.Error("no shard batches pinned to a snapshot epoch")
 	}
-	if snap.SnapshotBytes == 0 {
+	if snap.Counters["snapshot_bytes"] == 0 {
 		t.Error("snapshot-size gauge never set")
+	}
+	// The same cells are live at the path expvar serves: obs.counters.
+	served := expvarCounters(t, m)
+	for _, name := range []string{"epochs_published", "epoch_pins", "snapshot_bytes"} {
+		if served[name] == 0 || served[name] != snap.Counters[name] {
+			t.Errorf("/debug/vars obs.counters.%s = %d, snapshot says %d", name, served[name], snap.Counters[name])
+		}
 	}
 	dhcpS := stageByName(t, snap, "dhcp_normalize")
 	if dhcpS.Events != st.FlowsProcessed || dhcpS.Drops != st.FlowsUnattributed {
@@ -192,9 +229,9 @@ func TestShardedCounterAccuracy(t *testing.T) {
 		t.Errorf("imbalance = %.3f, want ≥ 1.0", snap.Imbalance)
 	}
 	// Drained pipeline: every queue must be empty.
-	for i, d := range sp.QueueDepths() {
-		if d != 0 {
-			t.Errorf("shard %d queue depth = %d after Finalize", i, d)
+	for i, sh := range m.Snapshot().Shards {
+		if sh.QueueDepth != 0 {
+			t.Errorf("shard %d queue depth = %d after Finalize", i, sh.QueueDepth)
 		}
 	}
 }

@@ -207,8 +207,8 @@ func TestQueueDepthBounded(t *testing.T) {
 	if got, want := sp.QueueCapacity(), (defaultRingCap+2)*batchCap; got != want {
 		t.Fatalf("QueueCapacity = %d, want %d", got, want)
 	}
-	if got := metrics.QueueCapacity(); got != sp.QueueCapacity() {
-		t.Fatalf("obs QueueCapacity = %d, pipeline says %d", got, sp.QueueCapacity())
+	if got := metrics.Snapshot().Counters["queue_capacity"]; got != int64(sp.QueueCapacity()) {
+		t.Fatalf("obs queue_capacity = %d, pipeline says %d", got, sp.QueueCapacity())
 	}
 
 	stop := make(chan struct{})
@@ -224,15 +224,16 @@ func TestQueueDepthBounded(t *testing.T) {
 			default:
 			}
 			snap := metrics.Snapshot()
-			if snap.QueueCapacity != sp.QueueCapacity() {
+			queueCap := int(snap.Counters["queue_capacity"])
+			if queueCap != sp.QueueCapacity() {
 				violations = append(violations, fmt.Sprintf(
-					"snapshot queue_capacity %d != %d", snap.QueueCapacity, sp.QueueCapacity()))
+					"snapshot queue_capacity %d != %d", queueCap, sp.QueueCapacity()))
 				return
 			}
 			for i, sh := range snap.Shards {
-				if sh.QueueDepth < 0 || sh.QueueDepth > snap.QueueCapacity {
+				if sh.QueueDepth < 0 || sh.QueueDepth > queueCap {
 					violations = append(violations, fmt.Sprintf(
-						"shard %d queue_depth %d outside [0, %d]", i, sh.QueueDepth, snap.QueueCapacity))
+						"shard %d queue_depth %d outside [0, %d]", i, sh.QueueDepth, queueCap))
 					return
 				}
 				if sh.RingBatches < 0 || (sh.RingCapacity > 0 && sh.RingBatches > sh.RingCapacity) {
@@ -263,17 +264,19 @@ func TestQueueDepthBounded(t *testing.T) {
 	}
 
 	// Settled state: queues drained, rings empty, capacities intact.
-	for i, d := range sp.QueueDepths() {
-		if d != 0 {
-			t.Errorf("shard %d queue depth %d after Finalize", i, d)
-		}
+	rows := metrics.Snapshot().Shards
+	if len(rows) != shards {
+		t.Fatalf("snapshot has %d shard rows, want %d", len(rows), shards)
 	}
-	for i, r := range sp.RingStates() {
-		if r.Batches != 0 {
-			t.Errorf("shard %d ring holds %d batches after Finalize", i, r.Batches)
+	for i, sh := range rows {
+		if sh.QueueDepth != 0 {
+			t.Errorf("shard %d queue depth %d after Finalize", i, sh.QueueDepth)
 		}
-		if r.Capacity != defaultRingCap {
-			t.Errorf("shard %d ring capacity %d, want %d", i, r.Capacity, defaultRingCap)
+		if sh.RingBatches != 0 {
+			t.Errorf("shard %d ring holds %d batches after Finalize", i, sh.RingBatches)
+		}
+		if sh.RingCapacity != defaultRingCap {
+			t.Errorf("shard %d ring capacity %d, want %d", i, sh.RingCapacity, defaultRingCap)
 		}
 	}
 }

@@ -84,13 +84,16 @@ type ShardedPipeline struct {
 	// here.
 	queued []atomic.Int64
 	// pendDispatch counts flows routed into each shard's open batch,
-	// settled into the shared obs dispatch counters at flush time — one
-	// atomic per batch instead of one per flow. Dispatcher-owned: the
-	// parallel route workers only *decide* shards (phase B); placement,
-	// and with it this counter, stays on the sequencer (phase C), so the
+	// settled into dispatched at flush time — one atomic per batch
+	// instead of one per flow. Dispatcher-owned: the parallel route
+	// workers only *decide* shards (phase B); placement, and with it this
+	// counter, stays on the sequencer (phase C), so the
 	// settle-once-per-batch invariant survives the multi-worker decode
 	// stage.
 	pendDispatch []int64
+	// dispatched counts the flows routed to each shard; read by the shard
+	// poll registered with obs.
+	dispatched []atomic.Int64
 
 	// router fans the batched path's route decisions out over parallel
 	// workers (nil on a single-processor runtime: the sequencer decides
@@ -114,6 +117,15 @@ type ShardedPipeline struct {
 	dispStats Stats
 	om        *obs.Metrics
 	finalized bool
+
+	// Epoch accounting for the shared join tables, registered with obs:
+	// sealed epochs, shard batches resolved against a pinned snapshot,
+	// and the tables' approximate retained bytes (a gauge). Epoch
+	// publications are bookkeeping, not events — they never feed the
+	// stage counters, the dispatch counters, or the queue-depth gauge.
+	// queueCap is the per-shard queue-depth bound in events, the
+	// denominator the depth gauge is read against.
+	epochsPublished, epochPins, snapshotBytes, queueCap obs.Counter
 
 	// lastSealStats is the merged cumulative Stats at the last SealDay —
 	// the baseline the next day's Stats delta is taken against.
@@ -183,15 +195,9 @@ func NewShardedPipeline(reg *universe.Registry, opts Options, n int) (*ShardedPi
 		leases:       dhcp.NewLeaseStore(),
 		queued:       make([]atomic.Int64, n),
 		pendDispatch: make([]int64, n),
+		dispatched:   make([]atomic.Int64, n),
 		om:           opts.Obs,
 	}
-	// Shards share the dispatcher's Metrics: counters are atomic, and the
-	// queue-depth / ring-state callbacks give snapshots a live view of
-	// transport backlog.
-	sp.om.SetShards(n)
-	sp.om.SetQueueDepthFunc(sp.QueueDepths)
-	sp.om.SetRingStateFunc(sp.RingStates)
-	sp.om.SetQueueCapacity(queueCapacityEvents)
 	if lanes := routeLanes(); lanes >= 2 {
 		sp.router = newRoutePool(sp, lanes)
 	}
@@ -217,7 +223,7 @@ func NewShardedPipeline(reg *universe.Registry, opts Options, n int) (*ShardedPi
 				}
 				// Pin the batch: every event resolves against the store
 				// prefix its own seq selects (counted once per batch).
-				sp.om.EpochPin()
+				sp.epochPins.Add(1)
 				for i := 0; i < b.n; i++ {
 					ev := &b.events[i]
 					join.pin = ev.seq
@@ -234,48 +240,48 @@ func NewShardedPipeline(reg *universe.Registry, opts Options, n int) (*ShardedPi
 			}
 		}(p, join, i, ring, done)
 	}
+	// Shards share the dispatcher's Metrics: counters are atomic, and the
+	// shard poll (registered once every ring exists) gives snapshots a
+	// live view of transport backlog.
+	sp.queueCap.Store(queueCapacityEvents)
+	sp.om.Register("epochs_published", &sp.epochsPublished)
+	sp.om.Register("epoch_pins", &sp.epochPins)
+	sp.om.Register("snapshot_bytes", &sp.snapshotBytes)
+	sp.om.Register("queue_capacity", &sp.queueCap)
+	sp.om.RegisterShards(sp.ShardRows)
 	return sp, nil
 }
 
 // Shards returns the shard count.
 func (sp *ShardedPipeline) Shards() int { return len(sp.shards) }
 
-// QueueDepths returns the number of in-flight events per shard: flushed
-// toward the shard's ring (including a batch the dispatcher is stalled
-// publishing into a full ring) but not yet applied by its worker. Events
-// still sitting in the dispatcher's open batches are not included (those
-// buffers are dispatcher-owned and not safe to read concurrently). Each
-// entry is bounded by QueueCapacity. Safe to call concurrently with
-// ingest.
-func (sp *ShardedPipeline) QueueDepths() []int {
-	out := make([]int, len(sp.queued))
-	for i := range sp.queued {
-		out[i] = int(sp.queued[i].Load())
-	}
-	return out
-}
-
-// QueueCapacity returns the per-shard upper bound on QueueDepths entries,
-// denominated in events: ring slots plus the two hand-off batches (one
-// stalled at the producer, one applying at the consumer), each at full
-// batchCap.
-func (sp *ShardedPipeline) QueueCapacity() int { return queueCapacityEvents }
-
-// RingStates returns each shard ring's transport gauges (occupancy in
-// batches, producer stall and consumer wait episodes). Safe to call
-// concurrently with ingest.
-func (sp *ShardedPipeline) RingStates() []obs.RingState {
-	out := make([]obs.RingState, len(sp.rings))
+// ShardRows returns one row per shard: flows dispatched, in-flight events
+// (flushed toward the shard's ring, including a batch the dispatcher is
+// stalled publishing into a full ring, but not yet applied by its worker;
+// events still in the dispatcher's open batches are not included, since
+// those buffers are dispatcher-owned), and the ring's transport gauges.
+// Each queue depth is bounded by QueueCapacity. Safe to call concurrently
+// with ingest.
+func (sp *ShardedPipeline) ShardRows() []obs.ShardSnapshot {
+	out := make([]obs.ShardSnapshot, len(sp.rings))
 	for i, r := range sp.rings {
-		out[i] = obs.RingState{
-			Batches:  r.len(),
-			Capacity: r.capacity(),
-			Stalls:   r.stallCount(),
-			Waits:    r.waitCount(),
+		out[i] = obs.ShardSnapshot{
+			Dispatched:   sp.dispatched[i].Load(),
+			QueueDepth:   int(sp.queued[i].Load()),
+			RingBatches:  r.len(),
+			RingCapacity: r.capacity(),
+			RingStalls:   r.stallCount(),
+			RingWaits:    r.waitCount(),
 		}
 	}
 	return out
 }
+
+// QueueCapacity returns the per-shard upper bound on ShardRows queue
+// depths, denominated in events: ring slots plus the two hand-off batches
+// (one stalled at the producer, one applying at the consumer), each at
+// full batchCap.
+func (sp *ShardedPipeline) QueueCapacity() int { return queueCapacityEvents }
 
 // DeviceID exposes the shared pseudonym mapping (all shards agree). It
 // reads no shard state, so it is safe to call while the shards ingest.
@@ -317,7 +323,7 @@ func (sp *ShardedPipeline) flushShard(shard int) {
 	sp.rings[shard].push(b)
 	sp.open[shard] = batchPool.Get().(*eventBatch)
 	if n := sp.pendDispatch[shard]; n > 0 {
-		sp.om.DispatchN(shard, n)
+		sp.dispatched[shard].Add(n)
 		sp.pendDispatch[shard] = 0
 	}
 }
@@ -333,8 +339,8 @@ func (sp *ShardedPipeline) sealEpoch() {
 		return
 	}
 	sp.epochDirty = false
-	sp.om.EpochPublish()
-	sp.om.SetSnapshotBytes(sp.labels.RetainedBytes() + sp.leases.RetainedBytes())
+	sp.epochsPublished.Add(1)
+	sp.snapshotBytes.Store(sp.labels.RetainedBytes() + sp.leases.RetainedBytes())
 }
 
 // Flush publishes every open batch to its shard's ring, making all

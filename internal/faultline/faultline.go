@@ -10,8 +10,6 @@
 //     truncation, duplicated and reordered records, oversized fields,
 //     invalid UTF-8, torn writes at rotation boundaries — to any replayed
 //     log stream at a given rate;
-//   - an event-level trace.Sink wrapper (WrapSink) applying the structural
-//     faults (drop / duplicate / reorder) to live generation streams;
 //   - a Guard implementing the error-budget policies (skip-and-count,
 //     quarantine-to-sidecar, abort-above-threshold) over the typed
 //     decode errors (internal/decodeerr) the hardened parsers return,

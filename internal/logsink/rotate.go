@@ -114,6 +114,9 @@ func ReplayRotatedWithOptions(root string, sink trace.Sink, opts ReplayOptions) 
 	if err != nil {
 		return err
 	}
+	if len(days) == 0 {
+		return fmt.Errorf("logsink: no day directories under %s", root)
+	}
 	for _, d := range days {
 		if err := ReplayRotatedDay(root, d, sink, opts); err != nil {
 			return err
@@ -124,7 +127,8 @@ func ReplayRotatedWithOptions(root string, sink trace.Sink, opts ReplayOptions) 
 
 // DayDirs returns the dataset's day directory names under root in date
 // order (YYYY-MM-DD sorts chronologically) — the unit the per-day stats
-// cache keys and replays. A root without day directories is an error.
+// cache keys and replays. A root without day directories yields an empty
+// list; what that means is the caller's decision.
 func DayDirs(root string) ([]string, error) {
 	entries, err := os.ReadDir(root)
 	if err != nil {
@@ -135,9 +139,6 @@ func DayDirs(root string) ([]string, error) {
 		if e.IsDir() {
 			days = append(days, e.Name())
 		}
-	}
-	if len(days) == 0 {
-		return nil, fmt.Errorf("logsink: no day directories under %s", root)
 	}
 	sort.Strings(days)
 	return days, nil

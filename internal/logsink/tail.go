@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"repro/internal/trace"
@@ -75,9 +74,17 @@ func TailRotated(root string, sink trace.Sink, opts TailOptions) error {
 	}
 	sentinelPath := filepath.Join(root, sentinel)
 
+	// A root not created yet is an empty dataset still to arrive.
+	dayDirs := func() ([]string, error) {
+		days, err := DayDirs(root)
+		if os.IsNotExist(err) {
+			return nil, nil
+		}
+		return days, err
+	}
 	seen := 0 // day directories fully replayed so far
 	for {
-		days, err := dayDirs(root)
+		days, err := dayDirs()
 		if err != nil {
 			return err
 		}
@@ -89,7 +96,7 @@ func TailRotated(root string, sink trace.Sink, opts TailOptions) error {
 				if fileExists(sentinelPath) {
 					return true
 				}
-				ds, err := dayDirs(root)
+				ds, err := dayDirs()
 				return err == nil && len(ds) > next
 			}
 			if err := tailDay(filepath.Join(root, day), sink, opts.day(day), poll, opts.Stop, final); err != nil {
@@ -97,7 +104,7 @@ func TailRotated(root string, sink trace.Sink, opts TailOptions) error {
 			}
 			seen = next
 			if opts.OnDaySealed != nil {
-				ds, err := dayDirs(root)
+				ds, err := dayDirs()
 				last := fileExists(sentinelPath) && err == nil && len(ds) == seen
 				opts.OnDaySealed(day, last)
 			}
@@ -115,27 +122,6 @@ func TailRotated(root string, sink trace.Sink, opts TailOptions) error {
 		case <-time.After(poll):
 		}
 	}
-}
-
-// dayDirs lists root's day directories in chronological (lexical) order.
-// A root that does not exist yet is an empty dataset, not an error — the
-// writer may not have started.
-func dayDirs(root string) ([]string, error) {
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var days []string
-	for _, e := range entries {
-		if e.IsDir() {
-			days = append(days, e.Name())
-		}
-	}
-	sort.Strings(days) // YYYY-MM-DD sorts chronologically
-	return days, nil
 }
 
 func fileExists(path string) bool {

@@ -49,7 +49,7 @@ func copyDay(t *testing.T, src, dst, day string) {
 
 func listDays(t *testing.T, root string) []string {
 	t.Helper()
-	days, err := dayDirs(root)
+	days, err := DayDirs(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,5 +491,36 @@ func TestTailRequiresPlainLogs(t *testing.T) {
 	err = TailRotated(root, &tally{t: t}, TailOptions{Poll: tailPoll})
 	if err == nil || errors.Is(err, ErrTailStopped) {
 		t.Fatalf("tail of gzip dataset: err = %v, want gzip rejection", err)
+	}
+}
+
+// TestDayListingEdgeCases pins each caller's reading of the one day
+// lister: batch replay refuses a root with no day directories, while the
+// tail treats a root that does not exist yet as an empty dataset and
+// keeps polling until it appears.
+func TestDayListingEdgeCases(t *testing.T) {
+	empty := t.TempDir()
+	if days, err := DayDirs(empty); err != nil || len(days) != 0 {
+		t.Fatalf("DayDirs(empty) = %v, %v; want no days, no error", days, err)
+	}
+	if err := ReplayRotatedWithOptions(empty, &tally{t: t}, ReplayOptions{}); err == nil {
+		t.Fatal("batch replay of a root without day directories succeeded")
+	}
+
+	root := filepath.Join(t.TempDir(), "later")
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- TailRotated(root, &tally{t: t}, TailOptions{Poll: tailPoll, Stop: stop})
+	}()
+	time.Sleep(20 * tailPoll)
+	select {
+	case err := <-done:
+		t.Fatalf("tail of a missing root returned early: %v", err)
+	default:
+	}
+	close(stop)
+	if err := <-done; !errors.Is(err, ErrTailStopped) {
+		t.Fatalf("tail of a missing root = %v, want ErrTailStopped", err)
 	}
 }

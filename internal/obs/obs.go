@@ -4,14 +4,16 @@
 // net/http/pprof debug endpoint, and the machine-readable bench report
 // (BENCH_<date>.json) that CI diffs across runs.
 //
-// Every method on *Metrics is safe on a nil receiver and becomes a no-op:
-// the pipeline holds a possibly-nil *Metrics and pays only a nil check when
-// observability is disabled. The disabled path allocates nothing (verified
-// by TestNilMetricsZeroAlloc and BenchmarkMetricsDisabled).
+// Every method on *Metrics and *Counter is safe on a nil receiver and
+// becomes a no-op: the pipeline holds a possibly-nil *Metrics and pays only
+// a nil check when observability is disabled. The disabled path allocates
+// nothing (verified by TestNilMetricsZeroAlloc and BenchmarkMetricsDisabled).
 //
 // All counters are atomics, so one Metrics may be shared by every shard of
 // a core.ShardedPipeline and snapshotted concurrently from a Progress
-// goroutine or the debug endpoint.
+// goroutine or the debug endpoint. A metric outside the per-stage arrays
+// is a Counter held by its owner and registered by name once; Snapshot,
+// and through it expvar, -progress and the bench report, reads it.
 package obs
 
 import (
@@ -119,6 +121,11 @@ func (c *stageCounters) percentile(p float64) int64 {
 
 // Metrics is the shared counter set. The zero value is not usable; call
 // NewMetrics. A nil *Metrics is valid everywhere and does nothing.
+//
+// Two kinds of metric live here. The per-stage arrays and the decode-drop
+// array are indexed by the hot path and owned by Metrics. Every other
+// metric is a Counter cell owned by the code that updates it and
+// registered by name (Register); Snapshot reads every registered cell.
 type Metrics struct {
 	stages  [NumStages]stageCounters
 	sampleC atomic.Int64
@@ -129,37 +136,39 @@ type Metrics struct {
 	// the robustness invariant drops + accepted == offered.
 	decodeDrops [decodeerr.NumClasses]atomic.Int64
 
-	// shards tracks per-shard dispatch counts for the sharded pipeline
-	// (nil for single-pipeline runs); depthFn polls live queue depths,
-	// ringFn polls per-shard transport ring gauges, and queueCap is the
-	// per-shard upper bound on the queue-depth gauge (events) — the
-	// denominator consumers should report depths against.
-	shards   atomic.Pointer[[]atomic.Int64]
-	depthFn  atomic.Pointer[func() []int]
-	ringFn   atomic.Pointer[func() []RingState]
-	queueCap atomic.Int64
+	regMu     sync.Mutex // guards cells and shardPoll
+	cells     map[string]*Counter
+	shardPoll func() []ShardSnapshot
+}
 
-	// Epoch-snapshot counters for the sharded pipeline's shared join
-	// tables: epochsPublished counts dispatcher seals, epochPins counts
-	// shard batches resolved against a pinned snapshot, snapshotBytes is
-	// a gauge of the shared tables' approximate retained size. Epoch
-	// publications are bookkeeping, not events — they must never feed the
-	// stage counters, the dispatch counters, or the queue-depth gauge.
-	epochsPublished atomic.Int64
-	epochPins       atomic.Int64
-	snapshotBytes   atomic.Int64
+// Counter is one named metric cell: a counter (Add) or a gauge (Store).
+// The code that owns the metric holds the cell as a plain field and
+// registers it once with Metrics.Register. Every method is safe on a nil
+// *Counter.
+type Counter struct{ v atomic.Int64 }
 
-	// Stage-cache counters (populated only when a run uses
-	// internal/stagecache): verified entry reuses, recomputes, misses
-	// caused by a changed key, and entries rejected by checksum/version
-	// verification. hits + misses == stage lookups; verify failures are a
-	// subset of misses.
-	cacheHits           atomic.Int64
-	cacheMisses         atomic.Int64
-	cacheInvalidations  atomic.Int64
-	cacheVerifyFailures atomic.Int64
+// Add adds n to the cell.
+func (c *Counter) Add(n int64) {
+	if c == nil {
+		return
+	}
+	c.v.Add(n)
+}
 
-	mu sync.Mutex // serializes SetShards
+// Store sets the cell to n (gauge use).
+func (c *Counter) Store(n int64) {
+	if c == nil {
+		return
+	}
+	c.v.Store(n)
+}
+
+// Load returns the cell's current value (0 for a nil cell).
+func (c *Counter) Load() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
 }
 
 // NewMetrics returns an empty counter set.
@@ -188,14 +197,6 @@ func (m *Metrics) AddN(s Stage, n, bytes int64) {
 	if bytes != 0 {
 		m.stages[s].bytes.Add(bytes)
 	}
-}
-
-// DropN counts n filtered-out events in one atomic update.
-func (m *Metrics) DropN(s Stage, n int64) {
-	if m == nil || n <= 0 {
-		return
-	}
-	m.stages[s].drops.Add(n)
 }
 
 // Drop counts one event the stage filtered out.
@@ -259,206 +260,31 @@ func (m *Metrics) Observe(s Stage, d time.Duration) {
 	m.stages[s].observe(d)
 }
 
-// SetShards sizes the per-shard dispatch counters (called once by the
-// sharded pipeline before ingest starts).
-func (m *Metrics) SetShards(n int) {
-	if m == nil || n <= 0 {
+// Register publishes c under name: from then on every Snapshot carries
+// the cell's value in Snapshot.Counters. Registering a name again replaces
+// the earlier cell.
+func (m *Metrics) Register(name string, c *Counter) {
+	if m == nil || c == nil {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := make([]atomic.Int64, n)
-	m.shards.Store(&s)
+	m.regMu.Lock()
+	defer m.regMu.Unlock()
+	if m.cells == nil {
+		m.cells = make(map[string]*Counter)
+	}
+	m.cells[name] = c
 }
 
-// Dispatch counts one flow routed to shard i.
-func (m *Metrics) Dispatch(i int) {
-	if m == nil {
-		return
-	}
-	m.DispatchN(i, 1)
-}
-
-// DispatchN counts n flows routed to shard i in one atomic update — used
-// by the batched dispatcher, which settles its dispatch counts once per
-// batch flush instead of once per flow.
-func (m *Metrics) DispatchN(i int, n int64) {
-	if m == nil || n <= 0 {
-		return
-	}
-	p := m.shards.Load()
-	if p == nil || i < 0 || i >= len(*p) {
-		return
-	}
-	(*p)[i].Add(n)
-}
-
-// EpochPublish counts one sealed epoch of the shared join tables (a
-// dispatcher publishing its pending broadcast delta at a batch boundary).
-func (m *Metrics) EpochPublish() {
+// RegisterShards installs the per-shard poll: Snapshot calls it for the
+// Shards rows and computes the dispatch imbalance from them. The sharded
+// pipeline registers it once; a later call replaces the earlier poll.
+func (m *Metrics) RegisterShards(poll func() []ShardSnapshot) {
 	if m == nil {
 		return
 	}
-	m.epochsPublished.Add(1)
-}
-
-// EpochPin counts one shard batch resolved against a pinned snapshot of
-// the shared join tables.
-func (m *Metrics) EpochPin() {
-	if m == nil {
-		return
-	}
-	m.epochPins.Add(1)
-}
-
-// SetSnapshotBytes updates the shared join tables' retained-size gauge.
-func (m *Metrics) SetSnapshotBytes(n int64) {
-	if m == nil {
-		return
-	}
-	m.snapshotBytes.Store(n)
-}
-
-// EpochsPublished returns the number of sealed join-table epochs.
-func (m *Metrics) EpochsPublished() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.epochsPublished.Load()
-}
-
-// EpochPins returns the number of shard batches pinned to a snapshot.
-func (m *Metrics) EpochPins() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.epochPins.Load()
-}
-
-// SnapshotBytes returns the shared join tables' retained-size gauge.
-func (m *Metrics) SnapshotBytes() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.snapshotBytes.Load()
-}
-
-// SetQueueDepthFunc registers a live queue-depth poll (per-shard pending
-// event counts), sampled at snapshot time.
-func (m *Metrics) SetQueueDepthFunc(f func() []int) {
-	if m == nil {
-		return
-	}
-	m.depthFn.Store(&f)
-}
-
-// RingState is one shard transport ring's gauges at a point in time:
-// occupancy and capacity are denominated in batches (the ring's publication
-// unit), stalls counts producer full-ring episodes, waits consumer
-// empty-ring episodes.
-type RingState struct {
-	Batches  int
-	Capacity int
-	Stalls   int64
-	Waits    int64
-}
-
-// SetRingStateFunc registers a live per-shard transport ring poll, sampled
-// at snapshot time.
-func (m *Metrics) SetRingStateFunc(f func() []RingState) {
-	if m == nil {
-		return
-	}
-	m.ringFn.Store(&f)
-}
-
-// SetQueueCapacity records the per-shard queue-depth bound in events: the
-// maximum value any QueueDepthFunc entry can reach (ring slots plus
-// in-hand-off batches, times the batch capacity). Snapshot exposes it so
-// depth gauges are read against the right denominator — ring occupancy is
-// denominated in batches, the depth gauge in events, and conflating the
-// two was exactly the bug this field exists to prevent.
-func (m *Metrics) SetQueueCapacity(events int) {
-	if m == nil {
-		return
-	}
-	m.queueCap.Store(int64(events))
-}
-
-// QueueCapacity returns the per-shard queue-depth bound in events (0 when
-// never set).
-func (m *Metrics) QueueCapacity() int {
-	if m == nil {
-		return 0
-	}
-	return int(m.queueCap.Load())
-}
-
-// CacheHit counts one verified stage-cache reuse.
-func (m *Metrics) CacheHit() {
-	if m == nil {
-		return
-	}
-	m.cacheHits.Add(1)
-}
-
-// CacheMiss counts one stage-cache lookup that fell through to a
-// recompute.
-func (m *Metrics) CacheMiss() {
-	if m == nil {
-		return
-	}
-	m.cacheMisses.Add(1)
-}
-
-// CacheInvalidation counts one miss on a stage that had committed entries
-// under a different key — an input moved since the last run.
-func (m *Metrics) CacheInvalidation() {
-	if m == nil {
-		return
-	}
-	m.cacheInvalidations.Add(1)
-}
-
-// CacheVerifyFailure counts one cache entry rejected by checksum, size,
-// manifest or version verification (corruption detected and contained).
-func (m *Metrics) CacheVerifyFailure() {
-	if m == nil {
-		return
-	}
-	m.cacheVerifyFailures.Add(1)
-}
-
-// CacheHits returns the verified stage-cache reuse count.
-func (m *Metrics) CacheHits() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.cacheHits.Load()
-}
-
-// CacheMisses returns the stage-cache miss count.
-func (m *Metrics) CacheMisses() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.cacheMisses.Load()
-}
-
-// CacheInvalidations returns the changed-key miss count.
-func (m *Metrics) CacheInvalidations() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.cacheInvalidations.Load()
-}
-
-// CacheVerifyFailures returns the rejected-entry count.
-func (m *Metrics) CacheVerifyFailures() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.cacheVerifyFailures.Load()
+	m.regMu.Lock()
+	defer m.regMu.Unlock()
+	m.shardPoll = poll
 }
 
 // StageCounters returns one stage's current counts (for tests and ad-hoc
@@ -503,9 +329,10 @@ func (m *Metrics) Bytes() int64 {
 	return m.stages[StageIngest].bytes.Load()
 }
 
-// Snapshot captures a point-in-time copy of every active counter. Safe to
-// call concurrently with ingest; counters are read individually, so the
-// snapshot is consistent per counter, not across counters.
+// Snapshot captures a point-in-time copy of every active counter and
+// every registered cell. Safe to call concurrently with ingest; counters
+// are read individually, so the snapshot is consistent per counter, not
+// across counters.
 func (m *Metrics) Snapshot() Snapshot {
 	var s Snapshot
 	if m == nil {
@@ -527,46 +354,25 @@ func (m *Metrics) Snapshot() Snapshot {
 			})
 		}
 	}
-	if p := m.shards.Load(); p != nil {
-		var depths []int
-		if f := m.depthFn.Load(); f != nil {
-			depths = (*f)()
-		}
-		var rings []RingState
-		if f := m.ringFn.Load(); f != nil {
-			rings = (*f)()
-		}
-		s.QueueCapacity = int(m.queueCap.Load())
-		var sum, max int64
-		for i := range *p {
-			sh := ShardSnapshot{Dispatched: (*p)[i].Load()}
-			if i < len(depths) {
-				sh.QueueDepth = depths[i]
-			}
-			if i < len(rings) {
-				r := rings[i]
-				sh.RingBatches = r.Batches
-				sh.RingCapacity = r.Capacity
-				sh.RingStalls = r.Stalls
-				sh.RingWaits = r.Waits
-			}
-			sum += sh.Dispatched
-			if sh.Dispatched > max {
-				max = sh.Dispatched
-			}
-			s.Shards = append(s.Shards, sh)
-		}
-		if sum > 0 {
-			mean := float64(sum) / float64(len(*p))
-			s.Imbalance = float64(max) / mean
+	m.regMu.Lock()
+	poll := m.shardPoll
+	if len(m.cells) > 0 {
+		s.Counters = make(map[string]int64, len(m.cells))
+		for name, c := range m.cells {
+			s.Counters[name] = c.Load()
 		}
 	}
-	s.EpochsPublished = m.epochsPublished.Load()
-	s.EpochPins = m.epochPins.Load()
-	s.SnapshotBytes = m.snapshotBytes.Load()
-	s.CacheHits = m.cacheHits.Load()
-	s.CacheMisses = m.cacheMisses.Load()
-	s.CacheInvalidations = m.cacheInvalidations.Load()
-	s.CacheVerifyFailures = m.cacheVerifyFailures.Load()
+	m.regMu.Unlock()
+	if poll != nil {
+		s.Shards = poll()
+		var sum, top int64
+		for _, sh := range s.Shards {
+			sum += sh.Dispatched
+			top = max(top, sh.Dispatched)
+		}
+		if sum > 0 {
+			s.Imbalance = float64(top) / (float64(sum) / float64(len(s.Shards)))
+		}
+	}
 	return s
 }

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -45,20 +48,31 @@ func TestCounters(t *testing.T) {
 // Progress goroutine's access pattern) for the race detector.
 func TestSnapshotDuringIngest(t *testing.T) {
 	m := NewMetrics()
-	m.SetShards(4)
-	m.SetQueueDepthFunc(func() []int { return []int{1, 2, 3, 4} })
+	var dispatched [4]Counter
+	m.RegisterShards(func() []ShardSnapshot {
+		rows := make([]ShardSnapshot, len(dispatched))
+		for i := range rows {
+			rows[i] = ShardSnapshot{Dispatched: dispatched[i].Load(), QueueDepth: i + 1}
+		}
+		return rows
+	})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
+	var late Counter
 	go func() {
 		defer wg.Done()
+		// Registration races the snapshots below, as a pipeline built
+		// while the debug endpoint is already serving does.
+		m.Register("late", &late)
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 				m.Add(StageIngest, 1)
-				m.Dispatch(i % 4)
+				late.Add(1)
+				dispatched[i%4].Add(1)
 				m.Lap(StageAggregate, m.Now())
 			}
 		}
@@ -72,15 +86,49 @@ func TestSnapshotDuringIngest(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	s := m.Snapshot()
-	var dispatched int64
+	var sum int64
 	for _, sh := range s.Shards {
-		dispatched += sh.Dispatched
+		sum += sh.Dispatched
 	}
-	if dispatched != s.Events {
-		t.Errorf("dispatched sum %d != events %d", dispatched, s.Events)
+	if sum != s.Events {
+		t.Errorf("dispatched sum %d != events %d", sum, s.Events)
+	}
+	if s.Counters["late"] != s.Events {
+		t.Errorf("late cell = %d, want %d (one per event)", s.Counters["late"], s.Events)
 	}
 	if s.Shards[2].QueueDepth != 3 {
 		t.Errorf("queue depth = %d, want 3", s.Shards[2].QueueDepth)
+	}
+}
+
+// TestRegisteredCells: a registered cell appears in every Snapshot under
+// its name with its live value (zero included), a second registration of
+// the name replaces the first, a nil cell registers nothing, and the
+// cells serialize under the one "counters" object.
+func TestRegisteredCells(t *testing.T) {
+	m := NewMetrics()
+	if s := m.Snapshot(); s.Counters != nil {
+		t.Fatalf("no cells registered, Counters = %v", s.Counters)
+	}
+	var hits, pins, replaced Counter
+	m.Register("cache_hits", &hits)
+	m.Register("epoch_pins", &replaced)
+	m.Register("epoch_pins", &pins)
+	m.Register("nil_cell", nil)
+	hits.Add(3)
+	pins.Store(7)
+	replaced.Add(100)
+	s := m.Snapshot()
+	want := map[string]int64{"cache_hits": 3, "epoch_pins": 7}
+	if !reflect.DeepEqual(s.Counters, want) {
+		t.Fatalf("Counters = %v, want %v", s.Counters, want)
+	}
+	enc, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(enc), `"counters":{"cache_hits":3,"epoch_pins":7}`) {
+		t.Errorf("JSON lacks the counters object: %s", enc)
 	}
 }
 
@@ -90,9 +138,14 @@ func TestNilMetricsNoOp(t *testing.T) {
 	m.Add(StageIngest, 10)
 	m.Drop(StageTapFilter)
 	m.Observe(StageAggregate, time.Millisecond)
-	m.Dispatch(0)
-	m.SetShards(4)
-	m.SetQueueDepthFunc(func() []int { return nil })
+	m.Register("x", &Counter{})
+	m.RegisterShards(func() []ShardSnapshot { return nil })
+	var c *Counter
+	c.Add(1)
+	c.Store(2)
+	if c.Load() != 0 {
+		t.Error("nil Counter should read 0")
+	}
 	if ts := m.Now(); !ts.IsZero() {
 		t.Error("nil Now() should return zero time")
 	}
@@ -117,9 +170,12 @@ func TestNilMetricsNoOp(t *testing.T) {
 }
 
 // TestNilMetricsZeroAlloc is the disabled-path contract: the hot-path call
-// sequence on a nil Metrics allocates nothing.
+// sequence on a nil Metrics, a nil Counter, and registration on a nil
+// Metrics allocate nothing.
 func TestNilMetricsZeroAlloc(t *testing.T) {
 	var m *Metrics
+	var c *Counter
+	cell := new(Counter)
 	allocs := testing.AllocsPerRun(1000, func() {
 		ts := m.Now()
 		m.Add(StageIngest, 1500)
@@ -127,7 +183,10 @@ func TestNilMetricsZeroAlloc(t *testing.T) {
 		m.Add(StageDHCPNormalize, 0)
 		ts = m.Lap(StageDHCPNormalize, ts)
 		m.Drop(StageDNSLabel)
-		m.Dispatch(3)
+		c.Add(3)
+		c.Store(c.Load())
+		m.Register("cache_hits", c)
+		m.Register("epoch_pins", cell)
 		m.Lap(StageAggregate, ts)
 	})
 	if allocs != 0 {

@@ -20,8 +20,6 @@ type Reporter interface {
 // TextReporter writes one compact progress line per snapshot.
 type TextReporter struct {
 	W io.Writer
-	// Verbose appends the per-stage counter table to every line.
-	Verbose bool
 }
 
 // Report renders s as a single line, e.g.
@@ -54,15 +52,6 @@ func (r *TextReporter) Report(s Snapshot) error {
 			depths[i] = fmt.Sprintf("%d", sh.QueueDepth)
 		}
 		fmt.Fprintf(&b, "  shards q=[%s] imb %.2f", strings.Join(depths, " "), s.Imbalance)
-	}
-	if r.Verbose {
-		for _, st := range s.Stages {
-			fmt.Fprintf(&b, "\n    %-14s %12d ev %10d drop %14d B", st.Stage, st.Events, st.Drops, st.Bytes)
-			if st.TimedCount > 0 {
-				fmt.Fprintf(&b, "  p50 %s p99 %s",
-					time.Duration(st.P50Nanos), time.Duration(st.P99Nanos))
-			}
-		}
 	}
 	b.WriteByte('\n')
 	_, err := io.WriteString(r.W, b.String())

@@ -72,17 +72,6 @@ func TestTextReporterGolden(t *testing.T) {
 	}
 }
 
-func TestTextReporterVerbose(t *testing.T) {
-	var b strings.Builder
-	r := &TextReporter{W: &b, Verbose: true}
-	if err := r.Report(goldenSnapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "tap_filter") || !strings.Contains(b.String(), "34567 drop") {
-		t.Errorf("verbose output missing stage table: %q", b.String())
-	}
-}
-
 // collectReporter captures snapshots for assertions.
 type collectReporter struct {
 	mu   sync.Mutex

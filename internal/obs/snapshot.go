@@ -26,8 +26,9 @@ type DecodeDropSnapshot struct {
 }
 
 // ShardSnapshot is one shard's dispatch count, live queue depth, and
-// transport-ring gauges. QueueDepth is denominated in events (bounded by
-// Snapshot.QueueCapacity); RingBatches/RingCapacity are denominated in
+// transport-ring gauges, as the sharded pipeline's registered poll reports
+// them. QueueDepth is denominated in events (bounded by the
+// "queue_capacity" counter); RingBatches/RingCapacity are denominated in
 // batches — the ring publishes whole batches, so the two use different
 // units on purpose.
 type ShardSnapshot struct {
@@ -61,27 +62,17 @@ type Snapshot struct {
 	Total      int64           `json:"total,omitempty"`
 	ETASeconds float64         `json:"eta_s,omitempty"`
 	Stages     []StageSnapshot `json:"stages,omitempty"`
-	// QueueCapacity is the per-shard bound on ShardSnapshot.QueueDepth in
-	// events (sharded ingest only).
-	QueueCapacity int `json:"queue_capacity,omitempty"`
 	// DecodeDrops break rejected input records down by decode-fault class
 	// (populated only when a fault policy dropped records).
 	DecodeDrops []DecodeDropSnapshot `json:"decode_drops,omitempty"`
 	Shards      []ShardSnapshot      `json:"shards,omitempty"`
 	// Imbalance is max/mean of per-shard dispatch counts (1.0 = perfect).
 	Imbalance float64 `json:"dispatch_imbalance,omitempty"`
-	// Epoch-snapshot counters for the shared join tables (sharded ingest
-	// only): sealed epochs, pinned shard batches, and the tables'
-	// approximate retained bytes.
-	EpochsPublished int64 `json:"epochs_published,omitempty"`
-	EpochPins       int64 `json:"epoch_pins,omitempty"`
-	SnapshotBytes   int64 `json:"snapshot_bytes,omitempty"`
-	// Stage-cache counters (runs with -cache-dir only); verify failures
-	// are entries rejected by checksum/version verification.
-	CacheHits           int64 `json:"cache_hits,omitempty"`
-	CacheMisses         int64 `json:"cache_misses,omitempty"`
-	CacheInvalidations  int64 `json:"cache_invalidations,omitempty"`
-	CacheVerifyFailures int64 `json:"cache_verify_failures,omitempty"`
+	// Counters holds every registered cell by name (Metrics.Register): the
+	// stage cache's cache_* counters (runs with a cache store), and the
+	// sharded pipeline's epochs_published, epoch_pins, snapshot_bytes and
+	// queue_capacity.
+	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
 // siCount formats an event count or rate with k/M/G suffixes.

@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -101,22 +100,27 @@ type Counters struct {
 type Store struct {
 	dir  string
 	mode Mode
-	om   *obs.Metrics
 
-	hits           atomic.Int64
-	misses         atomic.Int64
-	invalidations  atomic.Int64
-	verifyFailures atomic.Int64
+	// The store's accounting, registered with the run's obs.Metrics under
+	// the cache_* names: Counters and every obs snapshot read these same
+	// cells. hits + misses == stage lookups; invalidations and verify
+	// failures are subsets of misses.
+	hits           obs.Counter
+	misses         obs.Counter
+	invalidations  obs.Counter
+	verifyFailures obs.Counter
 }
 
 // Open prepares a store rooted at dir. ModeOff returns a nil store.
 // Opening in a writable mode sweeps leftover staging directories from
 // torn runs — they were never committed, so removing them is always safe.
+// The store's counters are registered with om under the cache_* names; a
+// nil om registers nothing, and Counters works either way.
 func Open(dir string, mode Mode, om *obs.Metrics) (*Store, error) {
 	if mode == ModeOff {
 		return nil, nil
 	}
-	s := &Store{dir: dir, mode: mode, om: om}
+	s := &Store{dir: dir, mode: mode}
 	if mode == ModeReadWrite {
 		if err := os.MkdirAll(s.tmpDir(), 0o755); err != nil {
 			return nil, err
@@ -129,6 +133,10 @@ func Open(dir string, mode Mode, om *obs.Metrics) (*Store, error) {
 			os.RemoveAll(filepath.Join(s.tmpDir(), e.Name()))
 		}
 	}
+	om.Register("cache_hits", &s.hits)
+	om.Register("cache_misses", &s.misses)
+	om.Register("cache_invalidations", &s.invalidations)
+	om.Register("cache_verify_failures", &s.verifyFailures)
 	return s, nil
 }
 
@@ -167,27 +175,13 @@ func (s *Store) Counters() Counters {
 	}
 }
 
-// noteHit / noteMiss / noteVerifyFailure keep the store's counters and the
-// shared obs metrics in lockstep.
-func (s *Store) noteHit() {
-	s.hits.Add(1)
-	s.om.CacheHit()
-}
-
 func (s *Store) noteMiss(stage string, key Digest) {
 	s.misses.Add(1)
-	s.om.CacheMiss()
 	// An invalidation is a miss on a stage that has committed entries,
 	// just not this key: some input moved since the last run.
 	if idx, err := s.readIndex(stage); err == nil && idx.Latest != "" && idx.Latest != string(key) {
 		s.invalidations.Add(1)
-		s.om.CacheInvalidation()
 	}
-}
-
-func (s *Store) noteVerifyFailure() {
-	s.verifyFailures.Add(1)
-	s.om.CacheVerifyFailure()
 }
 
 // readIndex loads a stage's index (zero value when absent).
@@ -253,7 +247,7 @@ func (s *Store) GetBytes(stage string, key Digest, validate func(map[string][]by
 	m, err := s.loadManifest(stage, key)
 	if err != nil {
 		if errors.Is(err, ErrCorrupt) {
-			s.noteVerifyFailure()
+			s.verifyFailures.Add(1)
 		}
 		s.noteMiss(stage, key)
 		return nil, false
@@ -263,7 +257,7 @@ func (s *Store) GetBytes(stage string, key Digest, validate func(map[string][]by
 	for _, fe := range m.Files {
 		b, err := verifyFile(dir, fe)
 		if err != nil {
-			s.noteVerifyFailure()
+			s.verifyFailures.Add(1)
 			s.noteMiss(stage, key)
 			return nil, false
 		}
@@ -271,12 +265,12 @@ func (s *Store) GetBytes(stage string, key Digest, validate func(map[string][]by
 	}
 	if validate != nil {
 		if err := validate(files); err != nil {
-			s.noteVerifyFailure()
+			s.verifyFailures.Add(1)
 			s.noteMiss(stage, key)
 			return nil, false
 		}
 	}
-	s.noteHit()
+	s.hits.Add(1)
 	return files, true
 }
 
@@ -290,7 +284,7 @@ func (s *Store) GetDir(stage string, key Digest, dstDir string) bool {
 	m, err := s.loadManifest(stage, key)
 	if err != nil {
 		if errors.Is(err, ErrCorrupt) {
-			s.noteVerifyFailure()
+			s.verifyFailures.Add(1)
 		}
 		s.noteMiss(stage, key)
 		return false
@@ -299,12 +293,12 @@ func (s *Store) GetDir(stage string, key Digest, dstDir string) bool {
 	if err := copyVerified(srcDir, dstDir, m.Files); err != nil {
 		os.RemoveAll(dstDir)
 		if errors.Is(err, ErrCorrupt) {
-			s.noteVerifyFailure()
+			s.verifyFailures.Add(1)
 		}
 		s.noteMiss(stage, key)
 		return false
 	}
-	s.noteHit()
+	s.hits.Add(1)
 	return true
 }
 
