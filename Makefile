@@ -15,6 +15,7 @@ build:
 	$(GO) build ./...
 
 vet:
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 
 test:

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/logsink"
 	"repro/internal/obs"
+	"repro/internal/runner"
 	"repro/internal/stagecache"
 	"repro/internal/trace"
 	"repro/internal/universe"
@@ -28,14 +29,16 @@ func cacheTestConfig(t *testing.T, cacheDir string) config {
 		scale = 0.01
 	}
 	return config{
-		scale:     scale,
-		seed:      1,
-		shards:    1,
-		quiet:     true,
-		key:       cacheTestKey,
-		cacheDir:  cacheDir,
-		cacheMode: "readwrite",
-		statusW:   io.Discard,
+		Config: runner.Config{
+			Scale:     scale,
+			Seed:      1,
+			Shards:    1,
+			Key:       cacheTestKey,
+			CacheDir:  cacheDir,
+			CacheMode: "readwrite",
+		},
+		quiet:   true,
+		statusW: io.Discard,
 	}
 }
 
@@ -56,7 +59,7 @@ func runCached(t *testing.T, cfg config) string {
 func readOutputs(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
-	for _, name := range artifactNames() {
+	for _, name := range runner.ArtifactNames() {
 		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatalf("missing artifact %s: %v", name, err)
@@ -98,7 +101,7 @@ func TestCacheColdWarmPartialParity(t *testing.T) {
 
 	coldDir := t.TempDir()
 	cold := base
-	cold.out = coldDir
+	cold.Out = coldDir
 	coldStatus := runCached(t, cold)
 	statusHas(t, "cold", coldStatus, "stats=miss figures=miss")
 	want := readOutputs(t, coldDir)
@@ -106,7 +109,7 @@ func TestCacheColdWarmPartialParity(t *testing.T) {
 	warmDir := t.TempDir()
 	benchPath := filepath.Join(t.TempDir(), "bench.json")
 	warm := base
-	warm.out = warmDir
+	warm.Out = warmDir
 	warm.benchJSON = benchPath
 	warmStatus := runCached(t, warm)
 	statusHas(t, "warm", warmStatus, "stats=hit figures=hit")
@@ -129,16 +132,16 @@ func TestCacheColdWarmPartialParity(t *testing.T) {
 
 	shardDir := t.TempDir()
 	sharded := base
-	sharded.out = shardDir
-	sharded.shards = 4
+	sharded.Out = shardDir
+	sharded.Shards = 4
 	shardStatus := runCached(t, sharded)
 	statusHas(t, "4-shard warm", shardStatus, "stats=hit figures=hit")
 	wantIdenticalOutputs(t, "4-shard warm", want, readOutputs(t, shardDir))
 
 	partialDir := t.TempDir()
 	partial := base
-	partial.out = partialDir
-	partial.figWorkers = 2
+	partial.Out = partialDir
+	partial.FigWorkers = 2
 	partialStatus := runCached(t, partial)
 	statusHas(t, "figure-only change", partialStatus, "stats=hit figures=miss")
 	wantIdenticalOutputs(t, "figure-only change", want, readOutputs(t, partialDir))
@@ -146,7 +149,7 @@ func TestCacheColdWarmPartialParity(t *testing.T) {
 	// And the figures entry for the new knob is now cached too.
 	againDir := t.TempDir()
 	again := partial
-	again.out = againDir
+	again.Out = againDir
 	statusHas(t, "figure-only rerun", runCached(t, again), "stats=hit figures=hit")
 }
 
@@ -160,7 +163,7 @@ func TestCacheCorruptionRecovery(t *testing.T) {
 
 	coldDir := t.TempDir()
 	cold := base
-	cold.out = coldDir
+	cold.Out = coldDir
 	runCached(t, cold)
 	want := readOutputs(t, coldDir)
 
@@ -181,7 +184,7 @@ func TestCacheCorruptionRecovery(t *testing.T) {
 
 	recoverDir := t.TempDir()
 	rec := base
-	rec.out = recoverDir
+	rec.Out = recoverDir
 	status := runCached(t, rec)
 	statusHas(t, "recovery", status, "stats=miss")
 	statusHas(t, "recovery", status, "verify_failures=1")
@@ -190,7 +193,7 @@ func TestCacheCorruptionRecovery(t *testing.T) {
 	// The recompute healed the entry: the next run is a clean full hit.
 	healDir := t.TempDir()
 	heal := base
-	heal.out = healDir
+	heal.Out = healDir
 	healStatus := runCached(t, heal)
 	statusHas(t, "healed", healStatus, "stats=hit figures=hit")
 	statusHas(t, "healed", healStatus, "verify_failures=0")
@@ -206,7 +209,7 @@ func TestCacheCorruptionRecovery(t *testing.T) {
 	}
 	manifestDir := t.TempDir()
 	man := base
-	man.out = manifestDir
+	man.Out = manifestDir
 	manStatus := runCached(t, man)
 	statusHas(t, "manifest damage", manStatus, "verify_failures=1")
 	wantIdenticalOutputs(t, "manifest damage", want, readOutputs(t, manifestDir))
@@ -222,12 +225,12 @@ func TestCacheCorruptionRecovery(t *testing.T) {
 func TestCacheCountersOneSource(t *testing.T) {
 	cacheDir := t.TempDir()
 	base := cacheTestConfig(t, cacheDir)
-	base.scale = 0.002
-	base.yoy = true
+	base.Scale = 0.002
+	base.Yoy = true
 
 	cold := base
-	cold.out = t.TempDir()
-	cold.figWorkers = 2
+	cold.Out = t.TempDir()
+	cold.FigWorkers = 2
 	runCached(t, cold)
 
 	// The counterfactual entry is the stats entry without a truth payload.
@@ -255,8 +258,8 @@ func TestCacheCountersOneSource(t *testing.T) {
 	}
 
 	probe := base
-	probe.out = t.TempDir()
-	probe.figWorkers = 1
+	probe.Out = t.TempDir()
+	probe.FigWorkers = 1
 	probe.debugAddr = "127.0.0.1:0"
 	probe.benchJSON = filepath.Join(t.TempDir(), "bench.json")
 	status := runCached(t, probe)
@@ -293,9 +296,9 @@ func TestCacheCountersOneSource(t *testing.T) {
 // meaningless reuse.
 func TestCacheRandomKeyStaysOff(t *testing.T) {
 	cfg := cacheTestConfig(t, t.TempDir())
-	cfg.scale = 0.002
-	cfg.key = nil
-	cfg.out = t.TempDir()
+	cfg.Scale = 0.002
+	cfg.Key = nil
+	cfg.Out = t.TempDir()
 	status := runCached(t, cfg)
 	statusHas(t, "random key", status, "cache: disabled: -key required")
 	if strings.Contains(status, "stats=") {
@@ -312,11 +315,11 @@ func TestFaultGuardLineAlwaysPrinted(t *testing.T) {
 	logsDir := writeTestLogs(t)
 	cacheDir := t.TempDir()
 	base := cacheTestConfig(t, cacheDir)
-	base.logs = logsDir
+	base.Logs = logsDir
 
 	coldDir := t.TempDir()
 	cold := base
-	cold.out = coldDir
+	cold.Out = coldDir
 	coldStatus := runCached(t, cold)
 	statusHas(t, "cold replay", coldStatus, "fault guard: policy=strict offered=")
 	if strings.Contains(coldStatus, "offered=0") {
@@ -325,7 +328,7 @@ func TestFaultGuardLineAlwaysPrinted(t *testing.T) {
 
 	warmDir := t.TempDir()
 	warm := base
-	warm.out = warmDir
+	warm.Out = warmDir
 	warmStatus := runCached(t, warm)
 	statusHas(t, "warm replay", warmStatus, "stats=hit")
 	statusHas(t, "warm replay", warmStatus, "fault guard: policy=strict offered=0 accepted=0 dropped=0 []")
@@ -372,26 +375,26 @@ func TestStageKeySensitivity(t *testing.T) {
 	}
 	metrics := obs.NewMetrics()
 	base := cacheTestConfig(t, t.TempDir())
-	rc, err := openRunCache(base, reg, metrics)
+	rc, err := runner.OpenCache(base.Config, reg, metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.store == nil {
-		t.Fatalf("cache did not engage: %s", rc.note)
+	if rc.Store == nil {
+		t.Fatalf("cache did not engage: %s", rc.Note)
 	}
 
 	logsDigest := stagecache.Digest(strings.Repeat("a", 64))
 	statsKeyOf := func(mut func(*config)) stagecache.Digest {
 		cfg := base
 		mut(&cfg)
-		return rc.statsKey(cfg, "", false)
+		return rc.StatsKey(cfg.Config, "", false)
 	}
 	baseStats := statsKeyOf(func(*config) {})
 
 	mustMove := map[string]func(*config){
-		"scale": func(c *config) { c.scale = 0.051 },
-		"seed":  func(c *config) { c.seed = 2 },
-		"key":   func(c *config) { c.key = append([]byte{}, bytes.ToUpper(cacheTestKey)...) },
+		"scale": func(c *config) { c.Scale = 0.051 },
+		"seed":  func(c *config) { c.Seed = 2 },
+		"key":   func(c *config) { c.Key = append([]byte{}, bytes.ToUpper(cacheTestKey)...) },
 	}
 	for name, mut := range mustMove {
 		if statsKeyOf(mut) == baseStats {
@@ -399,16 +402,16 @@ func TestStageKeySensitivity(t *testing.T) {
 		}
 	}
 	mustNotMove := map[string]func(*config){
-		"shards":      func(c *config) { c.shards = 8 },
-		"out":         func(c *config) { c.out = "elsewhere" },
+		"shards":      func(c *config) { c.Shards = 8 },
+		"out":         func(c *config) { c.Out = "elsewhere" },
 		"quiet":       func(c *config) { c.quiet = false },
 		"progress":    func(c *config) { c.progressEvery = 1; c.progressFormat = "json" },
 		"bench":       func(c *config) { c.benchJSON = "bench.json" },
-		"fig-workers": func(c *config) { c.figWorkers = 7 },
-		"cache-dir":   func(c *config) { c.cacheDir = "other" },
+		"fig-workers": func(c *config) { c.FigWorkers = 7 },
+		"cache-dir":   func(c *config) { c.CacheDir = "other" },
 		"fault knobs (generate mode)": func(c *config) {
-			c.faultPolicy = "skip"
-			c.faultInject = 0.5
+			c.FaultPolicy = "skip"
+			c.FaultInject = 0.5
 		},
 	}
 	for name, mut := range mustNotMove {
@@ -418,26 +421,26 @@ func TestStageKeySensitivity(t *testing.T) {
 	}
 
 	// Source mode and the replayed tree are key material.
-	if rc.statsKey(base, logsDigest, false) == baseStats {
+	if rc.StatsKey(base.Config, logsDigest, false) == baseStats {
 		t.Error("stats key ignores the logs source")
 	}
-	if rc.statsKey(base, stagecache.Digest(strings.Repeat("b", 64)), false) == rc.statsKey(base, logsDigest, false) {
+	if rc.StatsKey(base.Config, stagecache.Digest(strings.Repeat("b", 64)), false) == rc.StatsKey(base.Config, logsDigest, false) {
 		t.Error("stats key ignores the replayed dataset digest")
 	}
-	if rc.statsKey(base, "", true) == baseStats {
+	if rc.StatsKey(base.Config, "", true) == baseStats {
 		t.Error("stats key ignores the counterfactual (no-pandemic) world")
 	}
 	// In logs mode every fault knob shapes which records survive replay.
-	logsBase := rc.statsKey(base, logsDigest, false)
+	logsBase := rc.StatsKey(base.Config, logsDigest, false)
 	for name, mut := range map[string]func(*config){
-		"fault-policy": func(c *config) { c.faultPolicy = "skip" },
-		"fault-budget": func(c *config) { c.faultBudget = 0.25 },
-		"fault-inject": func(c *config) { c.faultInject = 0.01 },
-		"fault-seed":   func(c *config) { c.faultSeed = 9 },
+		"fault-policy": func(c *config) { c.FaultPolicy = "skip" },
+		"fault-budget": func(c *config) { c.FaultBudget = 0.25 },
+		"fault-inject": func(c *config) { c.FaultInject = 0.01 },
+		"fault-seed":   func(c *config) { c.FaultSeed = 9 },
 	} {
 		cfg := base
 		mut(&cfg)
-		if rc.statsKey(cfg, logsDigest, false) == logsBase {
+		if rc.StatsKey(cfg.Config, logsDigest, false) == logsBase {
 			t.Errorf("logs-mode stats key ignores %s", name)
 		}
 	}
@@ -447,22 +450,22 @@ func TestStageKeySensitivity(t *testing.T) {
 	figKeyOf := func(mut func(*config)) stagecache.Digest {
 		cfg := base
 		mut(&cfg)
-		return rc.figuresKey(cfg, dsD, truthD, "")
+		return rc.FiguresKey(cfg.Config, dsD, truthD, "")
 	}
 	baseFig := figKeyOf(func(*config) {})
-	if figKeyOf(func(c *config) { c.figWorkers = 2 }) == baseFig {
+	if figKeyOf(func(c *config) { c.FigWorkers = 2 }) == baseFig {
 		t.Error("figures key ignores -fig-workers")
 	}
-	if figKeyOf(func(c *config) { c.shards = 8 }) != baseFig {
+	if figKeyOf(func(c *config) { c.Shards = 8 }) != baseFig {
 		t.Error("figures key moves with the shard count")
 	}
-	if rc.figuresKey(base, stagecache.Digest(strings.Repeat("e", 64)), truthD, "") == baseFig {
+	if rc.FiguresKey(base.Config, stagecache.Digest(strings.Repeat("e", 64)), truthD, "") == baseFig {
 		t.Error("figures key ignores the dataset content")
 	}
-	if rc.figuresKey(base, dsD, stagecache.Digest(strings.Repeat("f", 64)), "") == baseFig {
+	if rc.FiguresKey(base.Config, dsD, stagecache.Digest(strings.Repeat("f", 64)), "") == baseFig {
 		t.Error("figures key ignores the truth content")
 	}
-	if rc.figuresKey(base, dsD, truthD, stagecache.Digest(strings.Repeat("9", 64))) == baseFig {
+	if rc.FiguresKey(base.Config, dsD, truthD, stagecache.Digest(strings.Repeat("9", 64))) == baseFig {
 		t.Error("figures key ignores the counterfactual baseline")
 	}
 
@@ -515,21 +518,21 @@ func deriveStableStatsKey(t *testing.T) (stagecache.Digest, error) {
 	if err != nil {
 		return "", err
 	}
-	cfg := config{
-		scale:     0.05,
-		seed:      1,
-		key:       cacheTestKey,
-		cacheDir:  t.TempDir(),
-		cacheMode: "readwrite",
+	cfg := runner.Config{
+		Scale:     0.05,
+		Seed:      1,
+		Key:       cacheTestKey,
+		CacheDir:  t.TempDir(),
+		CacheMode: "readwrite",
 	}
-	rc, err := openRunCache(cfg, reg, nil)
+	rc, err := runner.OpenCache(cfg, reg, nil)
 	if err != nil {
 		return "", err
 	}
-	if rc.store == nil {
-		return "", fmt.Errorf("cache did not engage: %s", rc.note)
+	if rc.Store == nil {
+		return "", fmt.Errorf("cache did not engage: %s", rc.Note)
 	}
-	return rc.statsKey(cfg, "", false), nil
+	return rc.StatsKey(cfg, "", false), nil
 }
 
 // TestCacheReadMode proves a populated cache is sufficient on its own: a
@@ -538,18 +541,18 @@ func deriveStableStatsKey(t *testing.T) (stagecache.Digest, error) {
 func TestCacheReadMode(t *testing.T) {
 	cacheDir := t.TempDir()
 	base := cacheTestConfig(t, cacheDir)
-	base.scale = 0.002
+	base.Scale = 0.002
 
 	coldDir := t.TempDir()
 	cold := base
-	cold.out = coldDir
+	cold.Out = coldDir
 	runCached(t, cold)
 	want := readOutputs(t, coldDir)
 
 	roDir := t.TempDir()
 	ro := base
-	ro.out = roDir
-	ro.cacheMode = "read"
+	ro.Out = roDir
+	ro.CacheMode = "read"
 	status := runCached(t, ro)
 	statusHas(t, "read-only warm", status, "mode=read ")
 	statusHas(t, "read-only warm", status, "stats=hit figures=hit")

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/runner"
 )
 
 // TestObservabilityEquivalence runs the full harness twice — once with
@@ -23,17 +24,14 @@ func TestObservabilityEquivalence(t *testing.T) {
 	key := []byte("equivalence-test-key-0123456789abcd")
 
 	base := config{
-		scale:   scale,
-		seed:    1,
+		Config:  runner.Config{Scale: scale, Seed: 1, Shards: 1, Key: key},
 		quiet:   true,
-		shards:  1,
-		key:     key,
 		statusW: io.Discard,
 	}
 
 	plainDir := t.TempDir()
 	plain := base
-	plain.out = plainDir
+	plain.Out = plainDir
 	if err := run(plain); err != nil {
 		t.Fatalf("plain run: %v", err)
 	}
@@ -41,7 +39,7 @@ func TestObservabilityEquivalence(t *testing.T) {
 	obsDir := t.TempDir()
 	benchPath := filepath.Join(t.TempDir(), "bench.json")
 	instr := base
-	instr.out = obsDir
+	instr.Out = obsDir
 	instr.progressEvery = 500 * time.Millisecond
 	instr.progressFormat = "json"
 	instr.benchJSON = benchPath
@@ -112,16 +110,14 @@ func TestShardedRunMatchesSingle(t *testing.T) {
 	}
 	key := []byte("sharded-equiv-key-0123456789abcdef0")
 	base := config{
-		scale:   0.05,
-		seed:    1,
+		Config:  runner.Config{Scale: 0.05, Seed: 1, Key: key},
 		quiet:   true,
-		key:     key,
 		statusW: io.Discard,
 	}
 	singleDir := t.TempDir()
 	single := base
-	single.out = singleDir
-	single.shards = 1
+	single.Out = singleDir
+	single.Shards = 1
 	if err := run(single); err != nil {
 		t.Fatalf("single run: %v", err)
 	}
@@ -136,8 +132,8 @@ func TestShardedRunMatchesSingle(t *testing.T) {
 	for _, shards := range []int{4, 8} {
 		shardDir := t.TempDir()
 		sharded := base
-		sharded.out = shardDir
-		sharded.shards = shards
+		sharded.Out = shardDir
+		sharded.Shards = shards
 		sharded.progressEvery = time.Second // exercise shard snapshots too
 		if err := run(sharded); err != nil {
 			t.Fatalf("%d-shard run: %v", shards, err)

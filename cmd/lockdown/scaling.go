@@ -11,6 +11,7 @@ import (
 	"repro/internal/dnssim"
 	"repro/internal/flow"
 	"repro/internal/httplog"
+	"repro/internal/runner"
 	"repro/internal/trace"
 	"repro/internal/universe"
 )
@@ -57,7 +58,7 @@ func measureScaling(reg *universe.Registry, cfg config, shards int, statusW io.W
 	if shards < 2 {
 		return 0, 0, fmt.Errorf("-measure-scaling needs -shards ≥ 2 (got %d)", shards)
 	}
-	gen, err := trace.New(trace.ScaledConfig(cfg.scale, cfg.seed), reg)
+	gen, err := trace.New(trace.ScaledConfig(cfg.Scale, cfg.Seed), reg)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -69,11 +70,12 @@ func measureScaling(reg *universe.Registry, cfg config, shards int, statusW io.W
 		return 0, 0, fmt.Errorf("scaling window recorded no events")
 	}
 
-	rate := func(mk func() (ingestPipeline, error)) (float64, error) {
+	opts := core.Options{Key: cfg.Key}
+	rate := func(n int) (float64, error) {
 		var elapsed time.Duration
 		var events int64
 		for elapsed < scalingMinElapsed {
-			pipe, err := mk()
+			pipe, err := runner.NewPipeline(reg, opts, n)
 			if err != nil {
 				return 0, err
 			}
@@ -100,12 +102,11 @@ func measureScaling(reg *universe.Registry, cfg config, shards int, statusW io.W
 		return float64(events) / elapsed.Seconds(), nil
 	}
 
-	opts := core.Options{Key: cfg.key}
-	singleRate, err = rate(func() (ingestPipeline, error) { return core.NewPipeline(reg, opts) })
+	singleRate, err = rate(1)
 	if err != nil {
 		return 0, 0, err
 	}
-	shardedRate, err = rate(func() (ingestPipeline, error) { return core.NewShardedPipeline(reg, opts, shards) })
+	shardedRate, err = rate(shards)
 	if err != nil {
 		return 0, 0, err
 	}

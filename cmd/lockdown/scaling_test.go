@@ -4,6 +4,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/runner"
 	"repro/internal/universe"
 )
 
@@ -21,7 +22,7 @@ func TestMeasureScalingSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := config{scale: 0.01, seed: 1}
+	cfg := config{Config: runner.Config{Scale: 0.01, Seed: 1}}
 	single, sharded, err := measureScaling(reg, cfg, 2, io.Discard)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/campus"
 	"repro/internal/faultline"
 	"repro/internal/logsink"
+	"repro/internal/runner"
 	"repro/internal/trace"
 	"repro/internal/universe"
 )
@@ -46,6 +47,7 @@ func writeRotatedTestLogs(t *testing.T, from, to campus.Day) string {
 // day appears, the rerun must replay exactly that day (one probe missed at
 // the new final key, the next hit the previous run's checkpoint) and still
 // emit outputs byte-identical to a cache-free run over the full dataset.
+// The append run's full cache accounting is pinned too.
 func TestStatsdayAppendIncremental(t *testing.T) {
 	logsDir := writeRotatedTestLogs(t, 40, 46)
 	days, err := logsink.DayDirs(logsDir)
@@ -54,8 +56,8 @@ func TestStatsdayAppendIncremental(t *testing.T) {
 	}
 
 	base := cacheTestConfig(t, t.TempDir())
-	base.scale = 0.002
-	base.logs = logsDir
+	base.Scale = 0.002
+	base.Logs = logsDir
 
 	// Withhold the final day: the prefix run sees a 5-day dataset.
 	last := days[len(days)-1]
@@ -66,7 +68,7 @@ func TestStatsdayAppendIncremental(t *testing.T) {
 
 	prefixDir := t.TempDir()
 	prefix := base
-	prefix.out = prefixDir
+	prefix.Out = prefixDir
 	prefixStatus := runCached(t, prefix)
 	statusHas(t, "prefix", prefixStatus, "statsday: days=5 replayed=5 misses=5 hits=0")
 
@@ -76,15 +78,22 @@ func TestStatsdayAppendIncremental(t *testing.T) {
 	}
 	incrDir := t.TempDir()
 	incr := base
-	incr.out = incrDir
+	incr.Out = incrDir
 	incrStatus := runCached(t, incr)
 	statusHas(t, "append", incrStatus, "statsday: days=6 replayed=1 misses=1 hits=1")
+	// The whole probe sequence, pinned: the stats entry misses (the tree
+	// changed), the day-6 checkpoint misses and day 5's hits, and the
+	// figures entry misses. Every miss lands on a stage with committed
+	// entries, so each is an invalidation. lockbench's traced append repeat
+	// holds its own counters to these, so a reordered or added probe fails
+	// here first.
+	statusHas(t, "append", incrStatus, "hits=1 misses=3 invalidations=3 verify_failures=0 stats=miss figures=miss")
 
 	// Byte identity against a cache-free run over the full dataset.
 	refDir := t.TempDir()
 	ref := base
-	ref.cacheDir = ""
-	ref.out = refDir
+	ref.CacheDir = ""
+	ref.Out = refDir
 	runCached(t, ref)
 	wantIdenticalOutputs(t, "append vs cache-free", readOutputs(t, refDir), readOutputs(t, incrDir))
 
@@ -92,7 +101,7 @@ func TestStatsdayAppendIncremental(t *testing.T) {
 	// stats entry written by the append run hits first.
 	againDir := t.TempDir()
 	again := base
-	again.out = againDir
+	again.Out = againDir
 	statusHas(t, "unchanged rerun", runCached(t, again), "stats=hit")
 	wantIdenticalOutputs(t, "unchanged rerun", readOutputs(t, refDir), readOutputs(t, againDir))
 }
@@ -109,8 +118,8 @@ func TestStatsdayEligibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := cacheTestConfig(t, t.TempDir())
-	base.logs = logsDir
-	rc, err := openRunCache(base, reg, nil)
+	base.Logs = logsDir
+	rc, err := runner.OpenCache(base.Config, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,21 +129,21 @@ func TestStatsdayEligibility(t *testing.T) {
 		want bool
 	}{
 		"rotated strict single-shard": {func(*config) {}, true},
-		"generate mode":               {func(c *config) { c.logs = "" }, false},
-		"flat layout":                 {func(c *config) { c.logs = flatDir }, false},
-		"sharded":                     {func(c *config) { c.shards = 4 }, false},
-		"fault injection":             {func(c *config) { c.faultInject = 0.001 }, false},
+		"generate mode":               {func(c *config) { c.Logs = "" }, false},
+		"flat layout":                 {func(c *config) { c.Logs = flatDir }, false},
+		"sharded":                     {func(c *config) { c.Shards = 4 }, false},
+		"fault injection":             {func(c *config) { c.FaultInject = 0.001 }, false},
 	} {
 		cfg := base
 		tc.mut(&cfg)
-		if got := statsdayEligible(cfg, rc, faultline.PolicyStrict); got != tc.want {
+		if got := runner.StatsdayEligible(cfg.Config, rc, faultline.PolicyStrict); got != tc.want {
 			t.Errorf("%s: eligible = %v, want %v", name, got, tc.want)
 		}
 	}
-	if statsdayEligible(base, rc, faultline.PolicySkip) {
+	if runner.StatsdayEligible(base.Config, rc, faultline.PolicySkip) {
 		t.Error("skip policy: eligible, want gated off")
 	}
-	if statsdayEligible(base, &runCache{}, faultline.PolicyStrict) {
+	if runner.StatsdayEligible(base.Config, &runner.Cache{}, faultline.PolicyStrict) {
 		t.Error("no cache store: eligible, want gated off")
 	}
 }

@@ -37,8 +37,11 @@
 //
 //	lockdownd -root dataset/ [-addr localhost:8080] [-scale 0.05] [-seed 1]
 //	          [-shards N] [-key hex] [-poll 200ms]
-//	          [-fault-policy strict|skip|quarantine|abort] [-fault-budget f]
+//	          [-fault-policy strict|skip|abort] [-fault-budget f]
 //	          [-fault-inject rate] [-fault-seed n]
+//
+// -fault-policy quarantine is refused: the daemon writes no files, so
+// there is nowhere to put quarantine.log.
 package main
 
 import (
@@ -48,62 +51,41 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
-	"repro/internal/anonymize"
 	"repro/internal/core"
-	"repro/internal/faultline"
 	"repro/internal/figset"
 	"repro/internal/logsink"
 	"repro/internal/obs"
-	"repro/internal/packet"
-	"repro/internal/trace"
+	"repro/internal/runner"
 	"repro/internal/universe"
 )
 
+// config is the stage graph's settings (Logs is the followed root; there
+// is no output directory) plus the daemon's own.
 type config struct {
-	root   string
-	addr   string
-	scale  float64
-	seed   int64
-	shards int
-	poll   time.Duration
-	key    []byte
-
-	faultPolicy string
-	faultBudget float64
-	faultInject float64
-	faultSeed   int64
-}
-
-// snapshotPipeline is the pipeline surface the daemon needs: streaming
-// ingest, per-day seals with copy-on-write delta snapshots, and the final
-// seal.
-type snapshotPipeline interface {
-	trace.Sink
-	figset.Sealer
-	DeviceID(m packet.MAC) anonymize.DeviceID
-	Finalize() *core.Dataset
+	runner.Config
+	addr string
+	poll time.Duration
 }
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.root, "root", "", "rotated dataset root to follow (required)")
+	flag.StringVar(&cfg.Logs, "root", "", "rotated dataset root to follow (required)")
 	flag.StringVar(&cfg.addr, "addr", "localhost:8080", "HTTP listen address (\":0\" picks a free port)")
-	flag.Float64Var(&cfg.scale, "scale", 0.05, "population scale the dataset was generated at (ground truth)")
-	flag.Int64Var(&cfg.seed, "seed", 1, "generator seed the dataset was generated with (ground truth)")
-	flag.IntVar(&cfg.shards, "shards", 1, "pipeline shards (>1 parallelizes ingest)")
+	flag.Float64Var(&cfg.Scale, "scale", 0.05, "population scale the dataset was generated at (ground truth)")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "generator seed the dataset was generated with (ground truth)")
+	flag.IntVar(&cfg.Shards, "shards", 1, "pipeline shards (>1 parallelizes ingest)")
 	flag.DurationVar(&cfg.poll, "poll", 200*time.Millisecond, "tail poll interval")
 	keyHex := flag.String("key", "", "hex pseudonymization key; fixes device pseudonyms so daemon and batch runs are byte-comparable")
-	flag.StringVar(&cfg.faultPolicy, "fault-policy", "strict", "decode-error policy: strict, skip, quarantine or abort")
-	flag.Float64Var(&cfg.faultBudget, "fault-budget", 0.001, "tolerated dropped-record fraction under -fault-policy abort")
-	flag.Float64Var(&cfg.faultInject, "fault-inject", 0, "inject seeded corruption at this per-record rate (testing)")
-	flag.Int64Var(&cfg.faultSeed, "fault-seed", 1, "seed for -fault-inject corruption")
+	flag.StringVar(&cfg.FaultPolicy, "fault-policy", "strict", "decode-error policy: strict, skip or abort (quarantine is refused: the daemon writes no files)")
+	flag.Float64Var(&cfg.FaultBudget, "fault-budget", 0.001, "tolerated dropped-record fraction under -fault-policy abort")
+	flag.Float64Var(&cfg.FaultInject, "fault-inject", 0, "inject seeded corruption at this per-record rate (testing)")
+	flag.Int64Var(&cfg.FaultSeed, "fault-seed", 1, "seed for -fault-inject corruption")
 	flag.Parse()
 
-	if cfg.root == "" {
+	if cfg.Logs == "" {
 		fmt.Fprintln(os.Stderr, "lockdownd: -root is required")
 		os.Exit(2)
 	}
@@ -113,7 +95,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "lockdownd: bad -key:", err)
 			os.Exit(1)
 		}
-		cfg.key = key
+		cfg.Key = key
 	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "lockdownd:", err)
@@ -127,49 +109,18 @@ func run(cfg config) error {
 		return err
 	}
 	metrics := obs.NewMetrics()
-
-	var pipe snapshotPipeline
-	opts := core.Options{Key: cfg.key, Obs: metrics}
-	if cfg.shards == 1 {
-		pipe, err = core.NewPipeline(reg, opts)
-	} else {
-		pipe, err = core.NewShardedPipeline(reg, opts, cfg.shards)
-	}
+	live, err := runner.OpenLive(cfg.Config, reg, metrics)
 	if err != nil {
 		return err
 	}
-
-	// Ground truth for the accuracy experiments: rebuild the population
-	// the dataset was generated from, before ingest starts (pseudonyms
-	// only need the key, not traffic).
-	gen, err := trace.New(trace.ScaledConfig(cfg.scale, cfg.seed), reg)
-	if err != nil {
-		return err
-	}
-	figParams := figset.Params{Scale: cfg.scale, Seed: cfg.seed, Truth: gen.Truth(pipe.DeviceID)}
-
-	policy, err := faultline.ParsePolicy(cfg.faultPolicy)
-	if err != nil {
-		return err
-	}
-	var replayOpts logsink.ReplayOptions
-	var guard *faultline.Guard
-	if policy != faultline.PolicyStrict {
-		guard = faultline.NewGuard(policy, cfg.faultBudget, nil, metrics)
-		replayOpts.Guard = guard
-	}
-	if cfg.faultInject > 0 {
-		replayOpts.Inject = &faultline.Config{Seed: cfg.faultSeed, Rate: cfg.faultInject}
-	}
+	pipe := live.Pipe
 
 	stop := make(chan struct{})
-	var stopOnce sync.Once
-	stopFn := func() { stopOnce.Do(func() { close(stop) }) }
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigc
-		stopFn()
+		close(stop)
 	}()
 
 	state := newServerState()
@@ -179,29 +130,23 @@ func run(cfg config) error {
 	}
 	defer dbg.Close()
 	// Startup line on stdout: tests and scripts parse the bound address.
-	fmt.Printf("lockdownd: serving on http://%s (following %s)\n", dbg.Addr(), cfg.root)
+	fmt.Printf("lockdownd: serving on http://%s (following %s)\n", dbg.Addr(), cfg.Logs)
 
-	epoch := 0
-	inc := figset.NewIncremental(pipe, figParams, core.Stats{})
-	var sealErr error
-	tailErr := logsink.TailRotated(cfg.root, pipe, logsink.TailOptions{
-		ReplayOptions: replayOpts,
+	epoch, lastDay := 0, ""
+	inc := figset.NewIncremental(pipe, live.Params, core.Stats{})
+	tailErr := logsink.TailRotated(cfg.Logs, pipe, logsink.TailOptions{
+		ReplayOptions: live.Replay,
 		Poll:          cfg.poll,
 		Stop:          stop,
 		OnDaySealed: func(day string, final bool) {
-			epoch++
+			epoch, lastDay = epoch+1, day
 			if final {
 				// The finalize path below publishes this epoch from the
 				// sealed pipeline — identical data, and it frees the
 				// accumulators for serving-only life.
 				return
 			}
-			ep, err := inc.Seal(day)
-			if err != nil {
-				sealErr = err
-				stopFn()
-				return
-			}
+			ep, _ := inc.Seal(day) // Seal's error result is always nil
 			state.publish(&epochSnapshot{epoch: epoch, day: day, res: ep.Results,
 				stats: ep.Dataset.Stats, devices: summarizeDevices(ep.Dataset), partial: ep.Partial})
 			fmt.Fprintf(os.Stderr, "lockdownd: epoch %d sealed (%s): %d flows, %d devices (day: %d flows, %d touched)\n",
@@ -209,33 +154,18 @@ func run(cfg config) error {
 				ep.Partial.Stats.FlowsProcessed, len(ep.Partial.Touched))
 		},
 	})
-	if sealErr != nil {
-		return sealErr
-	}
 	if tailErr != nil && !errors.Is(tailErr, logsink.ErrTailStopped) {
 		return tailErr
 	}
 	if tailErr == nil {
 		ds := pipe.Finalize()
-		res, _, _ := figset.Compute(ds, figParams)
-		state.publish(&epochSnapshot{epoch: epoch, day: lastDay(cfg.root), final: true,
+		res, _, _ := figset.Compute(ds, live.Params)
+		state.publish(&epochSnapshot{epoch: epoch, day: lastDay, final: true,
 			res: res, stats: ds.Stats, devices: summarizeDevices(ds)})
-		if guard != nil {
-			fmt.Fprintf(os.Stderr, "lockdownd: fault guard: %s\n", guard.Summary())
-		}
+		fmt.Fprintf(os.Stderr, "lockdownd: fault guard: %s\n", live.Replay.Guard.Summary())
 		fmt.Fprintf(os.Stderr, "lockdownd: dataset complete after %d epochs; serving until signal\n", epoch)
 		<-stop
 	}
 	fmt.Fprintln(os.Stderr, "lockdownd: shutting down")
 	return nil
-}
-
-// lastDay names the dataset's final day directory (for /v1/epoch after
-// finalize); empty when unreadable.
-func lastDay(root string) string {
-	days, err := logsink.DayDirs(root)
-	if err != nil || len(days) == 0 {
-		return ""
-	}
-	return days[len(days)-1]
 }

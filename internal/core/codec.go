@@ -43,12 +43,12 @@ type enc struct {
 	b []byte
 }
 
-func (e *enc) uvarint(v uint64)  { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) varint(v int64)    { e.b = binary.AppendVarint(e.b, v) }
-func (e *enc) byte(v byte)       { e.b = append(e.b, v) }
-func (e *enc) f32(v float32)     { e.b = binary.LittleEndian.AppendUint32(e.b, math.Float32bits(v)) }
-func (e *enc) f64(v float64)     { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
-func (e *enc) string(s string)   { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
+func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+func (e *enc) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
+func (e *enc) byte(v byte)      { e.b = append(e.b, v) }
+func (e *enc) f32(v float32)    { e.b = binary.LittleEndian.AppendUint32(e.b, math.Float32bits(v)) }
+func (e *enc) f64(v float64)    { e.b = binary.LittleEndian.AppendUint64(e.b, math.Float64bits(v)) }
+func (e *enc) string(s string)  { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
 func (e *enc) f32slice(s []float32) {
 	// Nil-able slice: 0 = nil, n+1 = length n. Several accumulator fields
 	// use nil as "never seen", which the figures distinguish from

@@ -8,8 +8,6 @@ package figset
 import (
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"repro/internal/anonymize"
 	"repro/internal/core"
@@ -110,25 +108,6 @@ var figureOrder = []string{
 
 // FigureNames returns the CSV artifact names in canonical order.
 func FigureNames() []string { return append([]string(nil), figureOrder...) }
-
-// WriteCSVs writes every figure CSV into dir (created by the caller),
-// byte-identical to serving each name through WriteFigure.
-func (r *Results) WriteCSVs(dir string) error {
-	for _, name := range figureOrder {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		if err := r.WriteFigure(f, name); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // WriteFigure renders one named figure CSV to w. Unknown names error.
 func (r *Results) WriteFigure(w io.Writer, name string) error {

@@ -65,10 +65,6 @@ type Batcher struct {
 	sink Sink
 	bs   BatchSink // non-nil when sink supports the batch fast path
 	buf  []Event
-	// epochs counts Flush calls — the stream boundaries a batch-capable
-	// sink treats as epoch seals (the sharded pipeline publishes its
-	// pending join-table delta at each one).
-	epochs int64
 }
 
 // NewBatcher wraps sink, detecting the batch fast path once.
@@ -141,17 +137,7 @@ func (b *Batcher) Flush() {
 		b.bs.EventBatch(b.buf)
 		b.buf = b.buf[:0]
 	}
-	b.epochs++
 	b.bs.Flush()
-}
-
-// Epochs returns the number of stream-boundary flushes forwarded so far
-// (0 for a plain sink, which has no epoch concept).
-func (b *Batcher) Epochs() int64 {
-	if b.bs == nil {
-		return 0
-	}
-	return b.epochs
 }
 
 // Deliver replays one event through sink's per-event interface — the

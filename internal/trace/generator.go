@@ -110,12 +110,6 @@ func (g *Generator) Devices() []*Device { return g.devices }
 // traffic).
 func (g *Generator) Resolver() netip.Addr { return g.reg.ResolverAddr() }
 
-// ZoomPrefixes returns the address ranges standing in for Zoom's published
-// IP list.
-func (g *Generator) ZoomPrefixes() []netip.Prefix {
-	return append([]netip.Prefix(nil), g.zoomPrefixes...)
-}
-
 // Run generates the full study window.
 func (g *Generator) Run(sink Sink) error {
 	return g.RunDays(sink, 0, campus.NumDays)
