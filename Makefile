@@ -31,15 +31,20 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Full race pass at four scheduler procs so the lock-free ring, the
-# route/figure worker pools, and the epoch-snapshot stores see real
-# interleavings. -short keeps the generator-bound packages inside the
-# time budget; the concurrency-heavy packages then rerun un-short so
-# nothing the -short matrix narrows escapes the detector.
+# route/figure worker pools, and the route lanes' reads of the shared
+# join stores see real interleavings. -short keeps the generator-bound
+# packages inside the time budget; the concurrency-heavy packages then
+# rerun un-short so nothing the -short matrix narrows escapes the
+# detector. The route lanes read the stores as plain maps, so the last
+# pass repeats the route tests: the detector is the check that no lane
+# runs beside the stores' writer.
 race:
 	GOMAXPROCS=4 $(GO) test -race -short ./...
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 		./internal/core ./internal/obs ./internal/dhcp ./internal/dnssim ./internal/logsink \
 		./internal/trace
+	GOMAXPROCS=4 $(GO) test -race -count=10 \
+		-run 'Route|Parallel|Adversarial|LeaseBeforeFlow|RouteAdmissionOracle' ./internal/core
 
 # Standard linters plus the repository's custom invariant analyzers.
 lint: lint-golangci lint-custom

@@ -5,7 +5,7 @@ package dhcp
 // LeaseStore maps device pseudonyms to lease counts.
 type LeaseStore struct{ m map[uint64]uint64 }
 
-// Lookup reads the unpinned head; nothing in this module's shard code
+// Lookup reads the unpinned head; nothing in this module's route stage
 // calls it.
 func (s *LeaseStore) Lookup(dev uint64) uint64 { return s.m[dev] }
 

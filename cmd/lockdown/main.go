@@ -113,6 +113,18 @@ func run(cfg config) error {
 	if statusW == nil {
 		statusW = os.Stderr
 	}
+	// Flags that only shape the bench report are checked before any work,
+	// not after a full run has written its outputs.
+	shards := cfg.Shards
+	if shards == 0 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	if cfg.measureScaling && cfg.benchJSON == "" {
+		return fmt.Errorf("-measure-scaling requires -bench-json (it only affects the bench report)")
+	}
+	if cfg.measureScaling && shards < 2 {
+		return fmt.Errorf("-measure-scaling needs -shards ≥ 2 (got %d)", shards)
+	}
 	reg, err := universe.New()
 	if err != nil {
 		return err
@@ -161,14 +173,7 @@ func run(cfg config) error {
 		fmt.Fprintf(statusW, "cache: %s\n", res.Cache)
 	}
 
-	if cfg.measureScaling && cfg.benchJSON == "" {
-		return fmt.Errorf("-measure-scaling requires -bench-json (it only affects the bench report)")
-	}
 	if cfg.benchJSON != "" {
-		shards := cfg.Shards
-		if shards == 0 {
-			shards = runtime.GOMAXPROCS(0)
-		}
 		ds := res.Dataset
 		// The report reads the registered cells through the same snapshot
 		// expvar and -progress serve.

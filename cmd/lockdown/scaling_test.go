@@ -2,6 +2,9 @@ package main
 
 import (
 	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/runner"
@@ -33,5 +36,37 @@ func TestMeasureScalingSmoke(t *testing.T) {
 
 	if _, _, err := measureScaling(reg, cfg, 1, io.Discard); err == nil {
 		t.Error("shards < 2 should error")
+	}
+}
+
+// TestBadFlagsFailBeforeWork: flag combinations that can only be judged
+// against the bench report or the shard count are refused before ingest
+// starts — the run returns the error and leaves no output directory.
+func TestBadFlagsFailBeforeWork(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  config
+		want string
+	}{
+		{"measure-scaling without bench-json", config{measureScaling: true, Config: runner.Config{Shards: 2}}, "-bench-json"},
+		{"measure-scaling at one shard", config{measureScaling: true, benchJSON: "bench.json", Config: runner.Config{Shards: 1}}, "-shards ≥ 2"},
+		{"negative shards", config{Config: runner.Config{Shards: -1}}, "-shards -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := tc.cfg
+			cfg.Scale, cfg.Seed, cfg.quiet, cfg.statusW = 0.002, 1, true, io.Discard
+			cfg.Out = filepath.Join(dir, "out")
+			if cfg.benchJSON != "" {
+				cfg.benchJSON = filepath.Join(dir, cfg.benchJSON)
+			}
+			err := run(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.want)
+			}
+			if _, err := os.Stat(cfg.Out); !os.IsNotExist(err) {
+				t.Errorf("output directory exists after the refused run (stat err %v)", err)
+			}
+		})
 	}
 }

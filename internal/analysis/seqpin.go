@@ -5,14 +5,16 @@ import (
 	"go/types"
 )
 
-// SeqPin guards the exactness contract of the shared epoch-snapshot join
-// (PR 5): shard and dispatcher code may read the shared dhcp.LeaseStore /
-// dnssim.LabelStore only through the sequence-pinned accessors
-// (LookupAt/LabelAt-style methods taking a pin), never through an unpinned
-// head view. An unpinned read compiles and returns plausible data, but it
-// sees broadcasts that arrived *after* the event being processed — the
-// result silently diverges from the single pipeline, which is the one bug
-// class the whole seq-pinning protocol exists to rule out.
+// SeqPin guards the exactness contract of the sharded pipeline's join:
+// the route stage, the only reader of the shared dhcp.LeaseStore /
+// dnssim.LabelStore, may read them only through the sequence-pinned
+// accessors (LookupAt/LabelAt-style methods taking a pin), never through
+// an unpinned head view. The dispatcher folds a whole event run's
+// broadcasts into the stores before the route lanes resolve the run, so
+// an unpinned read compiles and returns plausible data, but it sees
+// broadcasts that arrived *after* the event being routed — the admission
+// shipped to the shard silently diverges from the single pipeline, which
+// is the one bug class the seq-pinning protocol exists to rule out.
 //
 // Concretely: within internal/core, every method call on a LeaseStore or
 // LabelStore value must either carry a uint64 pin/seq parameter (the
@@ -21,13 +23,13 @@ import (
 // an iteration helper — is a finding.
 var SeqPin = &Analyzer{
 	Name: "seqpin",
-	Doc: "shard/dispatch code must read the shared lease/label stores through " +
+	Doc: "the route stage must read the shared lease/label stores through " +
 		"seq-pinned accessors (LookupAt/LabelAt), never the unpinned head",
 	Run: runSeqPin,
 }
 
-// seqPinCallers are the packages holding shard/dispatch code (suffix-
-// matched): the sharded pipeline, its join views, and the route workers.
+// seqPinCallers are the packages holding the route stage and the
+// dispatcher that writes the stores (suffix-matched).
 var seqPinCallers = []string{
 	"internal/core",
 }
@@ -62,8 +64,8 @@ func runSeqPin(pass *Pass) error {
 			if seqPinGauges[method.Name()] || hasPinParam(method) {
 				return true
 			}
-			pass.Reportf(call.Pos(), "%s.%s reads the shared %s without a sequence pin; shard/"+
-				"dispatch code must use the seq-pinned accessors (LookupAt/LabelAt-style, "+
+			pass.Reportf(call.Pos(), "%s.%s reads the shared %s without a sequence pin; the "+
+				"route stage must use the seq-pinned accessors (LookupAt/LabelAt-style, "+
 				"uint64 pin parameter) so lookups see exactly the single pipeline's join state",
 				storeName, method.Name(), storeName)
 			return true

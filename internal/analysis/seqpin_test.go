@@ -5,13 +5,13 @@ import "testing"
 func seqpinFixture(callerPath string) []fixturePkg {
 	return []fixturePkg{
 		{fixtureDir("seqpin", "store"), "fixture/internal/dhcp"},
-		{fixtureDir("seqpin", "shard"), callerPath},
+		{fixtureDir("seqpin", "route"), callerPath},
 	}
 }
 
-// Shard code reading the unpinned head (Lookup, Addrs) is the exactness
-// bug; the pinned accessor, the sequence-tagged writer, and the byte gauge
-// are sanctioned.
+// Route-stage code reading the unpinned head (Lookup, Addrs) is the
+// exactness bug; the pinned accessor, the sequence-tagged writer, and the
+// byte gauge are sanctioned.
 func TestSeqPinFlagsUnpinnedHeadReads(t *testing.T) {
 	diags := runFixtureSeq(t, []*Analyzer{SeqPin}, seqpinFixture("fixture/internal/core")...)
 	if len(diags) != 2 {
@@ -19,8 +19,8 @@ func TestSeqPinFlagsUnpinnedHeadReads(t *testing.T) {
 	}
 }
 
-// The rule binds shard/dispatch code only: the same calls from a package
-// outside internal/core are not shard reads.
+// The rule binds the route stage's package only: the same calls from a
+// package outside internal/core are not route-stage reads.
 func TestSeqPinIgnoresNonShardCallers(t *testing.T) {
 	res := loadFixtureSeq(t, seqpinFixture("fixture/internal/toolbox")...)
 	diags, err := Run(res, []*Analyzer{SeqPin})
@@ -28,6 +28,6 @@ func TestSeqPinIgnoresNonShardCallers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(diags) != 0 {
-		t.Fatalf("seqpin fired outside shard code: %v", diags)
+		t.Fatalf("seqpin fired outside the route stage's package: %v", diags)
 	}
 }

@@ -1,6 +1,6 @@
-// Package dhcp is a miniature of the real epoch-versioned LeaseStore: a
+// Package dhcp is a miniature of the real sequence-tagged LeaseStore: a
 // pinned accessor, a sequence-tagged writer, a gauge — and an unpinned
-// head view, which is exactly what shard code must never call.
+// head view, which is exactly what the route stage must never call.
 package dhcp
 
 type LeaseStore struct {

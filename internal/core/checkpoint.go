@@ -53,8 +53,8 @@ func (p *Pipeline) EncodeCheckpoint() ([]byte, error) {
 	if len(p.touched) != 0 {
 		return nil, fmt.Errorf("core: checkpoint: %d devices accumulated since the last seal (checkpoint at a SealDay boundary)", len(p.touched))
 	}
-	lj, ok := p.join.(*localJoin)
-	if !ok {
+	lj := p.join
+	if lj == nil {
 		return nil, fmt.Errorf("core: checkpoint: only a single (unsharded) pipeline can be checkpointed")
 	}
 
@@ -120,7 +120,7 @@ func RestoreCheckpoint(reg *universe.Registry, opts Options, b []byte) (*Pipelin
 	if err != nil {
 		return nil, err
 	}
-	lj := p.join.(*localJoin) // NewPipeline always builds a localJoin
+	lj := p.join
 
 	decStats(d, &p.stats)
 	devices, err2 := decDevices(d)

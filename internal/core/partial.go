@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/anonymize"
@@ -121,32 +120,13 @@ func (sp *ShardedPipeline) SealDay(label string) *DayPartial {
 }
 
 // statsNow computes the merged cumulative Stats under the documented
-// Finalize merge policy without rendering datasets: shard counters sum
-// (and a broadcast counted by a shard panics — the join tables are
-// dispatcher-owned), dispatcher cuts add, broadcast counters are
-// dispatcher-owned. Callable only while the shards are quiescent or
-// finished.
+// Finalize merge policy without rendering datasets: shard counters and
+// the dispatcher's (broadcasts and cuts) add. Callable only while the
+// shards are quiescent or finished.
 func (sp *ShardedPipeline) statsNow() Stats {
-	var out Stats
-	for i, p := range sp.shards {
-		s := p.stats
-		if s.DNSEntries != 0 || s.Leases != 0 {
-			panic(fmt.Sprintf("core: broadcast reached shard %d: %d DNS entries / %d leases (join tables are dispatcher-owned)",
-				i, s.DNSEntries, s.Leases))
-		}
-		out.FlowsProcessed += s.FlowsProcessed
-		out.FlowsTapDropped += s.FlowsTapDropped
-		out.FlowsUnattributed += s.FlowsUnattributed
-		out.FlowsUnlabeled += s.FlowsUnlabeled
-		out.FlowsOutOfWindow += s.FlowsOutOfWindow
-		out.BytesProcessed += s.BytesProcessed
-		out.HTTPEntries += s.HTTPEntries
+	out := sp.dispStats
+	for _, p := range sp.shards {
+		out = out.Add(p.stats)
 	}
-	out.FlowsTapDropped += sp.dispStats.FlowsTapDropped
-	out.FlowsOutOfWindow += sp.dispStats.FlowsOutOfWindow
-	out.FlowsUnattributed += sp.dispStats.FlowsUnattributed
-	out.HTTPEntries += sp.dispStats.HTTPEntries
-	out.DNSEntries = sp.dispStats.DNSEntries
-	out.Leases = sp.dispStats.Leases
 	return out
 }

@@ -83,10 +83,10 @@ type Pipeline struct {
 	matcher *appsig.Matcher
 	pseudo  *anonymize.Pseudonymizer
 
-	// join is the DNS/DHCP join state: private tables for a single
-	// pipeline, a sequence-pinned view over the dispatcher's shared
-	// stores for a shard (see join.go).
-	join      joinState
+	// join is the single pipeline's private DNS/DHCP tables (join.go).
+	// A shard of a ShardedPipeline has none: its route stage resolves
+	// each event's admission and the shard only accounts it.
+	join      *localJoin
 	presence  *anonymize.PresenceTracker
 	stitcher  *appsig.Stitcher
 	switchDet *appsig.SwitchDetector
@@ -230,13 +230,17 @@ func (b *domainBitmap) count() int {
 // provides the tap-exclusion table, the geolocation feed, and the Zoom IP
 // list).
 func NewPipeline(reg *universe.Registry, opts Options) (*Pipeline, error) {
-	return newPipeline(reg, opts, nil)
+	p, err := newPipeline(reg, opts)
+	if err != nil {
+		return nil, err
+	}
+	p.join = newLocalJoin()
+	return p, nil
 }
 
-// newPipeline builds a pipeline over the given join state; nil selects a
-// private localJoin (the single-pipeline configuration). The sharded
-// dispatcher passes each shard a snapshotJoin over its shared stores.
-func newPipeline(reg *universe.Registry, opts Options, join joinState) (*Pipeline, error) {
+// newPipeline builds a pipeline without join tables: the shard
+// configuration, fed only through account and accountHTTP.
+func newPipeline(reg *universe.Registry, opts Options) (*Pipeline, error) {
 	var pseudo *anonymize.Pseudonymizer
 	var err error
 	if opts.Key != nil {
@@ -274,16 +278,12 @@ func newPipeline(reg *universe.Registry, opts Options, join joinState) (*Pipelin
 		return nil, fmt.Errorf("core: %d domains exceed bitmap capacity", len(domains))
 	}
 
-	if join == nil {
-		join = newLocalJoin()
-	}
 	p := &Pipeline{
 		opts:       opts,
 		reg:        reg,
 		geoDB:      geo.FromRegistry(reg),
 		matcher:    appsig.NewMatcher(zoomNets),
 		pseudo:     pseudo,
-		join:       join,
 		presence:   anonymize.NewPresenceTracker(),
 		switchDet:  appsig.NewSwitchDetector(),
 		iotDet:     iotDet,
@@ -380,39 +380,29 @@ func (idx leaseIndex) lookup(addr netip.Addr, t time.Time) (packet.MAC, bool) {
 func (p *Pipeline) Lease(l dhcp.Lease) {
 	p.stats.Leases++
 	p.om.Add(obs.StageIngest, 0)
-	p.join.observeLease(l)
-}
-
-// lookupMAC resolves a client address at a time: DHCP leases for IPv4,
-// EUI-64 extraction for SLAAC-configured IPv6 residence addresses (no
-// DHCPv6 logs exist; the interface identifier carries the MAC directly).
-func (p *Pipeline) lookupMAC(addr netip.Addr, t time.Time) (packet.MAC, bool) {
-	if mac, ok := p.join.leaseMAC(addr, t); ok {
-		return mac, true
-	}
-	if universe.ResidenceNetV6.Contains(addr) {
-		return packet.MACFromEUI64(addr)
-	}
-	return packet.MAC{}, false
+	p.join.leaseIdx.observe(l)
 }
 
 // DNS implements trace.Sink: feed the labeler.
 func (p *Pipeline) DNS(e dnssim.Entry) {
 	p.stats.DNSEntries++
 	p.om.Add(obs.StageIngest, 0)
-	p.join.observeDNS(e)
+	p.join.labeler.Observe(e)
 }
 
 // HTTPMeta implements trace.Sink: collect User-Agent evidence.
 func (p *Pipeline) HTTPMeta(e httplog.Entry) {
-	p.stats.HTTPEntries++
-	p.om.Add(obs.StageIngest, 0)
-	mac, ok := p.lookupMAC(e.Client, e.Time)
-	if !ok || e.UserAgent == "" {
+	a := admitHTTP(p.join, &e)
+	p.accountHTTP(&e, &a)
+}
+
+// accountHTTP is HTTPMeta's accounting step, given the entry's admission.
+func (p *Pipeline) accountHTTP(e *httplog.Entry, a *admission) {
+	if !p.stats.intakeHTTP(p.om, a.cut) || e.UserAgent == "" {
 		return
 	}
-	d := p.device(p.DeviceID(mac))
-	d.mac = mac
+	d := p.device(p.DeviceID(a.mac))
+	d.mac = a.mac
 	if d.uas == nil {
 		d.uas = make(map[string]struct{}, 4)
 	}
@@ -421,43 +411,37 @@ func (p *Pipeline) HTTPMeta(e httplog.Entry) {
 	}
 }
 
-// Flow implements trace.Sink: the main ingest path.
+// Flow implements trace.Sink: the main ingest path, admission (join.go)
+// then accounting.
+func (p *Pipeline) Flow(r flow.Record) {
+	t := p.om.Now()
+	a := admitFlow(p.join, p.reg, !p.opts.DisableTapFilter, &r)
+	p.account(&r, &a, t)
+}
+
+// account is Flow's accounting step: every counter and aggregate a flow
+// moves, given its admission. It looks nothing up, so a shard runs it on
+// the admission its route stage resolved.
 //
 // Observability (when Options.Obs is set) counts the flow at every stage
-// and, for a sampled subset, laps a timer across the stage boundaries. The
+// and, for a sampled subset (t non-zero), laps a timer across the stage
+// boundaries; the admission's lookups land in the tap-filter lap. The
 // out-of-window drop is attributed to the tap-filter stage (both are
 // capture-boundary cuts). With a nil Metrics every instrumentation call is
 // an inlined nil-check no-op — the nil-receiver contract package obs
 // documents and the obsnil analyzer enforces — so instrumentation calls
 // are made bare, never wrapped in a redundant `if m != nil` guard.
-func (p *Pipeline) Flow(r flow.Record) {
+func (p *Pipeline) account(r *flow.Record, a *admission, t time.Time) {
 	m := p.om
-	t := m.Now()
-	m.Add(obs.StageIngest, r.TotalBytes())
-	// The tap's excluded high-volume networks never reach the pipeline.
-	if !p.opts.DisableTapFilter && p.reg.TapExcluded(r.RespAddr) {
-		p.stats.FlowsTapDropped++
-		m.Drop(obs.StageTapFilter)
-		return
-	}
-	day, ok := campus.DayOf(r.Start)
-	if !ok {
-		p.stats.FlowsOutOfWindow++
-		m.Drop(obs.StageTapFilter)
-		return
-	}
-	m.Add(obs.StageTapFilter, 0)
-	t = m.Lap(obs.StageTapFilter, t)
-	mac, ok := p.lookupMAC(r.OrigAddr, r.Start)
-	if !ok {
-		p.stats.FlowsUnattributed++
-		m.Drop(obs.StageDHCPNormalize)
-		return
-	}
-	p.stats.FlowsProcessed++
 	bytes := r.TotalBytes()
+	if !p.stats.intakeFlow(m, bytes, a.cut) {
+		return
+	}
+	t = m.Lap(obs.StageTapFilter, t)
+	p.stats.FlowsProcessed++
 	p.stats.BytesProcessed += bytes
 
+	mac, day, domain, labeled := a.mac, a.day, a.label, a.labeled
 	id := p.DeviceID(mac)
 	m.Add(obs.StageDHCPNormalize, 0)
 	m.Add(obs.StageAggregate, bytes)
@@ -481,7 +465,6 @@ func (p *Pipeline) Flow(r flow.Record) {
 	t = m.Lap(obs.StageAggregate, t)
 
 	// Domain labeling via the DNS join.
-	domain, labeled := p.join.label(r.RespAddr, r.Start)
 	if !labeled {
 		p.stats.FlowsUnlabeled++
 		m.Drop(obs.StageDNSLabel)

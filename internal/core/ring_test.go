@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// tagBatch builds a batch whose first slot carries tag in its seq field,
-// so FIFO order is checkable across the ring.
+// tagBatch builds a batch whose first slot carries tag in its flow byte
+// count, so FIFO order is checkable across the ring.
 func tagBatch(tag uint64, n int) *eventBatch {
 	b := new(eventBatch)
 	b.n = n
-	b.events[0].seq = tag
+	b.events[0].flow.OrigBytes = int64(tag)
 	return b
 }
 
@@ -50,8 +50,8 @@ func TestRingFullThenDrain(t *testing.T) {
 		if !ok {
 			t.Fatalf("pop %d reported closed with batches remaining", i)
 		}
-		if b.events[0].seq != uint64(i) {
-			t.Fatalf("pop %d = tag %d, want %d (FIFO violated)", i, b.events[0].seq, i)
+		if uint64(b.events[0].flow.OrigBytes) != uint64(i) {
+			t.Fatalf("pop %d = tag %d, want %d (FIFO violated)", i, uint64(b.events[0].flow.OrigBytes), i)
 		}
 	}
 	if _, ok := r.pop(); ok {
@@ -78,8 +78,8 @@ func TestRingWraparound(t *testing.T) {
 			if !ok {
 				t.Fatal("unexpected closed")
 			}
-			if b.events[0].seq != next {
-				t.Fatalf("round %d: got tag %d, want %d", round, b.events[0].seq, next)
+			if uint64(b.events[0].flow.OrigBytes) != next {
+				t.Fatalf("round %d: got tag %d, want %d", round, uint64(b.events[0].flow.OrigBytes), next)
 			}
 			next++
 		}
@@ -104,7 +104,7 @@ func TestRingPushBlocksUntilPop(t *testing.T) {
 		t.Fatal("push into a full ring returned without a pop")
 	case <-time.After(20 * time.Millisecond):
 	}
-	if b, ok := r.pop(); !ok || b.events[0].seq != 0 {
+	if b, ok := r.pop(); !ok || uint64(b.events[0].flow.OrigBytes) != 0 {
 		t.Fatalf("pop = (%v,%v), want tag 0", b, ok)
 	}
 	select {
@@ -140,7 +140,7 @@ func TestRingSPSCHammer(t *testing.T) {
 					b := batchPool.Get().(*eventBatch)
 					b.n = n
 					for s := 0; s < n; s++ {
-						b.events[s].seq = uint64(i)
+						b.events[s].flow.OrigBytes = int64(i)
 					}
 					r.push(b)
 				}
@@ -157,8 +157,8 @@ func TestRingSPSCHammer(t *testing.T) {
 					t.Fatalf("batch %d: n = %d, want %d (batch published before fully written?)", seen, b.n, wantN)
 				}
 				for s := 0; s < b.n; s++ {
-					if b.events[s].seq != uint64(seen) {
-						t.Fatalf("batch %d slot %d: tag %d, want %d", seen, s, b.events[s].seq, seen)
+					if uint64(b.events[s].flow.OrigBytes) != uint64(seen) {
+						t.Fatalf("batch %d slot %d: tag %d, want %d", seen, s, uint64(b.events[s].flow.OrigBytes), seen)
 					}
 				}
 				b.n = 0

@@ -1,99 +1,92 @@
 package core
 
 import (
+	"net/netip"
 	"runtime"
+	"time"
 
-	"repro/internal/campus"
 	"repro/internal/flow"
-	"repro/internal/httplog"
+	"repro/internal/packet"
 	"repro/internal/trace"
 )
 
 // The batched dispatch path splits each incoming event run into three
-// phases so the per-event route work — the DHCP lease lookup, the EUI-64
-// extraction, the tap/window cuts, the shard hash — runs on parallel
-// decode/route workers while everything order-sensitive stays on the
-// single sequencer goroutine (the dispatcher itself):
+// phases so the per-event route work — both joins and the tap/window cuts
+// — runs on parallel route lanes while everything order-sensitive stays
+// on the single sequencer goroutine (the dispatcher itself):
 //
 //	phase A (sequencer): walk the run in stream order; apply every
-//	  broadcast (DNS entry, DHCP lease) to the shared epoch stores under
-//	  the next monotonic sequence number, exactly as the per-event path
-//	  does; stamp every routable event with the sequence number current
-//	  at its stream position (its pin).
-//	phase B (route workers, parallel): for every flow/HTTP event, resolve
-//	  the client MAC against the shared lease store *pinned to the
-//	  event's own sequence number* and decide its target shard (or drop
-//	  class). The pinned lookup is what makes this safe: phase A already
-//	  folded the whole run's leases into the store, but a flow's lookup
-//	  sees only records with seq ≤ its pin — byte-identical to the
-//	  single pipeline resolving it mid-stream. Workers touch only
-//	  immutable or concurrent-read-safe state (the epoch stores, the
-//	  registry, the campus calendar) and write disjoint decision slots.
+//	  broadcast (DNS entry, DHCP lease) to the shared stores under the
+//	  next monotonic sequence number, exactly as the per-event path does;
+//	  stamp every routable event with the sequence number current at its
+//	  stream position (its pin).
+//	phase B (route lanes, parallel): resolve every flow's and HTTP
+//	  entry's admission (admitFlow/admitHTTP, join.go) against the shared
+//	  stores *pinned to the event's own sequence number*. The pin is what
+//	  makes this exact: phase A already folded the whole run's broadcasts
+//	  into the stores, but a lookup sees only records with seq ≤ its pin —
+//	  byte-identical to the single pipeline resolving it mid-stream. Lanes
+//	  read the stores, the registry and the campus calendar, and write
+//	  disjoint decision slots.
 //	phase C (sequencer): walk the run in stream order again, copying
-//	  routed events into per-shard open batches (flushing full batches
-//	  into the SPSC rings) and settling drop/dispatch counters. All
-//	  mutation of dispatcher-owned state — open batches, pendDispatch,
-//	  dispStats, obs — happens here, single-threaded.
+//	  admitted events with their admission into per-shard open batches
+//	  (flushing full batches into the SPSC rings) and settling the cut
+//	  events' counters. All mutation of dispatcher-owned state — open
+//	  batches, pendDispatch, dispStats, obs — happens here,
+//	  single-threaded.
 //
-// Exactness therefore never depends on worker scheduling: sequence
-// numbers are assigned serially in phase A, shard batch order is
-// materialized serially in phase C, and phase B computes pure functions
-// of (event, pin).
+// Exactness therefore never depends on lane scheduling: sequence numbers
+// are assigned serially in phase A, shard batch order is materialized
+// serially in phase C, and phase B computes pure functions of (event,
+// pin). The shards look nothing up; they account the admission they are
+// handed.
+//
+// The route stage is the only reader of the stores, and no lane ever runs
+// beside their writer, so they are plain maps. The sequencer writes them
+// in phase A (and on the serial path, where it also does the reading),
+// and it is blocked in routePool.run for all of phase B: the job send
+// that starts a lane orders the lane's reads after phase A's writes, and
+// the done receive orders them before the next run's.
 
-// Negative routeDecision.shard values classify events that never reach a
-// shard. Drop precedence must match Pipeline.Flow exactly — tap filter,
-// then capture window, then attribution — so a flow failing several cuts
-// lands in the same Stats counter under sharded and single ingest.
-const (
-	decDropTap    int32 = -1 // unroutable flow cut by the tap filter
-	decDropWindow int32 = -2 // unroutable flow outside the capture window
-	decDropUnattr int32 = -3 // unroutable flow with no DHCP binding
-	decDropHTTP   int32 = -4 // HTTP entry with no resolvable client MAC
-)
+// pinnedJoin is the route stage's view of the shared stores as of one
+// event's sequence number.
+type pinnedJoin struct {
+	sp  *ShardedPipeline
+	pin uint64
+}
+
+func (j pinnedJoin) leaseMAC(addr netip.Addr, t time.Time) (packet.MAC, bool) {
+	return j.sp.leases.LookupAt(addr, t, j.pin)
+}
+
+func (j pinnedJoin) label(server netip.Addr, t time.Time) (string, bool) {
+	return j.sp.labels.LabelAt(server, t, j.pin)
+}
+
+// admitFlowAt resolves one flow's admission as of pin.
+func (sp *ShardedPipeline) admitFlowAt(r *flow.Record, pin uint64) admission {
+	return admitFlow(pinnedJoin{sp, pin}, sp.reg, !sp.opts.DisableTapFilter, r)
+}
 
 // routeDecision is one event's routing outcome. seq is written by the
-// sequencer in phase A; shard by exactly one route worker in phase B; both
+// sequencer in phase A; adm by exactly one route lane in phase B; both
 // are read by the sequencer in phase C. The phase barriers (job handoff
 // and completion signals) order those accesses.
 type routeDecision struct {
-	seq   uint64
-	shard int32
+	seq uint64
+	adm admission
 }
 
-// decideFlow resolves one flow's target shard (or drop class) as of pin.
-// Pure with respect to dispatcher state: safe from any route worker.
-func (sp *ShardedPipeline) decideFlow(r *flow.Record, pin uint64) int32 {
-	if mac, ok := sp.clientMACAt(r.OrigAddr, r.Start, pin); ok {
-		return int32(macShard(mac, len(sp.shards)))
-	}
-	if !sp.opts.DisableTapFilter && sp.reg.TapExcluded(r.RespAddr) {
-		return decDropTap
-	}
-	if _, ok := campus.DayOf(r.Start); !ok {
-		return decDropWindow
-	}
-	return decDropUnattr
-}
-
-// decideHTTP resolves one HTTP entry's target shard (or decDropHTTP) as of
-// pin. Pure with respect to dispatcher state: safe from any route worker.
-func (sp *ShardedPipeline) decideHTTP(e *httplog.Entry, pin uint64) int32 {
-	if mac, ok := sp.clientMACAt(e.Client, e.Time, pin); ok {
-		return int32(macShard(mac, len(sp.shards)))
-	}
-	return decDropHTTP
-}
-
-// decideRange computes phase-B decisions for events[lo:hi). Broadcast
+// decideRange computes phase-B admissions for events[lo:hi). Broadcast
 // events were fully handled in phase A and are skipped here.
 func (sp *ShardedPipeline) decideRange(events []trace.Event, decs []routeDecision, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		ev := &events[i]
 		switch ev.Kind {
 		case trace.EventFlow:
-			decs[i].shard = sp.decideFlow(&ev.Flow, decs[i].seq)
+			decs[i].adm = sp.admitFlowAt(&ev.Flow, decs[i].seq)
 		case trace.EventHTTP:
-			decs[i].shard = sp.decideHTTP(&ev.HTTP, decs[i].seq)
+			decs[i].adm = admitHTTP(pinnedJoin{sp, decs[i].seq}, &ev.HTTP)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"net/netip"
 	"reflect"
 	"sync"
 	"testing"
@@ -319,5 +320,150 @@ func TestDispatchSettlesOncePerBatch(t *testing.T) {
 	if dispatched != stats.FlowsProcessed {
 		t.Errorf("dispatched sum %d != flows processed %d (settle-once violated)",
 			dispatched, stats.FlowsProcessed)
+	}
+}
+
+// slotLog is one shard slot as the route stage filled it.
+type slotLog struct {
+	kind eventKind
+	adm  admission
+}
+
+// recordShards swaps sp's shard workers for recorders that log every slot
+// the route stage fills, in shard order. The returned function flushes
+// sp, stops the recorders and returns each shard's log; sp must not be
+// used afterwards.
+func recordShards(sp *ShardedPipeline) func() [][]slotLog {
+	logs := make([][]slotLog, len(sp.rings))
+	var wg sync.WaitGroup
+	for i := range sp.rings {
+		sp.rings[i].close()
+		<-sp.done[i]
+		ring := newBatchRing(defaultRingCap)
+		sp.rings[i] = ring
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for {
+				b, ok := ring.pop()
+				if !ok {
+					return
+				}
+				for j := 0; j < b.n; j++ {
+					logs[i] = append(logs[i], slotLog{kind: b.events[j].kind, adm: b.events[j].adm})
+				}
+			}
+		}(i)
+	}
+	return func() [][]slotLog {
+		sp.Flush()
+		if sp.router != nil {
+			sp.router.close()
+		}
+		for _, r := range sp.rings {
+			r.close()
+		}
+		wg.Wait()
+		return logs
+	}
+}
+
+// TestRouteAdmissionOracle re-looks up every routed event on the shard
+// side: each admitted flow's MAC, day and DNS label in its shard slot (and
+// each HTTP entry's MAC) must equal what a single pipeline's private
+// tables resolve at the same stream position. The stream is the
+// adversarial schedule (lease renewal after a coverage gap, address reuse
+// by a second device, mid-stream DNS re-resolution) plus a DNS look-ahead
+// trap per group: a flow to a server whose first resolution is later in
+// the stream but within LookAhead of the flow — unlabeled before that
+// resolution arrives, labeled after.
+func TestRouteAdmissionOracle(t *testing.T) {
+	reg, err := universe.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const groups = 2*batchCap + 37
+	adv := adversarialStream(groups)
+	per := len(adv) / groups
+	base := campus.Day(10).Time().Add(6 * time.Hour)
+	var stream []trace.Event
+	for i := 0; i < groups; i++ {
+		stream = append(stream, adv[i*per:(i+1)*per]...)
+		t0 := base.Add(time.Duration(i) * 30 * time.Second)
+		fl := flowAt(t0.Add(2*time.Second), netip.AddrFrom4([4]byte{198, 19, byte(i >> 8), byte(i)}), 6000+int64(i))
+		fl.OrigAddr = mkIP(i)
+		stream = append(stream,
+			trace.Event{Kind: trace.EventFlow, Flow: fl},
+			trace.Event{Kind: trace.EventDNS, DNS: dnssim.Entry{
+				Time: t0.Add(30 * time.Minute), Query: "zoom.us", Answer: fl.RespAddr}},
+			trace.Event{Kind: trace.EventFlow, Flow: fl})
+	}
+	key := []byte("parity-test-key-0123456789abcdef")
+
+	for _, shards := range []int{1, 4} {
+		// The oracle: the single pipeline's admission of each event just
+		// before it is delivered, bucketed by the shard it must reach.
+		single, err := NewPipeline(reg, Options{Key: key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([][]slotLog, shards)
+		for i := range stream {
+			ev := &stream[i]
+			var a admission
+			var kind eventKind
+			switch ev.Kind {
+			case trace.EventFlow:
+				a, kind = admitFlow(single.join, reg, true, &ev.Flow), evFlow
+			case trace.EventHTTP:
+				a, kind = admitHTTP(single.join, &ev.HTTP), evHTTP
+			}
+			if (ev.Kind == trace.EventFlow || ev.Kind == trace.EventHTTP) && a.cut == admitted {
+				s := macShard(a.mac, shards)
+				want[s] = append(want[s], slotLog{kind: kind, adm: a})
+			}
+			ev.Deliver(single)
+		}
+		st := single.Finalize().Stats
+		if st.FlowsUnattributed != groups || st.FlowsUnlabeled != groups {
+			t.Fatalf("single: unattributed %d unlabeled %d, want %d / %d (traps not sprung)",
+				st.FlowsUnattributed, st.FlowsUnlabeled, groups, groups)
+		}
+
+		for _, lanes := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("shards-%d-lanes-%d", shards, lanes), func(t *testing.T) {
+				sp, err := NewShardedPipeline(reg, Options{Key: key}, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if lanes == 1 {
+					if sp.router != nil {
+						sp.router.close()
+					}
+					sp.router = nil
+				} else {
+					forceRouter(sp, lanes)
+				}
+				collect := recordShards(sp)
+				rest := stream
+				for len(rest) > 0 {
+					rn := min(3*routeParallelMin+11, len(rest))
+					sp.EventBatch(rest[:rn])
+					rest = rest[rn:]
+				}
+				got := collect()
+				for s := range want {
+					if len(got[s]) != len(want[s]) {
+						t.Fatalf("shard %d: %d slots, want %d", s, len(got[s]), len(want[s]))
+					}
+					for j := range want[s] {
+						if got[s][j] != want[s][j] {
+							t.Fatalf("shard %d slot %d: route stage shipped %+v, single pipeline resolves %+v",
+								s, j, got[s][j], want[s][j])
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"net/netip"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/anonymize"
 	"repro/internal/dhcp"
@@ -24,32 +22,26 @@ import (
 // so each device's entire history lands on one shard and per-device
 // aggregation stays exact.
 //
-// DNS entries and DHCP leases are NOT broadcast to the shards. The
-// dispatcher applies each of them exactly once to a pair of shared,
-// immutable, epoch-versioned join stores (dnssim.LabelStore,
-// dhcp.LeaseStore) that every shard reads concurrently — RCU-style: the
-// dispatcher is the single writer, batching broadcast mutations into the
-// stores as an append-only delta tagged with a monotonically increasing
-// sequence number, and sealing a new epoch at batch boundaries (an O(delta)
-// publication — the copy-on-write cells share all earlier records
-// structurally and publish through atomic pointers). Each routed event
-// carries the broadcast sequence number current when it was enqueued, and
-// its shard resolves the DNS/DHCP joins pinned to that number, so a shard
-// sees exactly the join state a single pipeline would have had at the same
-// position of the event stream: lease-before-flow ordering — and the
-// subtler DNS cases (re-resolution to a new domain mid-batch, the
-// labeler's look-ahead window) — hold by construction rather than by
-// replaying every mutation once per shard.
+// DNS entries and DHCP leases never reach the shards. The dispatcher
+// applies each of them exactly once to a pair of shared join stores
+// (dnssim.LabelStore, dhcp.LeaseStore), tagging every mutation with a
+// monotonically increasing sequence number, and the route stage resolves
+// each flow's and HTTP entry's admission — tap and window cuts, client
+// MAC, DNS label — against the stores pinned to the sequence number
+// current at the event's stream position. That is exactly the join state
+// a single pipeline would have had at the same position: lease-before-flow
+// ordering — and the subtler DNS cases (re-resolution to a new domain
+// mid-batch, the labeler's look-ahead window) — hold by construction. The
+// admission travels to the shard in the batch slot, and the shard runs the
+// single pipeline's accounting step on it: shards hold no join state and
+// look nothing up.
 //
-// The dispatch side itself is pipelined for multi-core ingest. Routing
-// decisions (the lease lookup, the tap/window cuts, the shard hash) are
-// pure functions of (event, pinned sequence number), so the batched intake
-// path fans them out over parallel decode/route workers while a single
-// sequencer stage — the dispatcher goroutine — keeps everything
-// order-sensitive serial: sequence-number assignment, broadcast
-// application, batch placement, counter settlement (see route.go). The
-// dispatcher routes against the same shared lease store the shards read
-// (pinned the same way), so there is exactly one lease index per run.
+// The route stage is pipelined for multi-core ingest. Admissions are pure
+// functions of (event, pinned sequence number), so the batched intake path
+// fans them out over parallel route lanes while a single sequencer stage —
+// the dispatcher goroutine — keeps everything order-sensitive serial:
+// sequence-number assignment, broadcast application, batch placement,
+// counter settlement (see route.go).
 //
 // Transport is batched and lock-free: the dispatcher appends events into a
 // fixed-capacity open batch per shard and, when it fills (or on Flush),
@@ -69,11 +61,8 @@ type ShardedPipeline struct {
 	// directly (a pure HMAC) so callers never touch shard-owned caches.
 	pseudo *anonymize.Pseudonymizer
 	shards []*Pipeline
-	// joins[i] is shard i's pinned view over the shared stores; owned by
-	// that shard's worker goroutine after construction.
-	joins []*snapshotJoin
-	rings []*batchRing
-	done  []chan struct{}
+	rings  []*batchRing
+	done   []chan struct{}
 	// open holds the per-shard batch being filled; owned by the
 	// dispatcher goroutine, never touched by workers.
 	open []*eventBatch
@@ -95,16 +84,15 @@ type ShardedPipeline struct {
 	// poll registered with obs.
 	dispatched []atomic.Int64
 
-	// router fans the batched path's route decisions out over parallel
-	// workers (nil on a single-processor runtime: the sequencer decides
+	// router fans the batched path's admissions out over parallel route
+	// lanes (nil on a single-processor runtime: the sequencer decides
 	// inline). decs is the reusable per-run decision scratch.
 	router *routePool
 	decs   []routeDecision
 
-	// labels and leases are the shared join stores (dispatcher writes,
-	// shards AND the dispatcher's own route stage read); seq tags every
-	// broadcast mutation, epochDirty marks mutations not yet sealed into
-	// a published epoch.
+	// labels and leases are the shared join stores (the dispatcher writes,
+	// its route stage reads); seq tags every broadcast mutation,
+	// epochDirty marks mutations not yet sealed into an epoch.
 	labels     *dnssim.LabelStore
 	leases     *dhcp.LeaseStore
 	seq        uint64
@@ -119,13 +107,12 @@ type ShardedPipeline struct {
 	finalized bool
 
 	// Epoch accounting for the shared join tables, registered with obs:
-	// sealed epochs, shard batches resolved against a pinned snapshot,
-	// and the tables' approximate retained bytes (a gauge). Epoch
-	// publications are bookkeeping, not events — they never feed the
-	// stage counters, the dispatch counters, or the queue-depth gauge.
-	// queueCap is the per-shard queue-depth bound in events, the
-	// denominator the depth gauge is read against.
-	epochsPublished, epochPins, snapshotBytes, queueCap obs.Counter
+	// sealed epochs and the tables' approximate retained bytes (a gauge).
+	// Epochs are bookkeeping, not events — they never feed the stage
+	// counters, the dispatch counters, or the queue-depth gauge. queueCap
+	// is the per-shard queue-depth bound in events, the denominator the
+	// depth gauge is read against.
+	epochsPublished, snapshotBytes, queueCap obs.Counter
 
 	// lastSealStats is the merged cumulative Stats at the last SealDay —
 	// the baseline the next day's Stats delta is taken against.
@@ -134,7 +121,7 @@ type ShardedPipeline struct {
 
 // batchCap is the fixed event capacity of one shard batch: large enough
 // to amortize the ring publication to noise, small enough that a pooled
-// batch (~60 KiB) stays cache- and GC-friendly.
+// batch (~68 KiB) stays cache- and GC-friendly.
 const batchCap = 256
 
 // queueCapacityEvents bounds the queue-depth gauge per shard: a full ring
@@ -151,12 +138,10 @@ const (
 )
 
 // shardEvent is one batch slot, stored inline — no per-event allocation.
-// seq pins the event to the broadcast sequence number current when it was
-// routed; the worker resolves the event's joins against exactly that
-// prefix of the shared stores.
+// adm is the admission the route stage resolved for the event.
 type shardEvent struct {
 	kind eventKind
-	seq  uint64
+	adm  admission
 	flow flow.Record
 	http httplog.Entry
 }
@@ -202,50 +187,43 @@ func NewShardedPipeline(reg *universe.Registry, opts Options, n int) (*ShardedPi
 		sp.router = newRoutePool(sp, lanes)
 	}
 	for i := 0; i < n; i++ {
-		join := &snapshotJoin{labels: sp.labels, leases: sp.leases}
-		p, err := newPipeline(reg, opts, join)
+		p, err := newPipeline(reg, opts)
 		if err != nil {
 			return nil, err
 		}
 		ring := newBatchRing(defaultRingCap)
 		done := make(chan struct{})
 		sp.shards = append(sp.shards, p)
-		sp.joins = append(sp.joins, join)
 		sp.rings = append(sp.rings, ring)
 		sp.done = append(sp.done, done)
 		sp.open = append(sp.open, batchPool.Get().(*eventBatch))
-		go func(p *Pipeline, join *snapshotJoin, shard int, ring *batchRing, done chan struct{}) {
+		go func(p *Pipeline, shard int, ring *batchRing, done chan struct{}) {
 			defer close(done)
 			for {
 				b, ok := ring.pop()
 				if !ok {
 					return
 				}
-				// Pin the batch: every event resolves against the store
-				// prefix its own seq selects (counted once per batch).
-				sp.epochPins.Add(1)
 				for i := 0; i < b.n; i++ {
 					ev := &b.events[i]
-					join.pin = ev.seq
 					switch ev.kind {
 					case evFlow:
-						p.Flow(ev.flow)
+						p.account(&ev.flow, &ev.adm, p.om.Now())
 					case evHTTP:
-						p.HTTPMeta(ev.http)
+						p.accountHTTP(&ev.http, &ev.adm)
 					}
 				}
 				sp.queued[shard].Add(-int64(b.n))
 				b.n = 0
 				batchPool.Put(b)
 			}
-		}(p, join, i, ring, done)
+		}(p, i, ring, done)
 	}
 	// Shards share the dispatcher's Metrics: counters are atomic, and the
 	// shard poll (registered once every ring exists) gives snapshots a
 	// live view of transport backlog.
 	sp.queueCap.Store(queueCapacityEvents)
 	sp.om.Register("epochs_published", &sp.epochsPublished)
-	sp.om.Register("epoch_pins", &sp.epochPins)
 	sp.om.Register("snapshot_bytes", &sp.snapshotBytes)
 	sp.om.Register("queue_capacity", &sp.queueCap)
 	sp.om.RegisterShards(sp.ShardRows)
@@ -290,10 +268,10 @@ func (sp *ShardedPipeline) DeviceID(m packet.MAC) anonymize.DeviceID {
 }
 
 // slot returns the next free slot of a shard's open batch. The caller
-// must fill the slot's kind, seq and payload before the next dispatcher
-// operation; writing fields in place (rather than copying a constructed
-// shardEvent) keeps the per-event cost to the payload bytes actually
-// used. Slots are reused across pooled batches, so unrelated fields may
+// must fill the slot's kind, admission and payload before the next
+// dispatcher operation; writing fields in place (rather than copying a
+// constructed shardEvent) keeps the per-event cost to the payload bytes
+// actually used. Slots are reused across pooled batches, so unrelated fields may
 // hold stale data — the kind tag guards all access.
 func (sp *ShardedPipeline) slot(shard int) *shardEvent {
 	b := sp.open[shard]
@@ -328,12 +306,10 @@ func (sp *ShardedPipeline) flushShard(shard int) {
 	}
 }
 
-// sealEpoch publishes the broadcast mutations accumulated since the last
-// seal as a new epoch. The store cells already published each record via
-// their atomic pointers (O(delta) — nothing is copied here); sealing is
-// the observability boundary: it counts the epoch and refreshes the
-// snapshot-size gauge. Events enqueued after this point pin sequence
-// numbers beyond the sealed watermark.
+// sealEpoch closes the broadcast mutations accumulated since the last
+// seal into a new epoch. The stores already hold every record (nothing is
+// copied here); sealing is the observability boundary: it counts the
+// epoch and refreshes the snapshot-size gauge.
 func (sp *ShardedPipeline) sealEpoch() {
 	if !sp.epochDirty {
 		return
@@ -355,9 +331,9 @@ func (sp *ShardedPipeline) Flush() {
 }
 
 // Lease applies the binding once to the shared lease store under the next
-// broadcast sequence number. No per-shard work — shards and the
-// dispatcher's own route stage observe the binding through their pinned
-// store views (there is exactly one lease index per run).
+// broadcast sequence number. No per-shard work — the route stage observes
+// the binding through its pinned store view (there is exactly one lease
+// index per run).
 func (sp *ShardedPipeline) Lease(l dhcp.Lease) {
 	sp.seq++
 	sp.leases.Observe(l, sp.seq)
@@ -376,82 +352,53 @@ func (sp *ShardedPipeline) DNS(e dnssim.Entry) {
 	sp.om.Add(obs.StageIngest, 0)
 }
 
-// clientMACAt mirrors Pipeline.lookupMAC for dispatch, resolved against
-// the shared lease store as of sequence number pin: DHCP leases for IPv4,
-// EUI-64 extraction for SLAAC IPv6. Safe for concurrent callers (the
-// parallel route workers) — the store is single-writer/multi-reader and
-// the fallback is pure.
-func (sp *ShardedPipeline) clientMACAt(addr netip.Addr, t time.Time, pin uint64) (packet.MAC, bool) {
-	if mac, ok := sp.leases.LookupAt(addr, t, pin); ok {
-		return mac, true
-	}
-	if universe.ResidenceNetV6.Contains(addr) {
-		return packet.MACFromEUI64(addr)
-	}
-	return packet.MAC{}, false
-}
-
-// Flow routes one flow to its device's shard. Flows that cannot be routed
-// (no MAC) are cut dispatcher-side — the dispatcher routes against the
-// same pinned lease store the shards read, so a shard could not attribute
-// them either; attributed flows are counted at their target shard's
-// intake.
+// Flow routes one flow to its device's shard with its admission, or
+// settles its cut here. Cut flows never reach a shard; admitted ones are
+// counted at their target shard's intake.
 func (sp *ShardedPipeline) Flow(r flow.Record) { sp.routeFlow(&r) }
 
-// routeFlow is the per-event (serial) route path: decide against the
-// current sequence number, then place.
+// routeFlow is the per-event (serial) route path: admit as of the current
+// sequence number, then place.
 func (sp *ShardedPipeline) routeFlow(r *flow.Record) {
-	sp.placeFlow(r, sp.decideFlow(r, sp.seq), sp.seq)
+	a := sp.admitFlowAt(r, sp.seq)
+	sp.placeFlow(r, &a)
 }
 
-// placeFlow applies one flow's routing decision: copy into the target
-// shard's open batch, or settle the dispatcher-side cut. Sequencer-only.
-func (sp *ShardedPipeline) placeFlow(r *flow.Record, dec int32, seq uint64) {
-	if dec >= 0 {
-		shard := int(dec)
-		ev := sp.slot(shard)
-		ev.kind = evFlow
-		ev.seq = seq
-		ev.flow = *r
-		sp.pendDispatch[shard]++
+// placeFlow applies one flow's admission: copy it with the flow into the
+// target shard's open batch, or settle the cut. Sequencer-only.
+func (sp *ShardedPipeline) placeFlow(r *flow.Record, a *admission) {
+	if a.cut != admitted {
+		sp.dispStats.intakeFlow(sp.om, r.TotalBytes(), a.cut)
 		return
 	}
-	sp.om.Add(obs.StageIngest, r.TotalBytes())
-	switch dec {
-	case decDropTap:
-		sp.dispStats.FlowsTapDropped++
-		sp.om.Drop(obs.StageTapFilter)
-	case decDropWindow:
-		sp.dispStats.FlowsOutOfWindow++
-		sp.om.Drop(obs.StageTapFilter)
-	default:
-		sp.dispStats.FlowsUnattributed++
-		sp.om.Drop(obs.StageDHCPNormalize)
-	}
+	shard := macShard(a.mac, len(sp.shards))
+	ev := sp.slot(shard)
+	ev.kind = evFlow
+	ev.adm = *a
+	ev.flow = *r
+	sp.pendDispatch[shard]++
 }
 
-// HTTPMeta routes metadata to its device's shard. A single Pipeline counts
-// every HTTP entry before the MAC lookup, so unroutable entries are counted
-// (and their drop recorded) here rather than silently discarded — merged
-// Stats.HTTPEntries must equal a single pipeline's.
+// HTTPMeta routes metadata to its device's shard, or counts an entry with
+// no client MAC here — merged Stats.HTTPEntries must equal a single
+// pipeline's.
 func (sp *ShardedPipeline) HTTPMeta(e httplog.Entry) { sp.routeHTTP(&e) }
 
 func (sp *ShardedPipeline) routeHTTP(e *httplog.Entry) {
-	sp.placeHTTP(e, sp.decideHTTP(e, sp.seq), sp.seq)
+	a := admitHTTP(pinnedJoin{sp, sp.seq}, e)
+	sp.placeHTTP(e, &a)
 }
 
-// placeHTTP applies one HTTP entry's routing decision. Sequencer-only.
-func (sp *ShardedPipeline) placeHTTP(e *httplog.Entry, dec int32, seq uint64) {
-	if dec >= 0 {
-		ev := sp.slot(int(dec))
-		ev.kind = evHTTP
-		ev.seq = seq
-		ev.http = *e
+// placeHTTP applies one HTTP entry's admission. Sequencer-only.
+func (sp *ShardedPipeline) placeHTTP(e *httplog.Entry, a *admission) {
+	if a.cut != admitted {
+		sp.dispStats.intakeHTTP(sp.om, a.cut)
 		return
 	}
-	sp.dispStats.HTTPEntries++
-	sp.om.Add(obs.StageIngest, 0)
-	sp.om.Drop(obs.StageDHCPNormalize)
+	ev := sp.slot(macShard(a.mac, len(sp.shards)))
+	ev.kind = evHTTP
+	ev.adm = *a
+	ev.http = *e
 }
 
 // EventBatch implements trace.BatchSink: dispatch a time-ordered run of
@@ -497,7 +444,7 @@ func (sp *ShardedPipeline) EventBatch(events []trace.Event) {
 		}
 	}
 
-	// Phase B (parallel): pure route decisions, pinned per event.
+	// Phase B (parallel): pure admissions, pinned per event.
 	sp.router.run(events, decs)
 
 	// Phase C (sequencer): place in stream order, settle counters.
@@ -505,9 +452,9 @@ func (sp *ShardedPipeline) EventBatch(events []trace.Event) {
 		ev := &events[i]
 		switch ev.Kind {
 		case trace.EventFlow:
-			sp.placeFlow(&ev.Flow, decs[i].shard, decs[i].seq)
+			sp.placeFlow(&ev.Flow, &decs[i].adm)
 		case trace.EventHTTP:
-			sp.placeHTTP(&ev.HTTP, decs[i].shard, decs[i].seq)
+			sp.placeHTTP(&ev.HTTP, &decs[i].adm)
 		}
 	}
 }
@@ -530,17 +477,12 @@ func macShard(mac packet.MAC, n int) int {
 //
 //   - summed: per-flow / per-entry counters (FlowsProcessed, FlowsTapDropped,
 //     FlowsUnattributed, FlowsUnlabeled, FlowsOutOfWindow, BytesProcessed,
-//     HTTPEntries). Each flow or HTTP entry is applied by exactly one shard
-//     or cut exactly once by the dispatcher, so shard and dispatcher counts
-//     add. Shard-side FlowsUnattributed is summed rather than overwritten:
-//     it is expected to be zero (the dispatcher pre-filters with the same
-//     pinned lease store, so a lease is visible to any flow routed after
-//     it), and summing makes a violation surface as a parity failure
-//     instead of being masked.
+//     HTTPEntries). Each flow or HTTP entry is counted by exactly one
+//     intake — its shard's if admitted, the dispatcher's if cut — so shard
+//     and dispatcher counts add.
 //   - dispatcher-owned: broadcast counters (DNSEntries, Leases). The
 //     dispatcher applies each broadcast exactly once to the shared stores
-//     and counts it there; a shard that counted one means a broadcast
-//     leaked through the routed-event path and is worth crashing on.
+//     and counts it there; shards have no join tables to apply one to.
 func (sp *ShardedPipeline) Finalize() *Dataset {
 	if sp.finalized {
 		panic("core: Finalize called twice")

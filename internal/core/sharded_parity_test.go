@@ -402,3 +402,60 @@ func TestFaultParitySharded(t *testing.T) {
 		t.Errorf("obs decode-drop counters diverged: 1-shard %v, 4-shard %v", want.drops, got.drops)
 	}
 }
+
+// TestShardedCutAccountingParity feeds the two events a client with no
+// DHCP binding produces — an HTTP entry and a flow — to a single and a
+// sharded pipeline and compares every stage's events, drops and bytes.
+// Only the flow is a dhcp_normalize drop: that stage's drops equal
+// FlowsUnattributed on every path, so the bench report's stages block
+// does not depend on the shard count.
+func TestShardedCutAccountingParity(t *testing.T) {
+	reg, err := universe.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, ok := reg.ResolveIP("facebook.com", 1)
+	if !ok {
+		t.Fatal("no server address")
+	}
+	at := campus.Day(10).Time().Add(6 * time.Hour)
+	fl := flowAt(at, server, 1000)
+	entry := httplog.Entry{Time: at, Client: fl.OrigAddr, Host: "example.com", UserAgent: "ua/1.0"}
+	key := []byte("parity-test-key-0123456789abcdef")
+
+	run := func(shards int) obs.Snapshot {
+		m := obs.NewMetrics()
+		var pipe interface {
+			trace.Sink
+			Finalize() *Dataset
+		}
+		if shards == 1 {
+			pipe, err = NewPipeline(reg, Options{Key: key, Obs: m})
+		} else {
+			pipe, err = NewShardedPipeline(reg, Options{Key: key, Obs: m}, shards)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		pipe.HTTPMeta(entry)
+		pipe.Flow(fl)
+		if st := pipe.Finalize().Stats; st.FlowsUnattributed != 1 || st.HTTPEntries != 1 {
+			t.Fatalf("%d shards: unattributed %d http %d, want 1 / 1", shards, st.FlowsUnattributed, st.HTTPEntries)
+		}
+		snap := m.Snapshot()
+		for i, ss := range snap.Stages {
+			// Sampled timings are scheduling noise, not accounting.
+			snap.Stages[i] = obs.StageSnapshot{Stage: ss.Stage, Events: ss.Events, Drops: ss.Drops, Bytes: ss.Bytes}
+		}
+		return snap
+	}
+	want := run(1)
+	if dhcpS := stageByName(t, want, "dhcp_normalize"); dhcpS.Drops != 1 {
+		t.Fatalf("single: dhcp_normalize drops %d, want 1", dhcpS.Drops)
+	}
+	for _, n := range []int{2, 4} {
+		if got := run(n); !reflect.DeepEqual(got.Stages, want.Stages) {
+			t.Errorf("%d shards: stages %+v, single %+v", n, got.Stages, want.Stages)
+		}
+	}
+}

@@ -6,7 +6,8 @@
 // window. The paper's pipeline joins raw flows against contemporaneous DHCP
 // logs to convert each dynamic IP back to the stable per-device MAC
 // address. Server generates realistic leases (with churn and address
-// reuse); Normalizer performs the time-aware reverse lookup.
+// reuse); the pipeline's lease index (core) and LeaseStore (the sharded
+// path's shared copy of it) perform the time-aware reverse lookup.
 package dhcp
 
 import (
@@ -47,8 +48,8 @@ var (
 // Server hands out leases from an IPv4 pool. Address selection is
 // deterministic: a cursor sweeps the pool, and addresses free up when their
 // lease expires or is released, so the same IP is naturally reused by
-// different devices over time — the ambiguity the Normalizer exists to
-// resolve.
+// different devices over time — the ambiguity the pipeline's lease join
+// exists to resolve.
 type Server struct {
 	pool      netip.Prefix
 	leaseTime time.Duration

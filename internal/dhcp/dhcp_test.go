@@ -121,7 +121,18 @@ func TestBadPools(t *testing.T) {
 	}
 }
 
-func TestNormalizerAttribution(t *testing.T) {
+// historyStore folds a server's binding history into a LeaseStore, one
+// sequence number per episode (History is in grant order, so starts are
+// non-decreasing), and returns the last sequence number.
+func historyStore(hist []Lease) (*LeaseStore, uint64) {
+	store := NewLeaseStore()
+	for i, l := range hist {
+		store.Observe(l, uint64(i+1))
+	}
+	return store, uint64(len(hist))
+}
+
+func TestLeaseStoreAttribution(t *testing.T) {
 	s := newTestServer(t, "10.20.0.0/24", time.Hour)
 	// Device 1 holds an address, releases it; device 2 gets it later.
 	l1, _ := s.Request(mac(1), epoch)
@@ -140,77 +151,49 @@ func TestNormalizerAttribution(t *testing.T) {
 		s.Release(mac(2), epoch.Add(30*time.Minute))
 	}
 
-	n, err := NewNormalizer(s.History())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := n.Lookup(l1.Addr, epoch.Add(5*time.Minute)); !ok || got != mac(1) {
+	store, pin := historyStore(s.History())
+	if got, ok := store.LookupAt(l1.Addr, epoch.Add(5*time.Minute), pin); !ok || got != mac(1) {
 		t.Errorf("early lookup = %v, %v", got, ok)
 	}
-	if got, ok := n.Lookup(l1.Addr, epoch.Add(40*time.Minute)); !ok || got != mac(2) {
+	if got, ok := store.LookupAt(l1.Addr, epoch.Add(40*time.Minute), pin); !ok || got != mac(2) {
 		t.Errorf("late lookup = %v, %v", got, ok)
 	}
 	// Gap between the two bindings attributes to nobody.
-	if _, ok := n.Lookup(l1.Addr, epoch.Add(25*time.Minute)); ok {
+	if _, ok := store.LookupAt(l1.Addr, epoch.Add(25*time.Minute), pin); ok {
 		t.Error("gap lookup succeeded")
 	}
 	// Unknown address.
-	if _, ok := n.Lookup(netip.MustParseAddr("10.99.0.1"), epoch); ok {
+	if _, ok := store.LookupAt(netip.MustParseAddr("10.99.0.1"), epoch, pin); ok {
 		t.Error("unknown address lookup succeeded")
 	}
 }
 
-func TestNormalizerBoundaries(t *testing.T) {
-	leases := []Lease{{MAC: mac(7), Addr: netip.MustParseAddr("10.0.0.5"), Start: epoch, End: epoch.Add(time.Hour)}}
-	n, err := NewNormalizer(leases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := n.Lookup(leases[0].Addr, epoch.Add(-time.Nanosecond)); ok {
+func TestLeaseStoreBoundaries(t *testing.T) {
+	l := Lease{MAC: mac(7), Addr: netip.MustParseAddr("10.0.0.5"), Start: epoch, End: epoch.Add(time.Hour)}
+	store, pin := historyStore([]Lease{l})
+	if _, ok := store.LookupAt(l.Addr, epoch.Add(-time.Nanosecond), pin); ok {
 		t.Error("before start matched")
 	}
-	if _, ok := n.Lookup(leases[0].Addr, epoch); !ok {
+	if _, ok := store.LookupAt(l.Addr, epoch, pin); !ok {
 		t.Error("start instant not matched")
 	}
-	if _, ok := n.Lookup(leases[0].Addr, epoch.Add(time.Hour)); ok {
+	if _, ok := store.LookupAt(l.Addr, epoch.Add(time.Hour), pin); ok {
 		t.Error("end instant matched (should be exclusive)")
 	}
 }
 
-func TestNormalizerRejectsConflicts(t *testing.T) {
+func TestLeaseStoreMergesSameMACOverlap(t *testing.T) {
 	addr := netip.MustParseAddr("10.0.0.5")
-	leases := []Lease{
-		{MAC: mac(1), Addr: addr, Start: epoch, End: epoch.Add(time.Hour)},
-		{MAC: mac(2), Addr: addr, Start: epoch.Add(30 * time.Minute), End: epoch.Add(2 * time.Hour)},
-	}
-	if _, err := NewNormalizer(leases); err == nil {
-		t.Error("overlapping conflicting leases accepted")
-	}
-}
-
-func TestNormalizerMergesSameMACOverlap(t *testing.T) {
-	addr := netip.MustParseAddr("10.0.0.5")
-	leases := []Lease{
+	store, pin := historyStore([]Lease{
 		{MAC: mac(1), Addr: addr, Start: epoch, End: epoch.Add(time.Hour)},
 		{MAC: mac(1), Addr: addr, Start: epoch.Add(30 * time.Minute), End: epoch.Add(2 * time.Hour)},
-	}
-	n, err := NewNormalizer(leases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := n.Lookup(addr, epoch.Add(90*time.Minute)); !ok || got != mac(1) {
+	})
+	if got, ok := store.LookupAt(addr, epoch.Add(90*time.Minute), pin); !ok || got != mac(1) {
 		t.Errorf("merged lookup = %v, %v", got, ok)
 	}
-}
-
-func TestNormalizerDropsZeroLength(t *testing.T) {
-	addr := netip.MustParseAddr("10.0.0.5")
-	n, err := NewNormalizer([]Lease{{MAC: mac(1), Addr: addr, Start: epoch, End: epoch}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Addresses() != 0 {
-		t.Error("zero-length lease indexed")
+	// The renewal extends the episode back to its original start.
+	if got, ok := store.LookupAt(addr, epoch.Add(10*time.Minute), pin); !ok || got != mac(1) {
+		t.Errorf("episode start lookup = %v, %v", got, ok)
 	}
 }
 
@@ -240,13 +223,10 @@ func TestServerChurnNormalizesConsistently(t *testing.T) {
 			s.Release(m, now.Add(time.Minute))
 		}
 	}
-	n, err := NewNormalizer(s.History())
-	if err != nil {
-		t.Fatal(err)
-	}
+	store, pin := historyStore(s.History())
 	misses := 0
 	for _, o := range truth {
-		got, ok := n.Lookup(o.addr, o.t)
+		got, ok := store.LookupAt(o.addr, o.t, pin)
 		if !ok {
 			misses++
 			continue
@@ -288,26 +268,6 @@ func TestLogRoundTrip(t *testing.T) {
 			!got[i].Start.Equal(want[i].Start) || !got[i].End.Equal(want[i].End) {
 			t.Errorf("lease %d: got %+v want %+v", i, got[i], want[i])
 		}
-	}
-}
-
-func BenchmarkNormalizerLookup(b *testing.B) {
-	s, _ := NewServer(netip.MustParsePrefix("10.50.0.0/16"), time.Hour)
-	now := epoch
-	for i := 0; i < 20000; i++ {
-		now = now.Add(30 * time.Second)
-		s.Request(mac(i%5000), now)
-	}
-	n, err := NewNormalizer(s.History())
-	if err != nil {
-		b.Fatal(err)
-	}
-	hist := s.History()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l := hist[i%len(hist)]
-		n.Lookup(l.Addr, l.Start)
 	}
 }
 

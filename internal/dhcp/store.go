@@ -3,51 +3,40 @@ package dhcp
 import (
 	"net/netip"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/packet"
 )
 
-// LeaseStore is the shared, epoch-versioned lease table behind the sharded
+// LeaseStore is the shared, sequence-tagged lease table behind the sharded
 // pipeline's DHCP join. One writer (the dispatcher) folds the broadcast
 // lease stream in through Observe, tagging every mutation with a
-// monotonically increasing sequence number; any number of concurrent
-// readers (the shard workers) resolve addresses through LookupAt pinned to
-// the sequence number their in-flight event carries. A reader therefore
-// sees exactly the bindings a single pipeline would have indexed at the
-// same point of the event stream — lease-before-flow ordering holds by
-// construction, without replaying every lease once per shard.
+// monotonically increasing sequence number; the route stage resolves
+// addresses through LookupAt pinned to the sequence number an event
+// carries. A pinned lookup therefore sees exactly the bindings a single
+// pipeline would have indexed at the same point of the event stream, even
+// after the writer has folded in leases that arrive later in the stream.
 //
-// Storage is copy-on-write with structural sharing: each address holds an
-// append-only record slice published through an atomic pointer. Appending
-// writes the new record past every published length and then publishes a
-// new slice header, so sealing the table at an epoch boundary is O(delta)
-// — the records appended since the last seal — never O(table). Readers
-// binary-search the sequence-visible prefix of the published slice and
-// then run the exact lookup loop a private leaseIndex would run.
+// The table is a plain map: it is never read while it is written. The
+// writer and the route stage take turns, and the hand-offs between them
+// (the route lanes' job and done channels) order every read after the
+// writes it may see. Not safe for concurrent Observe and LookupAt.
 //
-// Renewals never mutate a published record (readers may hold the slice):
-// a renewal that extends a binding appends a fresh record carrying the
-// episode's original Start and the extended End. The lookup loop skips
-// records superseded by a later renewal of the same episode, so the
-// visible span list is record-for-record the coalesced span list a
-// single-pipeline leaseIndex holds at that stream position.
+// Renewals never rewrite a record a pin may still select: a renewal that
+// extends a binding appends a fresh record carrying the episode's original
+// Start and the extended End. The lookup loop skips records superseded by
+// a later renewal of the same episode, so the visible span list is
+// record-for-record the coalesced span list a single-pipeline leaseIndex
+// holds at that stream position.
 type LeaseStore struct {
-	cells sync.Map // netip.Addr → *leaseCell
-	// retained approximates the store's live bytes (records plus cell
-	// overhead) for the obs snapshot-size gauge.
-	retained atomic.Int64
+	recs map[netip.Addr][]leaseRec
+	// retained approximates the store's live bytes (records plus
+	// per-address overhead) for the obs snapshot-size gauge.
+	retained int64
 }
 
-// leaseCell holds one address's published record history.
-type leaseCell struct {
-	recs atomic.Pointer[[]leaseRec]
-}
-
-// leaseRec is one immutable binding record: a lease episode (or a renewal
-// extension of one) as of mutation seq.
+// leaseRec is one binding record: a lease episode (or a renewal extension
+// of one) as of mutation seq.
 type leaseRec struct {
 	mac   packet.MAC
 	start time.Time
@@ -59,80 +48,46 @@ type leaseRec struct {
 // time.Time values, a MAC, a sequence number, padding).
 const leaseRecBytes = 72
 
-// leaseCellBytes approximates the fixed overhead of one address cell
-// (sync.Map entry, cell struct, slice header).
-const leaseCellBytes = 96
+// leaseAddrBytes approximates the fixed overhead of one address (map
+// entry and slice header).
+const leaseAddrBytes = 96
 
 // NewLeaseStore returns an empty store.
-func NewLeaseStore() *LeaseStore { return &LeaseStore{} }
+func NewLeaseStore() *LeaseStore {
+	return &LeaseStore{recs: make(map[netip.Addr][]leaseRec)}
+}
 
 // Observe folds one broadcast lease in under sequence number seq. Sequence
 // numbers must be strictly increasing across all Observe calls; leases
-// must arrive in non-decreasing start order (the log order). Single
-// writer only — concurrent Observe calls race.
+// must arrive in non-decreasing start order (the log order).
 func (s *LeaseStore) Observe(l Lease, seq uint64) {
-	c := s.cell(l.Addr)
-	old := c.recs.Load()
-	if old != nil {
-		if n := len(*old); n > 0 {
-			last := &(*old)[n-1]
-			if last.mac == l.MAC && !l.Start.After(last.end) {
-				// Renewal of the current episode: extend by appending a
-				// record that shares the episode Start; a lease fully
-				// covered by the episode is a no-op, exactly like the
-				// in-place coalescing of a private leaseIndex.
-				if !l.End.After(last.end) {
-					return
-				}
-				s.append(c, old, leaseRec{mac: l.MAC, start: last.start, end: l.End, seq: seq})
+	recs, known := s.recs[l.Addr]
+	if !known {
+		s.retained += leaseAddrBytes
+	}
+	rec := leaseRec{mac: l.MAC, start: l.Start, end: l.End, seq: seq}
+	if n := len(recs); n > 0 {
+		last := &recs[n-1]
+		if last.mac == l.MAC && !l.Start.After(last.end) {
+			// Renewal of the current episode: extend by appending a
+			// record that shares the episode Start; a lease fully
+			// covered by the episode is a no-op, exactly like the
+			// in-place coalescing of a private leaseIndex.
+			if !l.End.After(last.end) {
 				return
 			}
+			rec.start = last.start
 		}
 	}
-	s.append(c, old, leaseRec{mac: l.MAC, start: l.Start, end: l.End, seq: seq})
-}
-
-// cell returns (creating if needed) the record cell for addr.
-func (s *LeaseStore) cell(addr netip.Addr) *leaseCell {
-	if v, ok := s.cells.Load(addr); ok {
-		return v.(*leaseCell)
-	}
-	v, loaded := s.cells.LoadOrStore(addr, new(leaseCell))
-	if !loaded {
-		s.retained.Add(leaseCellBytes)
-	}
-	return v.(*leaseCell)
-}
-
-// append publishes old+rec. The element write lands past every published
-// length, and the new header is published with an atomic store, so a
-// concurrent LookupAt either sees the old header (and never touches the
-// new element) or the new header (and, by release/acquire on the pointer,
-// the fully written element).
-func (s *LeaseStore) append(c *leaseCell, old *[]leaseRec, rec leaseRec) {
-	var next []leaseRec
-	if old != nil {
-		next = append(*old, rec)
-	} else {
-		next = append(next, rec)
-	}
-	c.recs.Store(&next)
-	s.retained.Add(leaseRecBytes)
+	s.recs[l.Addr] = append(recs, rec)
+	s.retained += leaseRecBytes
 }
 
 // LookupAt resolves addr at time t as of mutation sequence pin: only
-// records observed with seq ≤ pin are visible. Safe for any number of
-// concurrent callers, concurrently with Observe.
+// records observed with seq ≤ pin are visible. Any number of readers may
+// call it at once, but never beside Observe.
 func (s *LeaseStore) LookupAt(addr netip.Addr, t time.Time, pin uint64) (packet.MAC, bool) {
-	v, ok := s.cells.Load(addr)
-	if !ok {
-		return packet.MAC{}, false
-	}
-	p := v.(*leaseCell).recs.Load()
-	if p == nil {
-		return packet.MAC{}, false
-	}
-	recs := *p
+	recs := s.recs[addr]
 	// Records append in increasing seq, so the visible set is a prefix.
 	n := sort.Search(len(recs), func(i int) bool { return recs[i].seq > pin })
 	vis := recs[:n]
@@ -159,17 +114,16 @@ func (s *LeaseStore) LookupAt(addr netip.Addr, t time.Time, pin uint64) (packet.
 }
 
 // RetainedBytes approximates the store's live size for the snapshot-size
-// gauge. Safe to call concurrently.
-func (s *LeaseStore) RetainedBytes() int64 { return s.retained.Load() }
+// gauge.
+func (s *LeaseStore) RetainedBytes() int64 { return s.retained }
 
 // Addrs returns every indexed address in sorted order (test and debugging
 // aid; iteration order of the underlying map is randomized).
 func (s *LeaseStore) Addrs() []netip.Addr {
-	var out []netip.Addr
-	s.cells.Range(func(k, _ any) bool {
-		out = append(out, k.(netip.Addr))
-		return true
-	})
+	out := make([]netip.Addr, 0, len(s.recs))
+	for a := range s.recs {
+		out = append(out, a)
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }

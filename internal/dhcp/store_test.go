@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -155,62 +153,52 @@ func TestLeaseStoreHistoricPins(t *testing.T) {
 	}
 }
 
-// TestLeaseStoreConcurrentReaders is the torn-snapshot race target: one
-// writer appends bindings while GOMAXPROCS-spread readers resolve pinned
-// lookups. Run under -race this proves the copy-on-write publication has
-// no data race; the determinism check proves a reader pinned at a
-// published watermark always gets the same answer no matter how far the
-// writer has advanced.
+// TestLeaseStoreConcurrentReaders shares the store the way the sharded
+// route stage does: the writer folds a run of bindings in, then parallel
+// readers resolve pinned lookups while the writer waits, with channel
+// hand-offs between the turns. Run under -race this proves readers may
+// share the store between writes; the determinism check proves a reader
+// pinned at a passed watermark always gets the same answer no matter how
+// far the writer has advanced.
 func TestLeaseStoreConcurrentReaders(t *testing.T) {
 	store := NewLeaseStore()
 	base := time.Date(2020, 4, 1, 0, 0, 0, 0, time.UTC)
 	const (
 		addrs   = 4
 		muts    = 5000
+		run     = 250
 		readers = 4
 	)
-	var watermark atomic.Uint64
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
+	type key struct {
+		addr netip.Addr
+		t    int64
+		pin  uint64
+	}
+	turns := make([]chan uint64, readers)
+	done := make(chan struct{})
+	for r := range turns {
+		turns[r] = make(chan uint64)
 		go func(r int) {
-			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + r)))
-			type key struct {
-				addr netip.Addr
-				t    int64
-				pin  uint64
-			}
 			seen := make(map[key]packet.MAC)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				w := watermark.Load()
-				if w == 0 {
-					continue
-				}
-				pin := 1 + uint64(rng.Int63n(int64(w)))
-				addr := storeTestAddr(rng.Intn(addrs))
-				pt := base.Add(time.Duration(rng.Int63n(int64(muts))) * time.Second)
-				mac, ok := store.LookupAt(addr, pt, pin)
-				if !ok {
-					mac = packet.MAC{}
-				}
-				k := key{addr: addr, t: pt.Unix(), pin: pin}
-				if prev, dup := seen[k]; dup {
-					if prev != mac {
+			for watermark := range turns[r] {
+				for k := 0; k < 500; k++ {
+					pin := 1 + uint64(rng.Int63n(int64(watermark)))
+					addr := storeTestAddr(rng.Intn(addrs))
+					pt := base.Add(time.Duration(rng.Int63n(int64(muts))) * time.Second)
+					mac, ok := store.LookupAt(addr, pt, pin)
+					if !ok {
+						mac = packet.MAC{}
+					}
+					k := key{addr: addr, t: pt.Unix(), pin: pin}
+					if prev, dup := seen[k]; !dup {
+						seen[k] = mac
+					} else if prev != mac {
 						t.Errorf("pinned lookup changed: %v@%d pin %d: %v then %v",
 							addr, k.t, pin, prev, mac)
-						return
 					}
-				} else if len(seen) < 1<<16 {
-					seen[k] = mac
 				}
+				done <- struct{}{}
 			}
 		}(r)
 	}
@@ -225,15 +213,23 @@ func TestLeaseStoreConcurrentReaders(t *testing.T) {
 			Start: cursor,
 			End:   cursor.Add(time.Duration(1+rng.Intn(30)) * time.Minute),
 		}, uint64(i))
-		watermark.Store(uint64(i))
+		if i%run == 0 {
+			for _, turn := range turns {
+				turn <- uint64(i)
+			}
+			for range turns {
+				<-done
+			}
+		}
 	}
-	close(stop)
-	wg.Wait()
+	for _, turn := range turns {
+		close(turn)
+	}
 }
 
 // TestLeaseStoreAddrsSorted pins the determinism contract of the only
-// map-iterating accessor: the addresses come back sorted, never in
-// sync.Map range order.
+// map-iterating accessor: the addresses come back sorted, never in map
+// iteration order.
 func TestLeaseStoreAddrsSorted(t *testing.T) {
 	store := NewLeaseStore()
 	base := time.Date(2020, 2, 1, 0, 0, 0, 0, time.UTC)

@@ -3,45 +3,38 @@ package dnssim
 import (
 	"net/netip"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// LabelStore is the shared, epoch-versioned DNS label table behind the
-// sharded pipeline's domain join — the concurrent counterpart of Labeler.
-// One writer (the dispatcher) folds the resolver log in through Observe,
+// LabelStore is the shared, sequence-tagged DNS label table behind the
+// sharded pipeline's domain join — the pinned counterpart of Labeler. One
+// writer (the dispatcher) folds the resolver log in through Observe,
 // tagging every mutation with a monotonically increasing sequence number;
-// concurrent readers resolve server addresses through LabelAt pinned to
-// the sequence number their in-flight event carries, and therefore see
-// exactly the spans a private Labeler would hold at the same position of
-// the event stream. (The pin matters beyond lease-style ordering: Label's
-// LookAhead window deliberately lets a flow see the *first* resolution of
-// its server even when that resolution is slightly in the future, so an
-// unpinned reader racing the writer could label flows a single pipeline
-// leaves unlabeled.)
+// the route stage resolves server addresses through LabelAt pinned to the
+// sequence number an event carries, and therefore sees exactly the spans a
+// private Labeler would hold at the same position of the event stream.
+// (The pin matters beyond lease-style ordering: Label's LookAhead window
+// deliberately lets a flow see the *first* resolution of its server even
+// when that resolution is slightly in the future, so an unpinned read
+// after the writer moved on could label flows a single pipeline leaves
+// unlabeled.)
 //
-// Storage is copy-on-write with structural sharing, as in
-// dhcp.LeaseStore: per-address append-only span records published via an
-// atomic pointer, so sealing an epoch is O(new spans), and readers
-// binary-search the seq-visible prefix and run Labeler.Label's exact
-// algorithm over it. Observe never mutates a published record (span
-// coalescing is append-or-nothing), and every domain string is interned,
-// so shared snapshots do not duplicate label storage.
+// As in dhcp.LeaseStore, the table is a plain map of append-only span
+// records that is never read while it is written: the writer and the
+// route stage take turns. Readers binary-search the seq-visible prefix
+// and run Labeler.Label's exact algorithm over it. Observe never rewrites
+// a record (span coalescing is append-or-nothing), and every domain
+// string is interned, so records do not duplicate label storage.
 type LabelStore struct {
-	cells    sync.Map // netip.Addr → *labelCell
-	retained atomic.Int64
+	recs     map[netip.Addr][]labelRec
+	retained int64
 	interner *Interner
 	// LookAhead mirrors Labeler.LookAhead: clock-skew tolerance for flows
 	// slightly preceding their server's first resolution.
 	LookAhead time.Duration
 }
 
-type labelCell struct {
-	recs atomic.Pointer[[]labelRec]
-}
-
-// labelRec is one immutable label span as of mutation seq.
+// labelRec is one label span as of mutation seq.
 type labelRec struct {
 	start  time.Time
 	domain string
@@ -53,8 +46,9 @@ type labelRec struct {
 // accounted once per distinct domain via the interner.
 const labelRecBytes = 56
 
-// labelCellBytes approximates the fixed overhead of one address cell.
-const labelCellBytes = 96
+// labelAddrBytes approximates the fixed overhead of one address (map
+// entry and slice header).
+const labelAddrBytes = 96
 
 // NewLabelStore returns an empty store with the default 1h look-ahead,
 // interning domains into it (one table per run).
@@ -62,58 +56,32 @@ func NewLabelStore(interner *Interner) *LabelStore {
 	if interner == nil {
 		interner = NewInterner()
 	}
-	return &LabelStore{interner: interner, LookAhead: time.Hour}
+	return &LabelStore{recs: make(map[netip.Addr][]labelRec), interner: interner, LookAhead: time.Hour}
 }
 
 // Observe folds one resolver log entry in under sequence number seq.
 // Sequence numbers must be strictly increasing across Observe calls;
-// entries must arrive in non-decreasing time order. Single writer only.
-// Consecutive resolutions of an address to the same domain coalesce to a
-// no-op, exactly like Labeler.Observe.
+// entries must arrive in non-decreasing time order. Consecutive
+// resolutions of an address to the same domain coalesce to a no-op,
+// exactly like Labeler.Observe.
 func (s *LabelStore) Observe(e Entry, seq uint64) {
-	c := s.cell(e.Answer)
-	old := c.recs.Load()
-	if old != nil {
-		if n := len(*old); n > 0 && (*old)[n-1].domain == e.Query {
-			return
-		}
+	recs, known := s.recs[e.Answer]
+	if !known {
+		s.retained += labelAddrBytes
 	}
-	rec := labelRec{start: e.Time, domain: s.interner.Intern(e.Query), seq: seq}
-	var next []labelRec
-	if old != nil {
-		next = append(*old, rec)
-	} else {
-		next = append(next, rec)
+	if n := len(recs); n > 0 && recs[n-1].domain == e.Query {
+		return
 	}
-	c.recs.Store(&next)
-	s.retained.Add(labelRecBytes)
-}
-
-func (s *LabelStore) cell(addr netip.Addr) *labelCell {
-	if v, ok := s.cells.Load(addr); ok {
-		return v.(*labelCell)
-	}
-	v, loaded := s.cells.LoadOrStore(addr, new(labelCell))
-	if !loaded {
-		s.retained.Add(labelCellBytes)
-	}
-	return v.(*labelCell)
+	s.recs[e.Answer] = append(recs, labelRec{start: e.Time, domain: s.interner.Intern(e.Query), seq: seq})
+	s.retained += labelRecBytes
 }
 
 // LabelAt returns the domain server meant at time t as of mutation
 // sequence pin — Labeler.Label's algorithm over the seq-visible span
-// prefix. Safe for any number of concurrent callers, concurrently with
+// prefix. Any number of readers may call it at once, but never beside
 // Observe.
 func (s *LabelStore) LabelAt(server netip.Addr, t time.Time, pin uint64) (string, bool) {
-	v, ok := s.cells.Load(server)
-	if !ok {
-		return "", false
-	}
-	p := v.(*labelCell).recs.Load()
-	if p == nil {
-		return "", false
-	}
-	recs := *p
+	recs := s.recs[server]
 	n := sort.Search(len(recs), func(i int) bool { return recs[i].seq > pin })
 	vis := recs[:n]
 	if len(vis) == 0 {
@@ -131,20 +99,11 @@ func (s *LabelStore) LabelAt(server netip.Addr, t time.Time, pin uint64) (string
 	return "", false
 }
 
-// RetainedBytes approximates the store's live size (records, cells and
-// distinct interned domain bytes) for the snapshot-size gauge. Writer-side
-// only: it reads the interner, which Observe mutates.
+// RetainedBytes approximates the store's live size (records, addresses
+// and distinct interned domain bytes) for the snapshot-size gauge.
 func (s *LabelStore) RetainedBytes() int64 {
-	return s.retained.Load() + s.interner.Bytes()
+	return s.retained + s.interner.Bytes()
 }
 
 // Addresses returns the number of distinct server addresses indexed.
-// Safe to call concurrently.
-func (s *LabelStore) Addresses() int {
-	n := 0
-	s.cells.Range(func(_, _ any) bool {
-		n++
-		return true
-	})
-	return n
-}
+func (s *LabelStore) Addresses() int { return len(s.recs) }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -108,60 +106,51 @@ func TestLabelStoreLookAheadPinning(t *testing.T) {
 	}
 }
 
-// TestLabelStoreConcurrentReaders races one writer against pinned
-// readers. Under -race this proves the copy-on-write span publication is
-// torn-snapshot-free; the repeat-lookup check proves pinned answers are
-// immutable once their watermark has passed.
+// TestLabelStoreConcurrentReaders shares the store the way the sharded
+// route stage does: the writer folds a run of resolutions in, then
+// parallel readers resolve pinned labels while the writer waits, with
+// channel hand-offs between the turns. Under -race this proves readers
+// may share the store between writes; the repeat-lookup check proves
+// pinned answers are immutable once their watermark has passed.
 func TestLabelStoreConcurrentReaders(t *testing.T) {
 	store := NewLabelStore(nil)
 	base := time.Date(2020, 4, 1, 0, 0, 0, 0, time.UTC)
 	const (
 		servers = 6
 		muts    = 5000
+		run     = 250
 		readers = 4
 	)
-	var watermark atomic.Uint64
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
+	type key struct {
+		srv netip.Addr
+		t   int64
+		pin uint64
+	}
+	turns := make([]chan uint64, readers)
+	done := make(chan struct{})
+	for r := range turns {
+		turns[r] = make(chan uint64)
 		go func(r int) {
-			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(200 + r)))
-			type key struct {
-				srv netip.Addr
-				t   int64
-				pin uint64
-			}
 			seen := make(map[key]string)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				w := watermark.Load()
-				if w == 0 {
-					continue
-				}
-				pin := 1 + uint64(rng.Int63n(int64(w)))
-				srv := storeTestServer(rng.Intn(servers))
-				pt := base.Add(time.Duration(rng.Int63n(int64(muts*10))) * time.Second)
-				dom, ok := store.LabelAt(srv, pt, pin)
-				if !ok {
-					dom = "\x00none"
-				}
-				k := key{srv: srv, t: pt.Unix(), pin: pin}
-				if prev, dup := seen[k]; dup {
-					if prev != dom {
+			for watermark := range turns[r] {
+				for k := 0; k < 500; k++ {
+					pin := 1 + uint64(rng.Int63n(int64(watermark)))
+					srv := storeTestServer(rng.Intn(servers))
+					pt := base.Add(time.Duration(rng.Int63n(int64(muts*10))) * time.Second)
+					dom, ok := store.LabelAt(srv, pt, pin)
+					if !ok {
+						dom = "\x00none"
+					}
+					k := key{srv: srv, t: pt.Unix(), pin: pin}
+					if prev, dup := seen[k]; !dup {
+						seen[k] = dom
+					} else if prev != dom {
 						t.Errorf("pinned label changed: %v@%d pin %d: %q then %q",
 							srv, k.t, pin, prev, dom)
-						return
 					}
-				} else if len(seen) < 1<<16 {
-					seen[k] = dom
 				}
+				done <- struct{}{}
 			}
 		}(r)
 	}
@@ -176,10 +165,18 @@ func TestLabelStoreConcurrentReaders(t *testing.T) {
 			Answer: storeTestServer(rng.Intn(servers)),
 			TTL:    DefaultTTL,
 		}, uint64(i))
-		watermark.Store(uint64(i))
+		if i%run == 0 {
+			for _, turn := range turns {
+				turn <- uint64(i)
+			}
+			for range turns {
+				<-done
+			}
+		}
 	}
-	close(stop)
-	wg.Wait()
+	for _, turn := range turns {
+		close(turn)
+	}
 }
 
 // TestInterner pins the interner contract: one canonical string per

@@ -107,10 +107,14 @@ func NewPipeline(reg *universe.Registry, opts core.Options, shards int) (Pipelin
 	return core.NewShardedPipeline(reg, opts, shards)
 }
 
-// policy parses the fault policy and checks the fault knobs against the
-// rest of the configuration.
+// policy parses the fault policy and checks the shard count and the fault
+// knobs against the rest of the configuration: every run calls it before
+// any work starts.
 func (c Config) policy() (faultline.Policy, error) {
 	policy := faultline.PolicyStrict
+	if c.Shards < 0 {
+		return policy, fmt.Errorf("-shards %d: want ≥ 0 (0 = GOMAXPROCS)", c.Shards)
+	}
 	if c.FaultPolicy != "" {
 		var err error
 		if policy, err = faultline.ParsePolicy(c.FaultPolicy); err != nil {
