@@ -30,21 +30,20 @@ test-short:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
-# Full race pass at four scheduler procs so the lock-free ring, the
-# route/figure worker pools, and the route lanes' reads of the shared
-# join stores see real interleavings. -short keeps the generator-bound
-# packages inside the time budget; the concurrency-heavy packages then
-# rerun un-short so nothing the -short matrix narrows escapes the
-# detector. The route lanes read the stores as plain maps, so the last
-# pass repeats the route tests: the detector is the check that no lane
-# runs beside the stores' writer.
+# Full race pass at four scheduler procs so the lock-free ring, the shard
+# workers and the figure worker pools see real interleavings. -short
+# keeps the generator-bound packages inside the time budget; the
+# concurrency-heavy packages then rerun un-short so nothing the -short
+# matrix narrows escapes the detector. The last pass repeats the sharded
+# dispatch, parity and ordering tests for more interleavings.
 race:
 	GOMAXPROCS=4 $(GO) test -race -short ./...
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 		./internal/core ./internal/obs ./internal/dhcp ./internal/dnssim ./internal/logsink \
 		./internal/trace
 	GOMAXPROCS=4 $(GO) test -race -count=10 \
-		-run 'Route|Parallel|Adversarial|LeaseBeforeFlow|RouteAdmissionOracle' ./internal/core
+		-run 'Adversarial|LeaseBeforeFlow|RouteAdmissionOracle|QueueDepthBounded|DispatchSettlesOncePerBatch' \
+		./internal/core
 
 # Standard linters plus the repository's custom invariant analyzers.
 lint: lint-golangci lint-custom
@@ -61,7 +60,7 @@ lint-golangci:
 
 # cmd/lintlock enforces the privacy-boundary, determinism, obs-nil-guard,
 # and hot-path-error invariants plus the concurrency protocols
-# (atomiconly, poolsafe, goroutineowner, seqpin); the second pass audits
+# (atomiconly, poolsafe, goroutineowner); the second pass audits
 # every //lintlock:ignore directive for bare or stale suppressions (see
 # README "Static analysis").
 lint-custom:
@@ -80,7 +79,7 @@ fuzz-smoke:
 
 # Corruption-replay smoke: generate a 5%-scale dataset, replay it with 0.1%
 # seeded corruption under the skip policy — once through the single
-# pipeline and once through the 4-shard epoch-snapshot path, whose outputs
+# pipeline and once through 4 shards, whose outputs
 # must be byte-identical. CI additionally diffs the figure-CSV shapes
 # against a clean replay and audits the sharded guard's accounting (see
 # the fault-smoke job); the exhaustive differential harness is
@@ -139,7 +138,7 @@ ci: build vet test race lint
 # Go micro-benchmarks plus machine-readable end-to-end bench reports
 # (single and 4-shard batched ingest) that cmd/benchdiff can gate on. The
 # GOMAXPROCS=2 sharded report mirrors CI's smoke-bench-parallel gate: the
-# epoch-snapshot join must keep 4-shard ingest ahead of the single
+# dispatcher-side join must keep 4-shard ingest ahead of the single
 # pipeline even at two cores. The GOMAXPROCS=4 -measure-scaling report
 # mirrors the smoke-bench-parallel-4 scaling-efficiency gate; benchdiff
 # applies the 0.4 floor only when the report's maxprocs AND hardware CPU

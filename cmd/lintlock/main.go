@@ -4,8 +4,7 @@
 // raw identifiers, byte-identical regeneration of results, the obs
 // nil-receiver contract, hot-path error handling — and the concurrency
 // protocols the parallel ingest path is built on: all-or-nothing atomic
-// field access, sync.Pool hygiene, owned goroutines, and seq-pinned
-// reads of the shared epoch stores.
+// field access, sync.Pool hygiene and owned goroutines.
 //
 // Usage:
 //

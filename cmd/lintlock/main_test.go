@@ -59,7 +59,7 @@ func runIn(t *testing.T, dir string, args ...string) (string, int) {
 	return string(out), exitErr.ExitCode()
 }
 
-func TestBadModuleFailsWithAllEightAnalyzers(t *testing.T) {
+func TestBadModuleFailsWithAllSevenAnalyzers(t *testing.T) {
 	out, code := runIn(t, filepath.Join("testdata", "badmod"), "./...")
 	if code != 1 {
 		t.Fatalf("want exit 1 on the bad module, got %d\n%s", code, out)
@@ -72,7 +72,6 @@ func TestBadModuleFailsWithAllEightAnalyzers(t *testing.T) {
 		"atomiconly", "plain read of",
 		"poolsafe", "escapes through exported",
 		"goroutineowner", "no provable shutdown edge",
-		"seqpin", "without a sequence pin",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -114,7 +113,7 @@ func TestListPrintsSuite(t *testing.T) {
 	}
 	for _, name := range []string{
 		"privleak", "determinism", "obsnil", "errpath",
-		"atomiconly", "poolsafe", "goroutineowner", "seqpin",
+		"atomiconly", "poolsafe", "goroutineowner",
 	} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list missing %s:\n%s", name, out)
@@ -127,7 +126,7 @@ func TestListPrintsSuite(t *testing.T) {
 // "N finding(s)" line goes to stderr and CombinedOutput interleaves it
 // at the end).
 func TestJSONFindings(t *testing.T) {
-	out, code := runIn(t, filepath.Join("testdata", "badmod"), "-json", "-select", "seqpin", "./...")
+	out, code := runIn(t, filepath.Join("testdata", "badmod"), "-json", "-select", "atomiconly", "./...")
 	if code != 1 {
 		t.Fatalf("want exit 1, got %d\n%s", code, out)
 	}
@@ -146,7 +145,7 @@ func TestJSONFindings(t *testing.T) {
 		t.Fatal("-json produced an empty findings array on the bad module")
 	}
 	f := findings[0]
-	if f.Analyzer != "seqpin" || f.Line == 0 || !strings.Contains(f.File, "resolve.go") {
+	if f.Analyzer != "atomiconly" || f.Line == 0 || !strings.Contains(f.File, "ring.go") {
 		t.Fatalf("unexpected finding shape: %+v", f)
 	}
 }

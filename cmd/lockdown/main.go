@@ -61,7 +61,7 @@ func main() {
 	flag.StringVar(&cfg.Out, "out", "results", "output directory for CSVs and report")
 	flag.StringVar(&cfg.Logs, "logs", "", "ingest a tracegen dataset directory instead of generating live")
 	flag.IntVar(&cfg.Shards, "shards", 1, "pipeline shards (0 = GOMAXPROCS; >1 parallelizes ingest)")
-	flag.BoolVar(&cfg.Yoy, "yoy", false, "also simulate the counterfactual baseline year (doubles runtime)")
+	flag.BoolVar(&cfg.Yoy, "yoy", false, "also simulate the counterfactual baseline year (generator only, not with -logs; doubles runtime)")
 	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress the terminal report")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	flag.DurationVar(&cfg.progressEvery, "progress", 0, "emit a progress line at this interval (0 = off)")
@@ -190,14 +190,13 @@ func run(cfg config) error {
 			Seed:        cfg.Seed,
 			WallSeconds: time.Since(start).Seconds(),
 			Ingest: obs.IngestBench{
-				Events:          snap.Events,
-				Flows:           ds.Stats.FlowsProcessed,
-				Bytes:           ds.Stats.BytesProcessed,
-				Seconds:         res.Ingest.Seconds(),
-				FlowsPerSec:     float64(ds.Stats.FlowsProcessed) / res.Ingest.Seconds(),
-				BytesPerSec:     float64(ds.Stats.BytesProcessed) / res.Ingest.Seconds(),
-				EpochsPublished: snap.Counters["epochs_published"],
-				SnapshotBytes:   snap.Counters["snapshot_bytes"],
+				Events:        snap.Events,
+				Flows:         ds.Stats.FlowsProcessed,
+				Bytes:         ds.Stats.BytesProcessed,
+				Seconds:       res.Ingest.Seconds(),
+				FlowsPerSec:   float64(ds.Stats.FlowsProcessed) / res.Ingest.Seconds(),
+				BytesPerSec:   float64(ds.Stats.BytesProcessed) / res.Ingest.Seconds(),
+				SnapshotBytes: snap.Counters["snapshot_bytes"],
 			},
 			FiguresMS:     res.FiguresMS,
 			FiguresWallMS: res.FiguresWallMS,

@@ -51,6 +51,7 @@ func TestBadFlagsFailBeforeWork(t *testing.T) {
 		{"measure-scaling without bench-json", config{measureScaling: true, Config: runner.Config{Shards: 2}}, "-bench-json"},
 		{"measure-scaling at one shard", config{measureScaling: true, benchJSON: "bench.json", Config: runner.Config{Shards: 1}}, "-shards ≥ 2"},
 		{"negative shards", config{Config: runner.Config{Shards: -1}}, "-shards -1"},
+		{"yoy with logs", config{Config: runner.Config{Logs: "logs", Yoy: true}}, "-yoy"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -444,11 +444,10 @@ func TestDaemonGrowsWithDatasetAndMatchesBatch(t *testing.T) {
 		t.Fatalf("malformed epoch selector: status %d, want 400", code)
 	}
 
-	// epochs_published counts sealed join-table epochs of a sharded
-	// pipeline, registered under obs.counters (the path the sharded
-	// counter test in internal/core reads nonzero). A single pipeline
-	// registers no epoch cells and seals none, however many served epochs
-	// /v1/epoch has reported.
+	// snapshot_bytes is the sharded dispatcher's join-size gauge,
+	// registered under obs.counters (the path the sharded counter test in
+	// internal/core reads nonzero). A single pipeline registers no sharded
+	// cells, however many served epochs /v1/epoch has reported.
 	code, _, body = get(t, base+"/debug/vars")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/vars: status %d", code)
@@ -465,8 +464,8 @@ func TestDaemonGrowsWithDatasetAndMatchesBatch(t *testing.T) {
 	if vars.Obs == nil || vars.Obs.Events == 0 {
 		t.Fatal("/debug/vars: no obs metrics")
 	}
-	if n, ok := vars.Obs.Counters["epochs_published"]; ok && n != 0 {
-		t.Fatalf("obs.counters.epochs_published = %d after %d served epochs at -shards 1, want 0",
+	if n, ok := vars.Obs.Counters["snapshot_bytes"]; ok {
+		t.Fatalf("obs.counters.snapshot_bytes = %d after %d served epochs at -shards 1, want no cell",
 			n, final.Epoch)
 	}
 

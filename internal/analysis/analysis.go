@@ -102,12 +102,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Analyzers returns the full suite in the order diagnostics are grouped:
 // the methodology invariants (privacy, determinism), the robustness checks
 // (obs nil guard, hot-path errors), then the concurrency-protocol family
-// (atomic access discipline, pool recycling, goroutine ownership, seq-
-// pinned join reads).
+// (atomic access discipline, pool recycling, goroutine ownership).
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		PrivLeak, Determinism, ObsNil, ErrPath,
-		AtomicOnly, PoolSafe, GoroutineOwner, SeqPin,
+		AtomicOnly, PoolSafe, GoroutineOwner,
 	}
 }
 

@@ -26,51 +26,31 @@ var (
 // loadFixture type-checks the fixture directory as one package named by
 // importPath.
 func loadFixture(t *testing.T, dir, importPath string) *Result {
-	return loadFixtureSeq(t, fixturePkg{dir, importPath})
-}
-
-// fixturePkg names one fixture directory and the import path to check it
-// under.
-type fixturePkg struct {
-	dir, importPath string
-}
-
-// loadFixtureSeq type-checks several fixture directories in order, making
-// each package importable by the later ones under its import path — the
-// multi-package variant for analyzers whose invariant spans a provider and
-// a consumer package (e.g. seqpin's store/shard split).
-func loadFixtureSeq(t *testing.T, pkgs ...fixturePkg) *Result {
 	t.Helper()
 	loadMu.Lock()
 	defer loadMu.Unlock()
 
-	res := &Result{Fset: sharedFset}
-	locals := make(map[string]*types.Package, len(pkgs))
-	for _, fp := range pkgs {
-		entries, err := os.ReadDir(fp.dir)
-		if err != nil {
-			t.Fatalf("reading fixture dir: %v", err)
-		}
-		var files []string
-		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-				files = append(files, e.Name())
-			}
-		}
-		if len(files) == 0 {
-			t.Fatalf("no fixture files in %s", fp.dir)
-		}
-		pkg, err := parsePackage(fp.importPath, "", fp.dir, files)
-		if err != nil {
-			t.Fatalf("parsing fixture: %v", err)
-		}
-		if err := typecheck(pkg, locals); err != nil {
-			t.Fatalf("type-checking fixture: %v", err)
-		}
-		locals[pkg.ImportPath] = pkg.Types
-		res.Packages = append(res.Packages, pkg)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("reading fixture dir: %v", err)
 	}
-	return res
+	var files []string
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			files = append(files, e.Name())
+		}
+	}
+	if len(files) == 0 {
+		t.Fatalf("no fixture files in %s", dir)
+	}
+	pkg, err := parsePackage(importPath, "", dir, files)
+	if err != nil {
+		t.Fatalf("parsing fixture: %v", err)
+	}
+	if err := typecheck(pkg, map[string]*types.Package{}); err != nil {
+		t.Fatalf("type-checking fixture: %v", err)
+	}
+	return &Result{Fset: sharedFset, Packages: []*Package{pkg}}
 }
 
 // runFixture loads dir as importPath, runs the analyzers, and checks the
@@ -83,19 +63,6 @@ func runFixture(t *testing.T, dir, importPath string, analyzers ...*Analyzer) []
 		t.Fatalf("running analyzers: %v", err)
 	}
 	checkWants(t, diags, res.Packages[0])
-	return diags
-}
-
-// runFixtureSeq is runFixture over a multi-package fixture; want comments
-// are honored in every loaded package.
-func runFixtureSeq(t *testing.T, analyzers []*Analyzer, pkgs ...fixturePkg) []Diagnostic {
-	t.Helper()
-	res := loadFixtureSeq(t, pkgs...)
-	diags, err := Run(res, analyzers)
-	if err != nil {
-		t.Fatalf("running analyzers: %v", err)
-	}
-	checkWants(t, diags, res.Packages...)
 	return diags
 }
 

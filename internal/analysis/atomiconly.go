@@ -11,8 +11,8 @@ import (
 // be accessed atomically *everywhere*. One plain load of a ring cursor (or
 // one plain store to a snapshot publication pointer) compiles, passes
 // single-threaded tests, and silently corrupts data only under real
-// concurrency — the exact bug class the SPSC ring's padded cursors and the
-// epoch stores' atomic.Pointer cells exist to prevent. Two field classes
+// concurrency — the exact bug class the SPSC ring's padded cursors exist
+// to prevent. Two field classes
 // are covered, module-wide:
 //
 //   - function-style atomics: a field whose address is ever passed to a

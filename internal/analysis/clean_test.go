@@ -6,7 +6,7 @@ import "testing"
 // whole module must report nothing. Any new wall-clock read, global rand
 // draw, map-order leak, raw-identifier crossing, unguarded obs method,
 // dropped hot-path error, mixed plain/atomic field access, pool-protocol
-// breach, unowned goroutine, or unpinned store read fails this test (and
+// breach, or unowned goroutine fails this test (and
 // `make lint` / the lint-custom CI job) until fixed or suppressed with a
 // justification.
 func TestRepositoryIsClean(t *testing.T) {
@@ -38,7 +38,7 @@ func TestByName(t *testing.T) {
 		t.Fatal("unknown analyzer name did not error")
 	}
 	all, err := ByName("")
-	if err != nil || len(all) != 8 {
+	if err != nil || len(all) != 7 {
 		t.Fatalf("default selection: %v %v", all, err)
 	}
 }

@@ -20,11 +20,10 @@ import (
 //     that is never sorted afterwards, or calls a write/print/encode sink —
 //     map iteration order is randomized per process, so either pattern
 //     makes output ordering nondeterministic;
-//   - the same two patterns inside a (*sync.Map).Range callback — the
-//     concurrent join stores iterate cells this way when sealing epoch
-//     snapshots, and sync.Map makes the same no-order guarantee plain maps
-//     do, so a seal path feeding an unsorted slice into output would leak
-//     iteration order into the results.
+//   - the same two patterns inside a (*sync.Map).Range callback —
+//     sync.Map makes the same no-order guarantee plain maps do, so a
+//     Range feeding an unsorted slice into output would leak iteration
+//     order into the results.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "results-path packages must not read the wall clock, use process-seeded " +

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/campus"
+	"repro/internal/dhcp"
 	"repro/internal/dnssim"
 	"repro/internal/flow"
 	"repro/internal/httplog"
@@ -13,34 +14,89 @@ import (
 	"repro/internal/universe"
 )
 
-// join is the pair of time-aware lookups admission resolves an event
-// against: a single Pipeline's private tables (localJoin), or the sharded
-// route stage's view of the shared stores pinned to the event's sequence
-// number (pinnedJoin, route.go).
-type join interface {
-	// leaseMAC resolves the device MAC bound to a client address at t.
-	leaseMAC(addr netip.Addr, t time.Time) (packet.MAC, bool)
-	// label resolves the domain a server address meant at time t.
-	label(server netip.Addr, t time.Time) (string, bool)
-}
-
-// localJoin is the single-pipeline join: private labeler and lease index,
-// mutated in stream order by the same goroutine that resolves flows.
+// localJoin is the one join: the DNS labeler and the DHCP lease index,
+// mutated in stream order by the goroutine that resolves flows against
+// them — a single Pipeline, or the sharded dispatcher. Shards hold none.
 type localJoin struct {
 	labeler  *dnssim.Labeler
 	leaseIdx leaseIndex
+	// retained approximates the tables' live bytes for the sharded
+	// pipeline's snapshot_bytes gauge: one constant per appended span and
+	// per new address, counted as the tables grow (a checkpoint restore
+	// is not counted; the dispatcher, which never restores, publishes it).
+	retained int64
 }
+
+// Approximate retained sizes: a lease span (two time.Time values, a MAC,
+// an address, padding), a label span (time.Time and string header), and
+// the fixed overhead of one indexed address (map entry and slice header).
+// Distinct domain bytes are counted once, by the labeler's interner.
+const (
+	leaseSpanBytes = 72
+	labelSpanBytes = 56
+	joinAddrBytes  = 96
+)
 
 func newLocalJoin() *localJoin {
 	return &localJoin{labeler: dnssim.NewLabeler(), leaseIdx: make(leaseIndex)}
 }
 
-func (j *localJoin) label(server netip.Addr, t time.Time) (string, bool) {
-	return j.labeler.Label(server, t)
+// observeLease folds one binding into the lease index.
+func (j *localJoin) observeLease(l dhcp.Lease) {
+	addrs := len(j.leaseIdx)
+	if j.leaseIdx.observe(l) {
+		j.retained += leaseSpanBytes
+	}
+	j.retained += int64(len(j.leaseIdx)-addrs) * joinAddrBytes
 }
 
-func (j *localJoin) leaseMAC(addr netip.Addr, t time.Time) (packet.MAC, bool) {
-	return j.leaseIdx.lookup(addr, t)
+// observeDNS folds one resolver entry into the labeler.
+func (j *localJoin) observeDNS(e dnssim.Entry) {
+	addrs := j.labeler.Addresses()
+	if j.labeler.Observe(e) {
+		j.retained += labelSpanBytes
+	}
+	j.retained += int64(j.labeler.Addresses()-addrs) * joinAddrBytes
+}
+
+// retainedBytes approximates the join tables' live size.
+func (j *localJoin) retainedBytes() int64 {
+	return j.retained + j.labeler.DomainBytes()
+}
+
+// leaseIndex is an append-only, time-aware IP→MAC index over lease
+// bindings arriving in non-decreasing start order.
+type leaseIndex map[netip.Addr][]dhcp.Lease
+
+// observe folds one binding in, coalescing renewals of the same holder. It
+// reports whether the binding opened a new span.
+func (idx leaseIndex) observe(l dhcp.Lease) bool {
+	spans := idx[l.Addr]
+	if n := len(spans); n > 0 && spans[n-1].MAC == l.MAC && !l.Start.After(spans[n-1].End) {
+		if l.End.After(spans[n-1].End) {
+			spans[n-1].End = l.End
+		}
+		return false
+	}
+	idx[l.Addr] = append(spans, l)
+	return true
+}
+
+// lookup resolves a client address at a time. Spans arrive in start order
+// and, for a healthy DHCP server, never nest (a renewal extends the same
+// span; a different device only gets the address after expiry), so once a
+// span ends before t no older span can contain it.
+func (idx leaseIndex) lookup(addr netip.Addr, t time.Time) (packet.MAC, bool) {
+	spans := idx[addr]
+	for i := len(spans) - 1; i >= 0; i-- {
+		if spans[i].Contains(t) {
+			return spans[i].MAC, true
+		}
+		if t.After(spans[i].End) {
+			break
+		}
+	}
+	return packet.MAC{}, false
 }
 
 // cut names the capture boundary that stops an event before accounting.
@@ -56,8 +112,7 @@ const (
 // admission is one flow's or HTTP entry's join outcome: whether it is
 // cut, and for an admitted event the device MAC, the study day and the
 // server's DNS label. It is all the accounting step needs, so the sharded
-// route stage resolves it once and ships it to the shard in the batch
-// slot.
+// dispatcher resolves it and ships it to the shard in the batch slot.
 type admission struct {
 	label   string
 	mac     packet.MAC
@@ -69,8 +124,8 @@ type admission struct {
 // clientMAC resolves a client address at a time: DHCP leases for IPv4,
 // EUI-64 extraction for SLAAC-configured IPv6 residence addresses (no
 // DHCPv6 logs exist; the interface identifier carries the MAC directly).
-func clientMAC[J join](j J, addr netip.Addr, t time.Time) (packet.MAC, bool) {
-	if mac, ok := j.leaseMAC(addr, t); ok {
+func clientMAC(j *localJoin, addr netip.Addr, t time.Time) (packet.MAC, bool) {
+	if mac, ok := j.leaseIdx.lookup(addr, t); ok {
 		return mac, true
 	}
 	if universe.ResidenceNetV6.Contains(addr) {
@@ -83,7 +138,7 @@ func clientMAC[J join](j J, addr netip.Addr, t time.Time) (packet.MAC, bool) {
 // tap's excluded networks (unless tapFilter is off), then the capture
 // window, then the client MAC, then the server's DNS label. A flow failing
 // several cuts lands in the first one's counter on every ingest path.
-func admitFlow[J join](j J, reg *universe.Registry, tapFilter bool, r *flow.Record) (a admission) {
+func admitFlow(j *localJoin, reg *universe.Registry, tapFilter bool, r *flow.Record) (a admission) {
 	if tapFilter && reg.TapExcluded(r.RespAddr) {
 		a.cut = cutTap
 		return a
@@ -97,12 +152,12 @@ func admitFlow[J join](j J, reg *universe.Registry, tapFilter bool, r *flow.Reco
 		a.cut = cutNoBinding
 		return a
 	}
-	a.label, a.labeled = j.label(r.RespAddr, r.Start)
+	a.label, a.labeled = j.labeler.Label(r.RespAddr, r.Start)
 	return a
 }
 
 // admitHTTP is the admission rule for HTTP metadata: the client MAC only.
-func admitHTTP[J join](j J, e *httplog.Entry) (a admission) {
+func admitHTTP(j *localJoin, e *httplog.Entry) (a admission) {
 	var ok bool
 	if a.mac, ok = clientMAC(j, e.Client, e.Time); !ok {
 		a.cut = cutNoBinding

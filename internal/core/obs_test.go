@@ -175,27 +175,21 @@ func TestShardedCounterAccuracy(t *testing.T) {
 	snap := m.Snapshot()
 
 	// DNS entries and leases are applied exactly once, at the dispatcher's
-	// shared stores — no per-shard amplification — so the ingest counter
+	// join — no per-shard amplification — so the ingest counter
 	// must equal a single pipeline's: every event counted once.
 	flowsSeen := st.FlowsProcessed + st.FlowsTapDropped + st.FlowsOutOfWindow + st.FlowsUnattributed
 	wantEvents := flowsSeen + st.DNSEntries + st.Leases + st.HTTPEntries
 	if snap.Events != wantEvents {
 		t.Errorf("ingest events = %d, want %d", snap.Events, wantEvents)
 	}
-	// Epoch accounting: the dispatcher sealed at least one epoch of the
-	// shared join tables, and the snapshot-size gauge reflects their
-	// retained bytes. Epochs are bookkeeping, not events — they must not
-	// have inflated the ingest counter above (the equality already proves
-	// they didn't).
-	if snap.Counters["epochs_published"] == 0 {
-		t.Error("no snapshot epochs published by a sharded run")
-	}
-	if snap.Counters["snapshot_bytes"] == 0 {
-		t.Error("snapshot-size gauge never set")
+	// The snapshot-size gauge holds the dispatcher's join tables' retained
+	// bytes as of the last flush, which Finalize made after the last event.
+	if got, want := snap.Counters["snapshot_bytes"], sp.join.retainedBytes(); got == 0 || got != want {
+		t.Errorf("snapshot_bytes = %d, want the join's %d", got, want)
 	}
 	// The same cells are live at the path expvar serves: obs.counters.
 	served := expvarCounters(t, m)
-	for _, name := range []string{"epochs_published", "snapshot_bytes"} {
+	for _, name := range []string{"snapshot_bytes", "queue_capacity"} {
 		if served[name] == 0 || served[name] != snap.Counters[name] {
 			t.Errorf("/debug/vars obs.counters.%s = %d, snapshot says %d", name, served[name], snap.Counters[name])
 		}
@@ -211,8 +205,8 @@ func TestShardedCounterAccuracy(t *testing.T) {
 			agg.Events, agg.Bytes, st.FlowsProcessed, st.BytesProcessed)
 	}
 
-	// Every admitted flow was dispatched to exactly one shard; the route
-	// stage settles every cut itself.
+	// Every admitted flow was dispatched to exactly one shard; the
+	// dispatcher settles every cut itself.
 	if len(snap.Shards) != 4 {
 		t.Fatalf("shards = %d, want 4", len(snap.Shards))
 	}

@@ -46,10 +46,6 @@ type Options struct {
 	// SessionGap is the stitcher's merge gap (default 0: strictly
 	// overlapping flows, as in the paper).
 	SessionGap time.Duration
-	// IoTThreshold is the Saidi detection threshold (default 0.5).
-	IoTThreshold float64
-	// IncludeCDNsInMidpoint disables the §4.2 CDN exclusion (ablation).
-	IncludeCDNsInMidpoint bool
 	// DisableTapFilter processes flows to excluded networks instead of
 	// dropping them (ablation).
 	DisableTapFilter bool
@@ -84,15 +80,15 @@ type Pipeline struct {
 	pseudo  *anonymize.Pseudonymizer
 
 	// join is the single pipeline's private DNS/DHCP tables (join.go).
-	// A shard of a ShardedPipeline has none: its route stage resolves
+	// A shard of a ShardedPipeline has none: its dispatcher resolves
 	// each event's admission and the shard only accounts it.
 	join      *localJoin
 	presence  *anonymize.PresenceTracker
 	stitcher  *appsig.Stitcher
 	switchDet *appsig.SwitchDetector
 	geoCls    *geo.Classifier
-	// geoClsAblate runs the same midpoints with the CDN-exclusion setting
-	// inverted, so the §4.2 ablation is available from every Dataset.
+	// geoClsAblate runs the same midpoints with CDN answers included, so
+	// the §4.2 ablation is available from every Dataset.
 	geoClsAblate *geo.Classifier
 	iotDet       *devclass.IoTDetector
 	classifier   *devclass.Classifier
@@ -261,7 +257,7 @@ func newPipeline(reg *universe.Registry, opts Options) (*Pipeline, error) {
 		return nil, fmt.Errorf("core: registry missing zoom prefixes")
 	}
 	sigs := devclass.SignaturesFromRegistry(reg)
-	iotDet := devclass.NewIoTDetector(opts.IoTThreshold, sigs)
+	iotDet := devclass.NewIoTDetector(devclass.DefaultIoTThreshold, sigs)
 	sigDomains := make(map[string]bool)
 	for _, s := range sigs {
 		for _, d := range s.Domains {
@@ -295,9 +291,8 @@ func newPipeline(reg *universe.Registry, opts Options) (*Pipeline, error) {
 		om:         opts.Obs,
 	}
 	p.geoCls = geo.NewClassifier(p.geoDB)
-	p.geoCls.IncludeCDNs = opts.IncludeCDNsInMidpoint
 	p.geoClsAblate = geo.NewClassifier(p.geoDB)
-	p.geoClsAblate.IncludeCDNs = !opts.IncludeCDNsInMidpoint
+	p.geoClsAblate.IncludeCDNs = true
 	p.stitcher = appsig.NewStitcher(opts.SessionGap, p.onSession)
 	for i, anchor := range campus.FigureWeeks {
 		p.weeks[i] = weekWindow{start: anchor, end: anchor.Add(7 * 24 * time.Hour)}
@@ -341,53 +336,19 @@ func (p *Pipeline) device(id anonymize.DeviceID) *deviceState {
 	return d
 }
 
-// leaseIndex is an append-only, time-aware IP→MAC index over lease
-// bindings arriving in non-decreasing start order.
-type leaseIndex map[netip.Addr][]dhcp.Lease
-
-// observe folds one binding in, coalescing renewals of the same holder.
-func (idx leaseIndex) observe(l dhcp.Lease) {
-	spans := idx[l.Addr]
-	if n := len(spans); n > 0 && spans[n-1].MAC == l.MAC && !l.Start.After(spans[n-1].End) {
-		if l.End.After(spans[n-1].End) {
-			spans[n-1].End = l.End
-		}
-		idx[l.Addr] = spans
-		return
-	}
-	idx[l.Addr] = append(spans, l)
-}
-
-// lookup resolves a client address at a time. Spans arrive in start order
-// and, for a healthy DHCP server, never nest (a renewal extends the same
-// span; a different device only gets the address after expiry), so once a
-// span ends before t no older span can contain it.
-func (idx leaseIndex) lookup(addr netip.Addr, t time.Time) (packet.MAC, bool) {
-	spans := idx[addr]
-	for i := len(spans) - 1; i >= 0; i-- {
-		if spans[i].Contains(t) {
-			return spans[i].MAC, true
-		}
-		if t.After(spans[i].End) {
-			break
-		}
-	}
-	return packet.MAC{}, false
-}
-
 // Lease implements trace.Sink: index a DHCP binding. Bindings must arrive
 // in non-decreasing start order.
 func (p *Pipeline) Lease(l dhcp.Lease) {
 	p.stats.Leases++
 	p.om.Add(obs.StageIngest, 0)
-	p.join.leaseIdx.observe(l)
+	p.join.observeLease(l)
 }
 
 // DNS implements trace.Sink: feed the labeler.
 func (p *Pipeline) DNS(e dnssim.Entry) {
 	p.stats.DNSEntries++
 	p.om.Add(obs.StageIngest, 0)
-	p.join.labeler.Observe(e)
+	p.join.observeDNS(e)
 }
 
 // HTTPMeta implements trace.Sink: collect User-Agent evidence.
@@ -421,7 +382,7 @@ func (p *Pipeline) Flow(r flow.Record) {
 
 // account is Flow's accounting step: every counter and aggregate a flow
 // moves, given its admission. It looks nothing up, so a shard runs it on
-// the admission its route stage resolved.
+// the admission its dispatcher resolved.
 //
 // Observability (when Options.Obs is set) counts the flow at every stage
 // and, for a sampled subset (t non-zero), laps a timer across the stage

@@ -41,8 +41,8 @@ import (
 // 32-slot ring holds ~8k events of backlog), and counting them (stalls,
 // waits) matters more than shaving their latency: a hot stall counter
 // means the shards can't drain the dispatcher and more shards (or a deeper
-// ring) would help; a hot wait counter means the dispatcher is the
-// bottleneck and decode/route parallelism is what's missing.
+// ring) would help; a hot wait counter means the dispatcher (or the
+// producer feeding it) is the bottleneck.
 type batchRing struct {
 	slots []*eventBatch
 	mask  uint64

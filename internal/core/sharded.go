@@ -22,26 +22,17 @@ import (
 // so each device's entire history lands on one shard and per-device
 // aggregation stays exact.
 //
-// DNS entries and DHCP leases never reach the shards. The dispatcher
-// applies each of them exactly once to a pair of shared join stores
-// (dnssim.LabelStore, dhcp.LeaseStore), tagging every mutation with a
-// monotonically increasing sequence number, and the route stage resolves
-// each flow's and HTTP entry's admission — tap and window cuts, client
-// MAC, DNS label — against the stores pinned to the sequence number
-// current at the event's stream position. That is exactly the join state
-// a single pipeline would have had at the same position: lease-before-flow
-// ordering — and the subtler DNS cases (re-resolution to a new domain
-// mid-batch, the labeler's look-ahead window) — hold by construction. The
-// admission travels to the shard in the batch slot, and the shard runs the
-// single pipeline's accounting step on it: shards hold no join state and
-// look nothing up.
-//
-// The route stage is pipelined for multi-core ingest. Admissions are pure
-// functions of (event, pinned sequence number), so the batched intake path
-// fans them out over parallel route lanes while a single sequencer stage —
-// the dispatcher goroutine — keeps everything order-sensitive serial:
-// sequence-number assignment, broadcast application, batch placement,
-// counter settlement (see route.go).
+// DNS entries and DHCP leases never reach the shards. The dispatcher owns
+// the run's one join (localJoin, the same tables a single Pipeline keeps)
+// and works serially, in stream order: it folds each broadcast into the
+// join and resolves each flow's and HTTP entry's admission — tap and
+// window cuts, client MAC, DNS label — with the single pipeline's own
+// admitFlow/admitHTTP. Every admission therefore sees exactly the join
+// state a single pipeline would have had at the same stream position:
+// lease-before-flow ordering, mid-stream DNS re-resolution and the
+// labeler's look-ahead window hold by construction. The admission travels
+// to the shard in the batch slot, and the shard runs the single pipeline's
+// accounting step on it: shards hold no join state and look nothing up.
 //
 // Transport is batched and lock-free: the dispatcher appends events into a
 // fixed-capacity open batch per shard and, when it fills (or on Flush),
@@ -69,34 +60,20 @@ type ShardedPipeline struct {
 	// queued tracks per-shard in-flight events — flushed toward the
 	// shard's ring (including a batch stalled on a full ring) but not yet
 	// applied by the worker — for the queue-depth gauge. Bounded by
-	// QueueCapacity. Epoch publications are not events and never count
-	// here.
+	// QueueCapacity.
 	queued []atomic.Int64
 	// pendDispatch counts flows routed into each shard's open batch,
 	// settled into dispatched at flush time — one atomic per batch
-	// instead of one per flow. Dispatcher-owned: the parallel route
-	// workers only *decide* shards (phase B); placement, and with it this
-	// counter, stays on the sequencer (phase C), so the
-	// settle-once-per-batch invariant survives the multi-worker decode
-	// stage.
+	// instead of one per flow. Dispatcher-owned.
 	pendDispatch []int64
 	// dispatched counts the flows routed to each shard; read by the shard
 	// poll registered with obs.
 	dispatched []atomic.Int64
 
-	// router fans the batched path's admissions out over parallel route
-	// lanes (nil on a single-processor runtime: the sequencer decides
-	// inline). decs is the reusable per-run decision scratch.
-	router *routePool
-	decs   []routeDecision
-
-	// labels and leases are the shared join stores (the dispatcher writes,
-	// its route stage reads); seq tags every broadcast mutation,
-	// epochDirty marks mutations not yet sealed into an epoch.
-	labels     *dnssim.LabelStore
-	leases     *dhcp.LeaseStore
-	seq        uint64
-	epochDirty bool
+	// join is the run's DNS/DHCP join. Only the dispatcher goroutine
+	// touches it: it writes broadcasts and reads admissions in the same
+	// serial loop, so the tables need no synchronization.
+	join *localJoin
 
 	// dispStats accumulates what the dispatcher accounts itself: the
 	// broadcast counters (DNS entries and leases are applied exactly once,
@@ -106,13 +83,11 @@ type ShardedPipeline struct {
 	om        *obs.Metrics
 	finalized bool
 
-	// Epoch accounting for the shared join tables, registered with obs:
-	// sealed epochs and the tables' approximate retained bytes (a gauge).
-	// Epochs are bookkeeping, not events — they never feed the stage
-	// counters, the dispatch counters, or the queue-depth gauge. queueCap
-	// is the per-shard queue-depth bound in events, the denominator the
-	// depth gauge is read against.
-	epochsPublished, snapshotBytes, queueCap obs.Counter
+	// Gauges registered with obs: snapshotBytes is the join tables'
+	// approximate retained bytes, refreshed at each flush; queueCap is the
+	// per-shard queue-depth bound in events, the denominator the depth
+	// gauge is read against.
+	snapshotBytes, queueCap obs.Counter
 
 	// lastSealStats is the merged cumulative Stats at the last SealDay —
 	// the baseline the next day's Stats delta is taken against.
@@ -138,7 +113,7 @@ const (
 )
 
 // shardEvent is one batch slot, stored inline — no per-event allocation.
-// adm is the admission the route stage resolved for the event.
+// adm is the admission the dispatcher resolved for the event.
 type shardEvent struct {
 	kind eventKind
 	adm  admission
@@ -176,15 +151,11 @@ func NewShardedPipeline(reg *universe.Registry, opts Options, n int) (*ShardedPi
 		reg:          reg,
 		opts:         opts,
 		pseudo:       pseudo,
-		labels:       dnssim.NewLabelStore(nil),
-		leases:       dhcp.NewLeaseStore(),
+		join:         newLocalJoin(),
 		queued:       make([]atomic.Int64, n),
 		pendDispatch: make([]int64, n),
 		dispatched:   make([]atomic.Int64, n),
 		om:           opts.Obs,
-	}
-	if lanes := routeLanes(); lanes >= 2 {
-		sp.router = newRoutePool(sp, lanes)
 	}
 	for i := 0; i < n; i++ {
 		p, err := newPipeline(reg, opts)
@@ -223,7 +194,6 @@ func NewShardedPipeline(reg *universe.Registry, opts Options, n int) (*ShardedPi
 	// shard poll (registered once every ring exists) gives snapshots a
 	// live view of transport backlog.
 	sp.queueCap.Store(queueCapacityEvents)
-	sp.om.Register("epochs_published", &sp.epochsPublished)
 	sp.om.Register("snapshot_bytes", &sp.snapshotBytes)
 	sp.om.Register("queue_capacity", &sp.queueCap)
 	sp.om.RegisterShards(sp.ShardRows)
@@ -287,16 +257,16 @@ func (sp *ShardedPipeline) slot(shard int) *shardEvent {
 	return ev
 }
 
-// flushShard seals the current epoch (if broadcasts arrived since the last
-// seal), then publishes the shard's open batch into its ring and starts a
-// fresh one. The queued gauge is raised before the (possibly stalling)
-// ring push so the events are never invisible in flight.
+// flushShard refreshes the snapshot-size gauge, then publishes the
+// shard's open batch into its ring and starts a fresh one. The queued
+// gauge is raised before the (possibly stalling) ring push so the events
+// are never invisible in flight.
 func (sp *ShardedPipeline) flushShard(shard int) {
+	sp.snapshotBytes.Store(sp.join.retainedBytes())
 	b := sp.open[shard]
 	if b.n == 0 {
 		return
 	}
-	sp.sealEpoch()
 	sp.queued[shard].Add(int64(b.n))
 	sp.rings[shard].push(b)
 	sp.open[shard] = batchPool.Get().(*eventBatch)
@@ -304,19 +274,6 @@ func (sp *ShardedPipeline) flushShard(shard int) {
 		sp.dispatched[shard].Add(n)
 		sp.pendDispatch[shard] = 0
 	}
-}
-
-// sealEpoch closes the broadcast mutations accumulated since the last
-// seal into a new epoch. The stores already hold every record (nothing is
-// copied here); sealing is the observability boundary: it counts the
-// epoch and refreshes the snapshot-size gauge.
-func (sp *ShardedPipeline) sealEpoch() {
-	if !sp.epochDirty {
-		return
-	}
-	sp.epochDirty = false
-	sp.epochsPublished.Add(1)
-	sp.snapshotBytes.Store(sp.labels.RetainedBytes() + sp.leases.RetainedBytes())
 }
 
 // Flush publishes every open batch to its shard's ring, making all
@@ -330,24 +287,17 @@ func (sp *ShardedPipeline) Flush() {
 	}
 }
 
-// Lease applies the binding once to the shared lease store under the next
-// broadcast sequence number. No per-shard work — the route stage observes
-// the binding through its pinned store view (there is exactly one lease
-// index per run).
+// Lease folds the binding into the dispatcher's join. No per-shard work:
+// the dispatcher resolves every client MAC itself.
 func (sp *ShardedPipeline) Lease(l dhcp.Lease) {
-	sp.seq++
-	sp.leases.Observe(l, sp.seq)
-	sp.epochDirty = true
+	sp.join.observeLease(l)
 	sp.dispStats.Leases++
 	sp.om.Add(obs.StageIngest, 0)
 }
 
-// DNS applies a resolver entry once to the shared label store under the
-// next broadcast sequence number.
+// DNS folds a resolver entry into the dispatcher's join.
 func (sp *ShardedPipeline) DNS(e dnssim.Entry) {
-	sp.seq++
-	sp.labels.Observe(e, sp.seq)
-	sp.epochDirty = true
+	sp.join.observeDNS(e)
 	sp.dispStats.DNSEntries++
 	sp.om.Add(obs.StageIngest, 0)
 }
@@ -357,16 +307,11 @@ func (sp *ShardedPipeline) DNS(e dnssim.Entry) {
 // counted at their target shard's intake.
 func (sp *ShardedPipeline) Flow(r flow.Record) { sp.routeFlow(&r) }
 
-// routeFlow is the per-event (serial) route path: admit as of the current
-// sequence number, then place.
+// routeFlow admits one flow against the join as of its stream position,
+// then copies it with its admission into the target shard's open batch,
+// or settles the cut.
 func (sp *ShardedPipeline) routeFlow(r *flow.Record) {
-	a := sp.admitFlowAt(r, sp.seq)
-	sp.placeFlow(r, &a)
-}
-
-// placeFlow applies one flow's admission: copy it with the flow into the
-// target shard's open batch, or settle the cut. Sequencer-only.
-func (sp *ShardedPipeline) placeFlow(r *flow.Record, a *admission) {
+	a := admitFlow(sp.join, sp.reg, !sp.opts.DisableTapFilter, r)
 	if a.cut != admitted {
 		sp.dispStats.intakeFlow(sp.om, r.TotalBytes(), a.cut)
 		return
@@ -374,7 +319,7 @@ func (sp *ShardedPipeline) placeFlow(r *flow.Record, a *admission) {
 	shard := macShard(a.mac, len(sp.shards))
 	ev := sp.slot(shard)
 	ev.kind = evFlow
-	ev.adm = *a
+	ev.adm = a
 	ev.flow = *r
 	sp.pendDispatch[shard]++
 }
@@ -385,76 +330,33 @@ func (sp *ShardedPipeline) placeFlow(r *flow.Record, a *admission) {
 func (sp *ShardedPipeline) HTTPMeta(e httplog.Entry) { sp.routeHTTP(&e) }
 
 func (sp *ShardedPipeline) routeHTTP(e *httplog.Entry) {
-	a := admitHTTP(pinnedJoin{sp, sp.seq}, e)
-	sp.placeHTTP(e, &a)
-}
-
-// placeHTTP applies one HTTP entry's admission. Sequencer-only.
-func (sp *ShardedPipeline) placeHTTP(e *httplog.Entry, a *admission) {
+	a := admitHTTP(sp.join, e)
 	if a.cut != admitted {
 		sp.dispStats.intakeHTTP(sp.om, a.cut)
 		return
 	}
 	ev := sp.slot(macShard(a.mac, len(sp.shards)))
 	ev.kind = evHTTP
-	ev.adm = *a
+	ev.adm = a
 	ev.http = *e
 }
 
 // EventBatch implements trace.BatchSink: dispatch a time-ordered run of
-// events. The incoming slice is only borrowed — routed events are copied
-// into shard batches, broadcast mutations into the shared stores, before
-// returning. Long runs take the three-phase parallel route path described
-// in route.go; short runs (or a single-processor runtime) fall back to the
-// serial per-event loop, which is stream-for-stream identical.
+// events, one at a time in stream order. The incoming slice is only
+// borrowed — routed events are copied into shard batches, broadcasts into
+// the join, before returning.
 func (sp *ShardedPipeline) EventBatch(events []trace.Event) {
-	if sp.router == nil || len(events) < routeParallelMin {
-		for i := range events {
-			ev := &events[i]
-			switch ev.Kind {
-			case trace.EventFlow:
-				sp.routeFlow(&ev.Flow)
-			case trace.EventDNS:
-				sp.DNS(ev.DNS)
-			case trace.EventHTTP:
-				sp.routeHTTP(&ev.HTTP)
-			case trace.EventLease:
-				sp.Lease(ev.Lease)
-			}
-		}
-		return
-	}
-
-	if cap(sp.decs) < len(events) {
-		sp.decs = make([]routeDecision, len(events))
-	}
-	decs := sp.decs[:len(events)]
-
-	// Phase A (sequencer): apply broadcasts in stream order, stamp every
-	// routable event with the sequence number current at its position.
-	for i := range events {
-		ev := &events[i]
-		switch ev.Kind {
-		case trace.EventDNS:
-			sp.DNS(ev.DNS)
-		case trace.EventLease:
-			sp.Lease(ev.Lease)
-		default:
-			decs[i].seq = sp.seq
-		}
-	}
-
-	// Phase B (parallel): pure admissions, pinned per event.
-	sp.router.run(events, decs)
-
-	// Phase C (sequencer): place in stream order, settle counters.
 	for i := range events {
 		ev := &events[i]
 		switch ev.Kind {
 		case trace.EventFlow:
-			sp.placeFlow(&ev.Flow, &decs[i].adm)
+			sp.routeFlow(&ev.Flow)
+		case trace.EventDNS:
+			sp.DNS(ev.DNS)
 		case trace.EventHTTP:
-			sp.placeHTTP(&ev.HTTP, &decs[i].adm)
+			sp.routeHTTP(&ev.HTTP)
+		case trace.EventLease:
+			sp.Lease(ev.Lease)
 		}
 	}
 }
@@ -481,17 +383,14 @@ func macShard(mac packet.MAC, n int) int {
 //     intake — its shard's if admitted, the dispatcher's if cut — so shard
 //     and dispatcher counts add.
 //   - dispatcher-owned: broadcast counters (DNSEntries, Leases). The
-//     dispatcher applies each broadcast exactly once to the shared stores
-//     and counts it there; shards have no join tables to apply one to.
+//     dispatcher folds each broadcast into its join exactly once and
+//     counts it there; shards have no join tables to apply one to.
 func (sp *ShardedPipeline) Finalize() *Dataset {
 	if sp.finalized {
 		panic("core: Finalize called twice")
 	}
 	sp.finalized = true
 	sp.Flush()
-	if sp.router != nil {
-		sp.router.close()
-	}
 	for i := range sp.rings {
 		sp.rings[i].close()
 	}

@@ -161,14 +161,14 @@ func mkServer(i int) netip.Addr {
 }
 
 // TestShardedSnapshotAdversarialSchedule drives the lease-update-mid-batch
-// schedule the epoch-snapshot join must survive: every group interleaves a
-// flow *between* a lease and the renewal that would retroactively cover it,
-// an HTTP entry in the same gap, a mid-stream DNS re-resolution, and a
-// rebinding to a second device. A shard reading the shared stores without
-// per-event pinning would attribute the gap flow (the renewal is already
-// in the store when the shard applies the flow), record the gap HTTP
-// user-agent, and label the straddling flow with the *later* domain — all
-// three diverging from a single pipeline. The test asserts the exact
+// schedule the sharded join must survive: every group interleaves a flow
+// *between* a lease and the renewal that would retroactively cover it, an
+// HTTP entry in the same gap, a mid-stream DNS re-resolution, and a
+// rebinding to a second device. A join that resolved a run's flows after
+// folding in the whole run's broadcasts would attribute the gap flow (the
+// renewal is already indexed), record the gap HTTP user-agent, and label
+// the straddling flow with the *later* domain — all three diverging from
+// a single pipeline. The test asserts the exact
 // single-pipeline counts first (so the schedule provably exercises the
 // traps), then full Stats and per-device parity at shards {1,2,4,8} in
 // both per-event and batch delivery.

@@ -6,8 +6,8 @@
 // window. The paper's pipeline joins raw flows against contemporaneous DHCP
 // logs to convert each dynamic IP back to the stable per-device MAC
 // address. Server generates realistic leases (with churn and address
-// reuse); the pipeline's lease index (core) and LeaseStore (the sharded
-// path's shared copy of it) perform the time-aware reverse lookup.
+// reuse); the pipeline's lease index (core) performs the time-aware
+// reverse lookup.
 package dhcp
 
 import (
@@ -34,8 +34,9 @@ type Lease struct {
 }
 
 // Contains reports whether t falls within the lease's validity window
-// (inclusive start, exclusive end).
-func (l Lease) Contains(t time.Time) bool {
+// (inclusive start, exclusive end). The pointer receiver spares the lease
+// index's lookup loop a copy of every lease it visits.
+func (l *Lease) Contains(t time.Time) bool {
 	return !t.Before(l.Start) && t.Before(l.End)
 }
 

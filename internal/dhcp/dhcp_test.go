@@ -121,125 +121,6 @@ func TestBadPools(t *testing.T) {
 	}
 }
 
-// historyStore folds a server's binding history into a LeaseStore, one
-// sequence number per episode (History is in grant order, so starts are
-// non-decreasing), and returns the last sequence number.
-func historyStore(hist []Lease) (*LeaseStore, uint64) {
-	store := NewLeaseStore()
-	for i, l := range hist {
-		store.Observe(l, uint64(i+1))
-	}
-	return store, uint64(len(hist))
-}
-
-func TestLeaseStoreAttribution(t *testing.T) {
-	s := newTestServer(t, "10.20.0.0/24", time.Hour)
-	// Device 1 holds an address, releases it; device 2 gets it later.
-	l1, _ := s.Request(mac(1), epoch)
-	s.Release(mac(1), epoch.Add(20*time.Minute))
-	var l2 Lease
-	for {
-		// Drive requests until device 2 lands on device 1's old address.
-		var err error
-		l2, err = s.Request(mac(2), epoch.Add(30*time.Minute))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if l2.Addr == l1.Addr {
-			break
-		}
-		s.Release(mac(2), epoch.Add(30*time.Minute))
-	}
-
-	store, pin := historyStore(s.History())
-	if got, ok := store.LookupAt(l1.Addr, epoch.Add(5*time.Minute), pin); !ok || got != mac(1) {
-		t.Errorf("early lookup = %v, %v", got, ok)
-	}
-	if got, ok := store.LookupAt(l1.Addr, epoch.Add(40*time.Minute), pin); !ok || got != mac(2) {
-		t.Errorf("late lookup = %v, %v", got, ok)
-	}
-	// Gap between the two bindings attributes to nobody.
-	if _, ok := store.LookupAt(l1.Addr, epoch.Add(25*time.Minute), pin); ok {
-		t.Error("gap lookup succeeded")
-	}
-	// Unknown address.
-	if _, ok := store.LookupAt(netip.MustParseAddr("10.99.0.1"), epoch, pin); ok {
-		t.Error("unknown address lookup succeeded")
-	}
-}
-
-func TestLeaseStoreBoundaries(t *testing.T) {
-	l := Lease{MAC: mac(7), Addr: netip.MustParseAddr("10.0.0.5"), Start: epoch, End: epoch.Add(time.Hour)}
-	store, pin := historyStore([]Lease{l})
-	if _, ok := store.LookupAt(l.Addr, epoch.Add(-time.Nanosecond), pin); ok {
-		t.Error("before start matched")
-	}
-	if _, ok := store.LookupAt(l.Addr, epoch, pin); !ok {
-		t.Error("start instant not matched")
-	}
-	if _, ok := store.LookupAt(l.Addr, epoch.Add(time.Hour), pin); ok {
-		t.Error("end instant matched (should be exclusive)")
-	}
-}
-
-func TestLeaseStoreMergesSameMACOverlap(t *testing.T) {
-	addr := netip.MustParseAddr("10.0.0.5")
-	store, pin := historyStore([]Lease{
-		{MAC: mac(1), Addr: addr, Start: epoch, End: epoch.Add(time.Hour)},
-		{MAC: mac(1), Addr: addr, Start: epoch.Add(30 * time.Minute), End: epoch.Add(2 * time.Hour)},
-	})
-	if got, ok := store.LookupAt(addr, epoch.Add(90*time.Minute), pin); !ok || got != mac(1) {
-		t.Errorf("merged lookup = %v, %v", got, ok)
-	}
-	// The renewal extends the episode back to its original start.
-	if got, ok := store.LookupAt(addr, epoch.Add(10*time.Minute), pin); !ok || got != mac(1) {
-		t.Errorf("episode start lookup = %v, %v", got, ok)
-	}
-}
-
-func TestServerChurnNormalizesConsistently(t *testing.T) {
-	// Heavy churn in a small pool: every flow-time lookup must agree with
-	// the server's ground truth.
-	s := newTestServer(t, "10.30.0.0/26", 45*time.Minute)
-	type obs struct {
-		mac  packet.MAC
-		addr netip.Addr
-		t    time.Time
-	}
-	var truth []obs
-	now := epoch
-	for i := 0; i < 3000; i++ {
-		now = now.Add(time.Duration(1+i%7) * time.Minute)
-		m := mac(i % 90)
-		l, err := s.Request(m, now)
-		if errors.Is(err, ErrPoolExhausted) {
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		truth = append(truth, obs{m, l.Addr, now})
-		if i%13 == 0 {
-			s.Release(m, now.Add(time.Minute))
-		}
-	}
-	store, pin := historyStore(s.History())
-	misses := 0
-	for _, o := range truth {
-		got, ok := store.LookupAt(o.addr, o.t, pin)
-		if !ok {
-			misses++
-			continue
-		}
-		if got != o.mac {
-			t.Fatalf("lookup(%v,%v) = %v, want %v", o.addr, o.t, got, o.mac)
-		}
-	}
-	if misses > 0 {
-		t.Errorf("%d/%d observations unattributed", misses, len(truth))
-	}
-}
-
 func TestLogRoundTrip(t *testing.T) {
 	s := newTestServer(t, "10.40.0.0/24", time.Hour)
 	for i := 0; i < 40; i++ {

@@ -4,16 +4,11 @@ package dnssim
 // distinct domain is stored once per run, and every label span, device
 // bitmap key and appsig probe afterwards shares that one instance. Log
 // replay otherwise retains a fresh substring of each log line per span
-// (pinning the line), and the shared label store would duplicate label
-// storage per mutation record. Interned strings also make the downstream
-// map probes (domainBit, sigDomains, appsig suffix walk) cheaper: equal
-// keys compare pointer-equal before any byte comparison.
+// (pinning the line). Interned strings also make the downstream map probes
+// (domainBit, sigDomains, appsig suffix walk) cheaper: equal keys compare
+// pointer-equal before any byte comparison.
 //
-// Not safe for concurrent use — an Interner is owned by whoever owns the
-// write side of the join tables (a single Pipeline, or the sharded
-// dispatcher), which is exactly the single intern table per run the
-// shared store needs: readers only ever see the canonical instances
-// already stored in records.
+// Not safe for concurrent use — an Interner is owned by its Labeler.
 type Interner struct {
 	m map[string]string
 	// bytes is the total length of distinct strings retained.

@@ -108,8 +108,8 @@ func (r *run) deliver(out *trace.Batcher) {
 //
 // Events pass through a trace.Batcher, flushed at each UTC day rollover
 // of the merged traffic and at the end of the directory: each boundary is
-// an epoch seal for a batch-capable sink (the sharded pipeline) and a
-// no-op for a plain one.
+// a flush for a batch-capable sink (the sharded pipeline) and a no-op for
+// a plain one.
 //
 // Decode overlaps delivery: a producer goroutine opens and decodes the
 // logs, applies the guard and the merge, and hands the stream over in

@@ -17,14 +17,14 @@ type IngestBench struct {
 	Seconds     float64 `json:"seconds"`
 	FlowsPerSec float64 `json:"flows_per_sec"`
 	BytesPerSec float64 `json:"bytes_per_sec"`
-	// Epoch-snapshot counters (sharded runs only; zero and omitted for a
-	// single pipeline). Reports written before these fields existed simply
-	// lack them — CompareBench skips metrics absent (≤ 0) on either side,
-	// so old baselines keep diffing cleanly.
-	EpochsPublished int64 `json:"epochs_published,omitempty"`
-	SnapshotBytes   int64 `json:"snapshot_bytes,omitempty"`
+	// SnapshotBytes is the sharded dispatcher's join tables' approximate
+	// retained bytes (sharded runs only; zero and omitted for a single
+	// pipeline). Reports written before the field existed simply lack it —
+	// CompareBench skips metrics absent (≤ 0) on either side, so old
+	// baselines keep diffing cleanly.
+	SnapshotBytes int64 `json:"snapshot_bytes,omitempty"`
 	// Scaling reference rates (written by -measure-scaling runs; omitted
-	// otherwise, with the same ≤0-skip compatibility as the epoch fields):
+	// otherwise, with the same ≤0-skip compatibility as SnapshotBytes):
 	// the same recorded event window replayed through a fresh single
 	// pipeline and a fresh sharded pipeline, events per second each, and
 	// their quotient normalized by the shard count:

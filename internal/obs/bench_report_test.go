@@ -72,15 +72,14 @@ func TestCompareBench(t *testing.T) {
 }
 
 // TestCompareBenchOldBaselineWithoutEpochFields pins forward compatibility
-// of the baseline format: a baseline written before the epoch-snapshot
-// fields existed (epochs_published, snapshot_bytes zero after decode) must
-// compare cleanly against a current report that carries them — the
-// missing metrics are skipped, never reported as regressions, and the
-// rest of the comparison still runs.
+// of the baseline format: a baseline written before the snapshot-size
+// field existed (snapshot_bytes zero after decode) must compare cleanly
+// against a current report that carries it — the missing metric is
+// skipped, never reported as a regression, and the rest of the comparison
+// still runs.
 func TestCompareBenchOldBaselineWithoutEpochFields(t *testing.T) {
 	old := sampleReport(100000, 10) // pre-epoch baseline: zero-valued new fields
 	cur := sampleReport(99000, 10)
-	cur.Ingest.EpochsPublished = 75
 	cur.Ingest.SnapshotBytes = 48 << 20
 
 	for _, d := range CompareBench(old, cur, 0.10) {

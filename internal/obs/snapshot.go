@@ -70,8 +70,7 @@ type Snapshot struct {
 	Imbalance float64 `json:"dispatch_imbalance,omitempty"`
 	// Counters holds every registered cell by name (Metrics.Register): the
 	// stage cache's cache_* counters (runs with a cache store), and the
-	// sharded pipeline's epochs_published, epoch_pins, snapshot_bytes and
-	// queue_capacity.
+	// sharded pipeline's snapshot_bytes and queue_capacity.
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 

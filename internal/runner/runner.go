@@ -124,6 +124,9 @@ func (c Config) policy() (faultline.Policy, error) {
 	if c.Logs == "" && (policy != faultline.PolicyStrict || c.FaultInject > 0) {
 		return policy, errors.New("-fault-policy/-fault-inject require -logs (nothing to decode on the generator path)")
 	}
+	if c.Logs != "" && c.Yoy {
+		return policy, errors.New("-yoy needs the generator path: -logs replays recorded logs, which have no counterfactual baseline year")
+	}
 	if policy == faultline.PolicyQuarantine && c.Out == "" {
 		return policy, errors.New("-fault-policy quarantine needs an output directory to write quarantine.log into")
 	}
@@ -282,11 +285,12 @@ func Run(cfg Config, env Env) (*Result, error) {
 	if err := os.MkdirAll(cfg.Out, 0o755); err != nil {
 		return nil, err
 	}
-	// Counterfactual baseline (generator mode only): its own stats-stage
-	// entry keyed with no_pandemic=true, resolved before the figures stage
-	// so the figures key can chain on the baseline's content.
+	// Counterfactual baseline (generator mode only; policy refuses -yoy
+	// with -logs): its own stats-stage entry keyed with no_pandemic=true,
+	// resolved before the figures stage so the figures key can chain on
+	// the baseline's content.
 	var base *statsEntry
-	if cfg.Yoy && cfg.Logs == "" {
+	if cfg.Yoy {
 		if base, err = b.baseline(); err != nil {
 			return nil, err
 		}

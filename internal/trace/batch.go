@@ -125,10 +125,8 @@ func (b *Batcher) Lease(l dhcp.Lease) {
 
 // Flush drains the open run and forwards the flush to a batch-capable
 // sink; a no-op for plain sinks. Call at stream boundaries (end of input,
-// end of a trace day). Each forwarded flush is an epoch boundary: a
-// batch-capable sink must make every event delivered so far visible, and
-// the sharded pipeline additionally seals its pending join-table delta
-// into a published snapshot epoch there.
+// end of a trace day). Each forwarded flush is a visibility boundary: a
+// batch-capable sink must make every event delivered so far visible.
 func (b *Batcher) Flush() {
 	if b.bs == nil {
 		return
