@@ -35,15 +35,16 @@ bench-check:
 # keeps the generator-bound packages inside the time budget; the
 # concurrency-heavy packages then rerun un-short so nothing the -short
 # matrix narrows escapes the detector. The last pass repeats the sharded
-# dispatch, parity and ordering tests for more interleavings.
+# dispatch, parity and ordering tests and the tree digest's worker pool
+# for more interleavings.
 race:
 	GOMAXPROCS=4 $(GO) test -race -short ./...
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 		./internal/core ./internal/obs ./internal/dhcp ./internal/dnssim ./internal/logsink \
 		./internal/trace
 	GOMAXPROCS=4 $(GO) test -race -count=10 \
-		-run 'Adversarial|LeaseBeforeFlow|RouteAdmissionOracle|QueueDepthBounded|DispatchSettlesOncePerBatch' \
-		./internal/core
+		-run 'Adversarial|LeaseBeforeFlow|RouteAdmissionOracle|QueueDepthBounded|DispatchSettlesOncePerBatch|TreeDigest' \
+		./internal/core ./internal/stagecache
 
 # Standard linters plus the repository's custom invariant analyzers.
 lint: lint-golangci lint-custom

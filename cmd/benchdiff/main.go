@@ -142,7 +142,7 @@ func run(w io.Writer, oldPath, newPath string, maxRegress, minEfficiency, maxEff
 	}
 
 	if newR.Cache != nil {
-		fmt.Fprintf(w, "%s\n", cacheLine(newR.Cache))
+		fmt.Fprintf(w, "%s\n", cacheLine(newR))
 	}
 
 	if summaryPath != "" {
@@ -196,15 +196,24 @@ func writeSummary(path string, oldR, newR *obs.BenchReport, deltas []obs.BenchDe
 		}
 	}
 	if newR.Cache != nil {
-		fmt.Fprintf(f, "\n%s\n", cacheLine(newR.Cache))
+		fmt.Fprintf(f, "\n%s\n", cacheLine(newR))
 	}
 	fmt.Fprintln(f)
 	return f.Close()
 }
 
-// cacheLine renders a candidate report's stage-cache accounting (runs
-// with -cache-dir write it; older reports simply lack it).
-func cacheLine(c *obs.CacheBench) string {
-	return fmt.Sprintf("cache: hits=%d misses=%d invalidations=%d verify_failures=%d",
+// cacheLine renders a candidate report's stage-cache accounting and its
+// content-keying cost (runs with -cache-dir write them; older reports
+// simply lack them).
+func cacheLine(r *obs.BenchReport) string {
+	c := r.Cache
+	line := fmt.Sprintf("cache: hits=%d misses=%d invalidations=%d verify_failures=%d",
 		c.Hits, c.Misses, c.Invalidations, c.VerifyFailures)
+	if r.KeyingMS > 0 {
+		line += fmt.Sprintf(" keying_ms=%.1f", r.KeyingMS)
+	}
+	if r.HashedMB > 0 {
+		line += fmt.Sprintf(" hashed_mb=%.1f", r.HashedMB)
+	}
+	return line
 }

@@ -283,3 +283,21 @@ func TestBenchdiffSummary(t *testing.T) {
 		}
 	}
 }
+
+// TestBenchdiffCacheLine pins the cache line: the probe counters always,
+// the content-keying cost only when the report carries it.
+func TestBenchdiffCacheLine(t *testing.T) {
+	c := &obs.CacheBench{Hits: 1, Misses: 3, Invalidations: 3}
+	for _, tc := range []struct {
+		r    obs.BenchReport
+		want string
+	}{
+		{obs.BenchReport{Cache: c}, "cache: hits=1 misses=3 invalidations=3 verify_failures=0"},
+		{obs.BenchReport{Cache: c, KeyingMS: 41.3, HashedMB: 68.87},
+			"cache: hits=1 misses=3 invalidations=3 verify_failures=0 keying_ms=41.3 hashed_mb=68.9"},
+	} {
+		if got := cacheLine(&tc.r); got != tc.want {
+			t.Errorf("cacheLine = %q, want %q", got, tc.want)
+		}
+	}
+}

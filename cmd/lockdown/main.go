@@ -218,6 +218,7 @@ func run(cfg config) error {
 				Invalidations:  snap.Counters["cache_invalidations"],
 				VerifyFailures: snap.Counters["cache_verify_failures"],
 			}
+			br.KeyingMS, br.HashedMB = res.KeyingMS, float64(res.HashedBytes)/(1<<20)
 		}
 		if cfg.measureScaling {
 			singleRate, shardedRate, err := measureScaling(reg, cfg, shards, statusW)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/campus"
 	"repro/internal/faultline"
 	"repro/internal/logsink"
+	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/trace"
 	"repro/internal/universe"
@@ -15,7 +17,7 @@ import (
 
 // writeRotatedTestLogs generates a small rotated (one directory per day)
 // dataset for the per-day checkpoint tests.
-func writeRotatedTestLogs(t *testing.T, from, to campus.Day) string {
+func writeRotatedTestLogs(t *testing.T, from, to campus.Day, seed int64) string {
 	t.Helper()
 	dir := t.TempDir()
 	reg, err := universe.New()
@@ -24,6 +26,7 @@ func writeRotatedTestLogs(t *testing.T, from, to campus.Day) string {
 	}
 	cfg := trace.DefaultConfig()
 	cfg.Scale = 0.002
+	cfg.Seed = seed
 	g, err := trace.New(cfg, reg)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +52,7 @@ func writeRotatedTestLogs(t *testing.T, from, to campus.Day) string {
 // emit outputs byte-identical to a cache-free run over the full dataset.
 // The append run's full cache accounting is pinned too.
 func TestStatsdayAppendIncremental(t *testing.T) {
-	logsDir := writeRotatedTestLogs(t, 40, 46)
+	logsDir := writeRotatedTestLogs(t, 40, 46, 1)
 	days, err := logsink.DayDirs(logsDir)
 	if err != nil || len(days) != 6 {
 		t.Fatalf("day dirs = %v (err %v), want 6 days", days, err)
@@ -106,11 +109,97 @@ func TestStatsdayAppendIncremental(t *testing.T) {
 	wantIdenticalOutputs(t, "unchanged rerun", readOutputs(t, refDir), readOutputs(t, againDir))
 }
 
+// TestStatsdayMidHistoryEdit pins the other half of the chain's contract:
+// editing a historical day invalidates its checkpoint and every later one,
+// and nothing before it. On a cache grown one day at a time to six days,
+// with day 4 replaced by a version that still parses, the rerun must miss
+// days 6, 5 and 4, restore day 3's checkpoint and replay three days, with outputs byte-identical to a cache-free run
+// over the edited tree. A key chain that paired day i with day i-1's
+// content would hit at day 4 and replay two. The run's bench report must
+// also say it hashed the tree exactly once: its hashed bytes equal an
+// independent stat walk of the tree.
+func TestStatsdayMidHistoryEdit(t *testing.T) {
+	logsDir := writeRotatedTestLogs(t, 40, 46, 1)
+	days, err := logsink.DayDirs(logsDir)
+	if err != nil || len(days) != 6 {
+		t.Fatalf("day dirs = %v (err %v), want 6 days", days, err)
+	}
+	base := cacheTestConfig(t, t.TempDir())
+	base.Scale = 0.002
+	base.Logs = logsDir
+
+	// Grow the cache the way a daily append does, one day per run, so it
+	// holds a checkpoint for every day.
+	hold := t.TempDir()
+	for _, d := range days[1:] {
+		if err := os.Rename(filepath.Join(logsDir, d), filepath.Join(hold, d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, d := range days {
+		if i > 0 {
+			if err := os.Rename(filepath.Join(hold, d), filepath.Join(logsDir, d)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seeded := base
+		seeded.Out = t.TempDir()
+		statusHas(t, "seed "+d, runCached(t, seeded),
+			fmt.Sprintf("statsday: days=%d replayed=1 misses=1 hits=%d", i+1, min(i, 1)))
+	}
+
+	// Day 4 generated again under another seed: valid logs, other bytes.
+	edited := days[3]
+	other := writeRotatedTestLogs(t, 43, 44, 2)
+	if err := os.RemoveAll(filepath.Join(logsDir, edited)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(filepath.Join(other, edited), filepath.Join(logsDir, edited)); err != nil {
+		t.Fatal(err)
+	}
+
+	incr := base
+	incr.Out = t.TempDir()
+	incr.benchJSON = filepath.Join(t.TempDir(), "bench.json")
+	statusHas(t, "edit", runCached(t, incr), "statsday: days=6 replayed=3 misses=3 hits=1")
+
+	ref := base
+	ref.CacheDir = ""
+	ref.Out = t.TempDir()
+	runCached(t, ref)
+	wantIdenticalOutputs(t, "edit vs cache-free", readOutputs(t, ref.Out), readOutputs(t, incr.Out))
+
+	br, err := obs.LoadBench(incr.benchJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for _, d := range days {
+		ents, err := os.ReadDir(filepath.Join(logsDir, d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			fi, err := os.Stat(filepath.Join(logsDir, d, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += fi.Size()
+		}
+	}
+	if got := br.HashedMB * (1 << 20); got != float64(want) {
+		t.Errorf("bench report hashed %.0f bytes, the tree holds %d", got, want)
+	}
+	if br.KeyingMS <= 0 {
+		t.Errorf("bench report keying_ms = %v, want > 0", br.KeyingMS)
+	}
+}
+
 // TestStatsdayEligibility pins the gate: the per-day checkpoint path only
 // engages for single-shard strict-policy replays of a rotated layout, and
 // never in generate mode.
 func TestStatsdayEligibility(t *testing.T) {
-	logsDir := writeRotatedTestLogs(t, 40, 42)
+	logsDir := writeRotatedTestLogs(t, 40, 42, 1)
 	flatDir := writeTestLogs(t)
 
 	reg, err := universe.New()

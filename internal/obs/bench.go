@@ -79,8 +79,15 @@ type BenchReport struct {
 	// SealMS is the total cost of the per-day seals. Written by runs that
 	// take the per-day checkpoint path (-cache-dir over a rotated dataset);
 	// omitted otherwise, with the usual ≤0-skip baseline compatibility.
-	SealMS float64         `json:"seal_ms,omitempty"`
-	Stages []StageSnapshot `json:"stages,omitempty"`
+	SealMS float64 `json:"seal_ms,omitempty"`
+	// KeyingMS is the content-keying layer's wall time and HashedMB the
+	// replayed tree it read, in MiB (runs with -cache-dir; HashedMB only
+	// with -logs). They sit beside Cache rather than in it: lockbench's
+	// traced append compares a whole CacheBench against its own probe
+	// counters. Neither is gated.
+	KeyingMS float64         `json:"keying_ms,omitempty"`
+	HashedMB float64         `json:"hashed_mb,omitempty"`
+	Stages   []StageSnapshot `json:"stages,omitempty"`
 	// Cache is the stage-cache accounting (runs with -cache-dir only).
 	Cache *CacheBench `json:"cache,omitempty"`
 }

@@ -86,6 +86,12 @@ type Result struct {
 	FiguresWallMS float64
 	Cache         string // the `cache:` status text ("" without -cache-dir)
 	Cached        bool   // the store engaged
+	// KeyingMS is the content-keying layer's cost: the replayed tree's
+	// one hashing pass plus the stats and figures keys (the per-day keys
+	// reuse the tree's day digests). HashedBytes is what the tree pass
+	// read (cached -logs runs only).
+	KeyingMS    float64
+	HashedBytes int64
 }
 
 // Pipeline is the surface every run drives, over either core.Pipeline or
@@ -214,6 +220,7 @@ type batch struct {
 	rc     *Cache
 	policy faultline.Policy
 	guard  *faultline.Guard // the replay's guard; nil when stats hit
+	tree   *stagecache.Tree // the replayed tree's digests (cached -logs runs)
 	sd     *statsday        // the per-day path's accounting, when it ran
 }
 
@@ -237,15 +244,19 @@ func Run(cfg Config, env Env) (*Result, error) {
 	// cache hit replaces the entire ingest (and, in logs mode, the
 	// truth-rebuild generator pass). Replayed datasets enter the key by
 	// content: hashing the whole tree is what makes a single flipped input
-	// byte a different key.
+	// byte a different key. The tree is hashed once; the per-day path keys
+	// each day on its subdirectory's digest from the same pass.
 	var logsDigest, statsKey stagecache.Digest
 	if rc.Store != nil {
+		t0 := time.Now()
 		if cfg.Logs != "" {
-			if logsDigest, _, err = stagecache.TreeDigest(cfg.Logs); err != nil {
+			if b.tree, err = stagecache.HashTree(cfg.Logs); err != nil {
 				return nil, err
 			}
+			logsDigest, res.HashedBytes = b.tree.Root, b.tree.Bytes
 		}
 		statsKey = rc.StatsKey(cfg, logsDigest, false)
+		res.KeyingMS += msSince(t0)
 	}
 	start := time.Now()
 	stats, err := rc.stats(statsKey, true,
@@ -318,6 +329,8 @@ func Run(cfg Config, env Env) (*Result, error) {
 
 var hitMiss = map[bool]string{true: "hit", false: "miss"}
 
+func msSince(t0 time.Time) float64 { return float64(time.Since(t0).Nanoseconds()) / 1e6 }
+
 // ingest runs the source and ingest layers into a fresh (or restored)
 // pipeline and finalizes it.
 func (b *batch) ingest() (*core.Dataset, truthMap, error) {
@@ -370,7 +383,7 @@ func (b *batch) ingest() (*core.Dataset, truthMap, error) {
 	if StatsdayEligible(cfg, b.rc, b.policy) {
 		// Incremental path: restore the deepest cached per-day checkpoint
 		// and replay only the days past it.
-		if b.sd, err = b.rc.runStatsday(cfg, env.Reg, opts, replay); err != nil {
+		if b.sd, err = b.rc.runStatsday(cfg, b.tree, env.Reg, opts, replay); err != nil {
 			return nil, nil, err
 		}
 		pipe = b.sd.pipe
@@ -434,12 +447,14 @@ func (b *batch) figures(stats, base *statsEntry, res *Result) (arts map[string][
 	var figKey, dsDigest, truthDigest stagecache.Digest
 	res.FiguresMS = map[string]float64{}
 	if rc.Store != nil {
+		t0 := time.Now()
 		dsDigest, truthDigest = stagecache.ContentDigest(stats.dsBytes), stagecache.ContentDigest(stats.truthBytes)
 		var yoyDigest stagecache.Digest
 		if base != nil {
 			yoyDigest = stagecache.ContentDigest(base.dsBytes)
 		}
 		figKey = rc.FiguresKey(cfg, dsDigest, truthDigest, yoyDigest)
+		res.KeyingMS += msSince(t0)
 		if files, ok := rc.Store.GetBytes("figures", figKey, validateArtifacts); ok {
 			return files, true, nil
 		}
@@ -462,7 +477,7 @@ func (b *batch) figures(stats, base *statsEntry, res *Result) (arts map[string][
 	if arts, err = renderArtifacts(fr); err != nil {
 		return nil, false, err
 	}
-	res.FiguresMS["render_csv"] = float64(time.Since(t0).Nanoseconds()) / 1e6
+	res.FiguresMS["render_csv"] = msSince(t0)
 	if rc.Store != nil {
 		err = rc.Store.PutBytes("figures", figKey,
 			map[string]stagecache.Digest{"dataset": dsDigest, "truth": truthDigest}, arts)

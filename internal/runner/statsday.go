@@ -102,7 +102,7 @@ func (r *statsday) line() string {
 // cached checkpoint, restore (or start fresh), replay and seal only the
 // remaining days, and publish the final day's checkpoint for the next run.
 // The caller finalizes the returned pipeline.
-func (rc *Cache) runStatsday(cfg Config, reg *universe.Registry, opts core.Options, replayOpts logsink.ReplayOptions) (*statsday, error) {
+func (rc *Cache) runStatsday(cfg Config, tree *stagecache.Tree, reg *universe.Registry, opts core.Options, replayOpts logsink.ReplayOptions) (*statsday, error) {
 	days, err := logsink.DayDirs(cfg.Logs)
 	if err != nil {
 		return nil, err
@@ -110,9 +110,11 @@ func (rc *Cache) runStatsday(cfg Config, reg *universe.Registry, opts core.Optio
 	keys := make([]stagecache.Digest, len(days))
 	var prev stagecache.Digest
 	for i, d := range days {
-		dayDigest, _, err := stagecache.TreeDigest(filepath.Join(cfg.Logs, d))
-		if err != nil {
-			return nil, err
+		// Each day's digest is a Merkle child of the stats key's tree
+		// digest: the one pass over the tree already computed it.
+		dayDigest, ok := tree.Dirs[d]
+		if !ok {
+			return nil, fmt.Errorf("statsday: day %s appeared after %s was hashed", d, cfg.Logs)
 		}
 		keys[i] = rc.statsdayKey(cfg, prev, d, dayDigest)
 		prev = keys[i]
@@ -153,7 +155,7 @@ func (rc *Cache) runStatsday(cfg Config, reg *universe.Registry, opts core.Optio
 		}
 		t0 := time.Now()
 		pipe.SealDay(days[i])
-		res.sealMS += float64(time.Since(t0).Nanoseconds()) / 1e6
+		res.sealMS += msSince(t0)
 		res.replayed++
 	}
 

@@ -29,11 +29,8 @@ import (
 	"fmt"
 	"hash"
 	"io"
-	"io/fs"
 	"math"
 	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 
 	"repro/internal/universe"
@@ -177,58 +174,4 @@ func RulesDigest(reg *universe.Registry, appsigRows []string) Digest {
 	}
 	h.String("resolver", reg.ResolverAddr().String())
 	return h.Sum()
-}
-
-// TreeDigest digests a dataset directory: every regular file's relative
-// path, size and content, in sorted path order. Flipping any single input
-// byte, renaming a file, or adding/removing one changes the digest. The
-// second return is the total byte count (for status lines).
-func TreeDigest(dir string) (Digest, int64, error) {
-	h := sha256.New()
-	io.WriteString(h, "stagecache/tree/v1\x00")
-	var total int64
-	var paths []string
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.Type().IsRegular() {
-			paths = append(paths, path)
-		}
-		return nil
-	})
-	if err != nil {
-		return "", 0, err
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		rel, err := filepath.Rel(dir, path)
-		if err != nil {
-			return "", 0, err
-		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			return "", 0, err
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return "", 0, err
-		}
-		var buf [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(buf[:], uint64(len(rel)))
-		h.Write(buf[:n])
-		io.WriteString(h, filepath.ToSlash(rel))
-		n = binary.PutUvarint(buf[:], uint64(fi.Size()))
-		h.Write(buf[:n])
-		sz, err := io.Copy(h, f)
-		f.Close()
-		if err != nil {
-			return "", 0, err
-		}
-		if sz != fi.Size() {
-			return "", 0, fmt.Errorf("stagecache: %s changed while hashing", path)
-		}
-		total += sz
-	}
-	return sumDigest(h), total, nil
 }
