@@ -5,9 +5,6 @@ GO ?= go
 .PHONY: all build vet test test-short bench-check race lint lint-golangci lint-custom fuzz-smoke fault-smoke daemon-smoke cache-smoke append-smoke ci bench cover figures figures-full examples clean
 
 BENCH_JSON ?= BENCH_$(shell date +%F).json
-BENCH_SHARDED_JSON ?= BENCH_shards4_$(shell date +%F).json
-BENCH_SHARDED_P2_JSON ?= BENCH_shards4_p2_$(shell date +%F).json
-BENCH_P4_JSON ?= BENCH_p4_$(shell date +%F).json
 
 all: build vet test
 
@@ -30,21 +27,22 @@ test-short:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
-# Full race pass at four scheduler procs so the lock-free ring, the shard
-# workers and the figure worker pools see real interleavings. -short
-# keeps the generator-bound packages inside the time budget; the
-# concurrency-heavy packages then rerun un-short so nothing the -short
-# matrix narrows escapes the detector. The last pass repeats the sharded
-# dispatch, parity and ordering tests and the tree digest's worker pool
-# for more interleavings.
+# Full race pass at four scheduler procs so the goroutine-owning code —
+# the replay's decode producer, the generator's day producer and its
+# plan/build workers, the tree digest's workers and the figure worker
+# pools — sees real interleavings. -short keeps the generator-bound
+# packages inside the time budget; the concurrency-heavy packages then
+# rerun un-short so nothing the -short matrix narrows escapes the
+# detector. The last pass repeats the tests that drive those goroutines
+# (and seal-while-serving snapshot readers) for more interleavings.
 race:
 	GOMAXPROCS=4 $(GO) test -race -short ./...
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 		./internal/core ./internal/obs ./internal/dhcp ./internal/dnssim ./internal/logsink \
 		./internal/trace
 	GOMAXPROCS=4 $(GO) test -race -count=10 \
-		-run 'Adversarial|LeaseBeforeFlow|RouteAdmissionOracle|QueueDepthBounded|DispatchSettlesOncePerBatch|TreeDigest' \
-		./internal/core ./internal/stagecache
+		-run 'TreeDigest|ReplaySinkPanicUnwinds|TailStopMidDayNoLeak|ReplayStrictErrorPrefix|GoldenStream|RunDaysUnwindsOnSinkPanic|SealWhileIngestConcurrentReaders' \
+		./internal/stagecache ./internal/logsink ./internal/trace ./internal/core
 
 # Standard linters plus the repository's custom invariant analyzers.
 lint: lint-golangci lint-custom
@@ -79,21 +77,30 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFieldBytes -fuzztime 30s ./internal/zeeklog
 
 # Corruption-replay smoke: generate a 5%-scale dataset, replay it with 0.1%
-# seeded corruption under the skip policy — once through the single
-# pipeline and once through 4 shards, whose outputs
-# must be byte-identical. CI additionally diffs the figure-CSV shapes
-# against a clean replay and audits the sharded guard's accounting (see
-# the fault-smoke job); the exhaustive differential harness is
+# seeded corruption under the skip policy, and audit the guard's books
+# (accepted + dropped == offered) from its end-of-run line. CI additionally
+# diffs the figure-CSV shapes against a clean replay (see the fault-smoke
+# job); the exhaustive differential harness is
 # `go test ./internal/faultline -run TestDifferential`.
 fault-smoke:
 	$(GO) run ./cmd/tracegen -scale 0.05 -out faultlogs
 	$(GO) run ./cmd/lockdown -logs faultlogs -quiet -out fault-skip \
 		-key 6c6f636b646f776e2d6661756c742d736d6f6b65 \
-		-fault-inject 0.001 -fault-seed 7 -fault-policy skip
-	$(GO) run ./cmd/lockdown -logs faultlogs -quiet -out fault-skip-sharded \
-		-key 6c6f636b646f776e2d6661756c742d736d6f6b65 \
-		-shards 4 -fault-inject 0.001 -fault-seed 7 -fault-policy skip
-	diff -r fault-skip fault-skip-sharded
+		-fault-inject 0.001 -fault-seed 7 -fault-policy skip 2>fault-skip.log
+	cat fault-skip.log
+	grep 'fault guard: policy=skip offered=' fault-skip.log | awk '{ \
+		for (i = 1; i <= NF; i++) { \
+			split($$i, kv, "="); \
+			if (kv[1] == "offered") off = kv[2]; \
+			if (kv[1] == "accepted") acc = kv[2]; \
+			if (kv[1] == "dropped") drop = kv[2]; \
+		} \
+	} END { \
+		if (off == "" || acc + drop != off) { \
+			print "guard accounting broken: accepted " acc " + dropped " drop " != offered " off; \
+			exit 1; \
+		} \
+	}'
 
 # Service-mode smoke: generate a 5%-scale rotated dataset (two weeks
 # around the shutdown), mark it complete, run the batch CLI over it, then
@@ -136,26 +143,13 @@ append-smoke:
 
 ci: build vet test race lint
 
-# Go micro-benchmarks plus machine-readable end-to-end bench reports
-# (single and 4-shard batched ingest) that cmd/benchdiff can gate on. The
-# GOMAXPROCS=2 sharded report mirrors CI's smoke-bench-parallel gate: the
-# dispatcher-side join must keep 4-shard ingest ahead of the single
-# pipeline even at two cores. The GOMAXPROCS=4 -measure-scaling report
-# mirrors the smoke-bench-parallel-4 scaling-efficiency gate; benchdiff
-# applies the 0.4 floor only when the report's maxprocs AND hardware CPU
-# count cover the shard count, so regenerating it on fewer cores records
-# honest (time-sliced) numbers without tripping the gate.
+# Go micro-benchmarks plus a machine-readable end-to-end bench report that
+# cmd/benchdiff can gate on.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 	$(GO) run ./cmd/lockdown -scale 0.05 -quiet -out results-bench \
 		-bench-json $(BENCH_JSON)
-	$(GO) run ./cmd/lockdown -scale 0.05 -shards 4 -quiet -out results-bench-sharded \
-		-bench-json $(BENCH_SHARDED_JSON)
-	GOMAXPROCS=2 $(GO) run ./cmd/lockdown -scale 0.05 -shards 4 -quiet \
-		-out results-bench-sharded-p2 -bench-json $(BENCH_SHARDED_P2_JSON)
-	GOMAXPROCS=4 $(GO) run ./cmd/lockdown -scale 0.05 -shards 4 -quiet \
-		-measure-scaling -out results-bench-p4 -bench-json $(BENCH_P4_JSON)
-	@echo "wrote $(BENCH_JSON), $(BENCH_SHARDED_JSON), $(BENCH_SHARDED_P2_JSON) and $(BENCH_P4_JSON)"
+	@echo "wrote $(BENCH_JSON)"
 
 cover:
 	$(GO) test -cover ./internal/...
@@ -177,7 +171,6 @@ examples:
 	$(GO) run ./examples/counterfactual
 
 clean:
-	rm -rf results results_full results-bench results-bench-sharded \
-		results-bench-sharded-p2 results-bench-p4 faultlogs fault-skip \
-		fault-skip-sharded daemonlogs daemon-batch cache-smoke-work \
+	rm -rf results results_full results-bench faultlogs fault-skip \
+		fault-skip.log daemonlogs daemon-batch cache-smoke-work \
 		append-smoke-work bin

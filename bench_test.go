@@ -11,7 +11,6 @@ package lockdownrepro
 //	go test -bench=. -benchmem
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -322,38 +321,40 @@ func (nullSink) DNS(dnssim.Entry)       {}
 func (nullSink) HTTPMeta(httplog.Entry) {}
 func (nullSink) Lease(dhcp.Lease)       {}
 
-// The ingest-only benchmarks below record a slice of generated days once
-// and replay it, so they measure dispatch + pipeline work alone with
-// generation off the clock — the number the sharded dispatcher's batch
-// protocol is accountable to.
+// The ingest-only benchmark below records a slice of generated days once
+// and replays it, so it measures pipeline work alone with generation off
+// the clock.
 
 const (
 	benchIngestFrom = campus.Day(60) // online term: peak traffic mix
 	benchIngestTo   = campus.Day(64)
 )
 
+// recordedEvent replays one recorded event into a sink.
+type recordedEvent func(trace.Sink)
+
 var (
 	benchEventsOnce sync.Once
-	benchEvents     []trace.Event
+	benchEvents     []recordedEvent
 	benchEventsErr  error
 )
 
-type recordingSink struct{ events *[]trace.Event }
+type recordingSink struct{ events *[]recordedEvent }
 
 func (s recordingSink) Flow(r flow.Record) {
-	*s.events = append(*s.events, trace.Event{Kind: trace.EventFlow, Flow: r})
+	*s.events = append(*s.events, func(k trace.Sink) { k.Flow(r) })
 }
 func (s recordingSink) DNS(e dnssim.Entry) {
-	*s.events = append(*s.events, trace.Event{Kind: trace.EventDNS, DNS: e})
+	*s.events = append(*s.events, func(k trace.Sink) { k.DNS(e) })
 }
 func (s recordingSink) HTTPMeta(e httplog.Entry) {
-	*s.events = append(*s.events, trace.Event{Kind: trace.EventHTTP, HTTP: e})
+	*s.events = append(*s.events, func(k trace.Sink) { k.HTTPMeta(e) })
 }
 func (s recordingSink) Lease(l dhcp.Lease) {
-	*s.events = append(*s.events, trace.Event{Kind: trace.EventLease, Lease: l})
+	*s.events = append(*s.events, func(k trace.Sink) { k.Lease(l) })
 }
 
-func ingestEvents(b *testing.B) []trace.Event {
+func ingestEvents(b *testing.B) []recordedEvent {
 	b.Helper()
 	benchEventsOnce.Do(func() {
 		reg, err := universe.New()
@@ -376,23 +377,6 @@ func ingestEvents(b *testing.B) []trace.Event {
 	return benchEvents
 }
 
-// feedEvents drives a recorded event stream into sink, using the batched
-// fast path when the sink advertises one.
-func feedEvents(sink trace.Sink, events []trace.Event) {
-	if bs, ok := sink.(trace.BatchSink); ok {
-		for len(events) > 0 {
-			n := min(1024, len(events))
-			bs.EventBatch(events[:n])
-			events = events[n:]
-		}
-		bs.Flush()
-		return
-	}
-	for i := range events {
-		events[i].Deliver(sink)
-	}
-}
-
 // BenchmarkIngestEventsSingle replays the recorded stream through one
 // Pipeline — the single-core ingest ceiling.
 func BenchmarkIngestEventsSingle(b *testing.B) {
@@ -408,38 +392,12 @@ func BenchmarkIngestEventsSingle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		feedEvents(pipe, events)
+		for _, ev := range events {
+			ev(pipe)
+		}
 	}
 	b.StopTimer()
 	reportEventRate(b, len(events))
-}
-
-// BenchmarkIngestEventsSharded replays the same stream through the
-// sharded dispatcher at several shard counts. The 4-shard result against
-// BenchmarkIngestEventsSingle is the headline scaling number recorded in
-// EXPERIMENTS.md ("Sharded ingest").
-func BenchmarkIngestEventsSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			events := ingestEvents(b)
-			reg, err := universe.New()
-			if err != nil {
-				b.Fatal(err)
-			}
-			sp, err := core.NewShardedPipeline(reg, core.Options{Key: []byte("ingest-bench-key-0123456789abcdef00")}, shards)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { sp.Finalize() })
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				feedEvents(sp, events)
-			}
-			b.StopTimer()
-			reportEventRate(b, len(events))
-		})
-	}
 }
 
 func reportEventRate(b *testing.B, perOp int) {

@@ -32,7 +32,6 @@ func cacheTestConfig(t *testing.T, cacheDir string) config {
 		Config: runner.Config{
 			Scale:     scale,
 			Seed:      1,
-			Shards:    1,
 			Key:       cacheTestKey,
 			CacheDir:  cacheDir,
 			CacheMode: "readwrite",
@@ -88,11 +87,9 @@ func statusHas(t *testing.T, label, status, frag string) {
 	}
 }
 
-// TestCacheColdWarmPartialParity is the acceptance walk from the ISSUE:
-// a cold run populates the cache; a warm run hits every stage and must be
-// byte-identical; a warm run at a different shard count still hits (shard
-// count is not key material — sharded output is proven byte-identical);
-// and a figure-only knob change reuses the cached stats, recomputes only
+// TestCacheColdWarmPartialParity is the stage cache's acceptance walk: a
+// cold run populates the cache; a warm run hits every stage and must be
+// byte-identical; and a figure-only knob change reuses the cached stats, recomputes only
 // figures, and still produces identical bytes (-fig-workers is
 // output-neutral by design).
 func TestCacheColdWarmPartialParity(t *testing.T) {
@@ -129,14 +126,6 @@ func TestCacheColdWarmPartialParity(t *testing.T) {
 	if br.Ingest.FlowsPerSec != 0 {
 		t.Errorf("warm run reports ingest throughput %v from cached stats", br.Ingest.FlowsPerSec)
 	}
-
-	shardDir := t.TempDir()
-	sharded := base
-	sharded.Out = shardDir
-	sharded.Shards = 4
-	shardStatus := runCached(t, sharded)
-	statusHas(t, "4-shard warm", shardStatus, "stats=hit figures=hit")
-	wantIdenticalOutputs(t, "4-shard warm", want, readOutputs(t, shardDir))
 
 	partialDir := t.TempDir()
 	partial := base
@@ -367,7 +356,7 @@ func writeTestLogs(t *testing.T) string {
 // TestStageKeySensitivity drives the stats and figures key derivations
 // across the config surface, table-style: every knob that can move an
 // output byte must move its stage key, and the deliberate exclusions
-// (shard count, output paths, observability) must not.
+// (output paths, observability) must not.
 func TestStageKeySensitivity(t *testing.T) {
 	reg, err := universe.New()
 	if err != nil {
@@ -402,7 +391,6 @@ func TestStageKeySensitivity(t *testing.T) {
 		}
 	}
 	mustNotMove := map[string]func(*config){
-		"shards":      func(c *config) { c.Shards = 8 },
 		"out":         func(c *config) { c.Out = "elsewhere" },
 		"quiet":       func(c *config) { c.quiet = false },
 		"progress":    func(c *config) { c.progressEvery = 1; c.progressFormat = "json" },
@@ -456,8 +444,8 @@ func TestStageKeySensitivity(t *testing.T) {
 	if figKeyOf(func(c *config) { c.FigWorkers = 2 }) == baseFig {
 		t.Error("figures key ignores -fig-workers")
 	}
-	if figKeyOf(func(c *config) { c.Shards = 8 }) != baseFig {
-		t.Error("figures key moves with the shard count")
+	if figKeyOf(func(c *config) { c.Out = "elsewhere" }) != baseFig {
+		t.Error("figures key moves with the output directory")
 	}
 	if rc.FiguresKey(base.Config, stagecache.Digest(strings.Repeat("e", 64)), truthD, "") == baseFig {
 		t.Error("figures key ignores the dataset content")

@@ -24,7 +24,7 @@ func TestObservabilityEquivalence(t *testing.T) {
 	key := []byte("equivalence-test-key-0123456789abcd")
 
 	base := config{
-		Config:  runner.Config{Scale: scale, Seed: 1, Shards: 1, Key: key},
+		Config:  runner.Config{Scale: scale, Seed: 1, Key: key},
 		quiet:   true,
 		statusW: io.Discard,
 	}
@@ -97,68 +97,5 @@ func TestObservabilityEquivalence(t *testing.T) {
 	}
 	if len(br.Stages) == 0 {
 		t.Error("bench report missing stage counters")
-	}
-}
-
-// TestShardedRunMatchesSingle pins the sharded path against the single
-// pipeline end to end at the acceptance scale (5%, seed 1): for every
-// shard count tested, the figure CSVs must be byte-identical and the text
-// report — which renders the merged Stats — must match too.
-func TestShardedRunMatchesSingle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("covered by TestObservabilityEquivalence in short mode")
-	}
-	key := []byte("sharded-equiv-key-0123456789abcdef0")
-	base := config{
-		Config:  runner.Config{Scale: 0.05, Seed: 1, Key: key},
-		quiet:   true,
-		statusW: io.Discard,
-	}
-	singleDir := t.TempDir()
-	single := base
-	single.Out = singleDir
-	single.Shards = 1
-	if err := run(single); err != nil {
-		t.Fatalf("single run: %v", err)
-	}
-	csvs, err := filepath.Glob(filepath.Join(singleDir, "*.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(csvs) < 8 {
-		t.Fatalf("only %d CSVs written, expected every figure", len(csvs))
-	}
-
-	for _, shards := range []int{4, 8} {
-		shardDir := t.TempDir()
-		sharded := base
-		sharded.Out = shardDir
-		sharded.Shards = shards
-		sharded.progressEvery = time.Second // exercise shard snapshots too
-		if err := run(sharded); err != nil {
-			t.Fatalf("%d-shard run: %v", shards, err)
-		}
-		for _, p := range csvs {
-			name := filepath.Base(p)
-			want, _ := os.ReadFile(p)
-			got, err := os.ReadFile(filepath.Join(shardDir, name))
-			if err != nil {
-				t.Fatalf("%d-shard run missing %s: %v", shards, name, err)
-			}
-			if !bytes.Equal(want, got) {
-				t.Errorf("%s differs between single and %d-shard runs", name, shards)
-			}
-		}
-		want, err := os.ReadFile(filepath.Join(singleDir, "report.txt"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join(shardDir, "report.txt"))
-		if err != nil {
-			t.Fatalf("%d-shard run missing report.txt: %v", shards, err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Errorf("report.txt differs between single and %d-shard runs", shards)
-		}
 	}
 }

@@ -7,7 +7,6 @@
 //
 //	lockdown [-scale 0.05] [-seed 1] [-out results/] [-quiet]
 //	         [-logs dataset/]    ingest a tracegen dataset instead of generating
-//	         [-shards N]         parallelize ingest across N pipeline shards
 //	         [-yoy]              also simulate the counterfactual baseline year
 //	         [-cpuprofile f]     write a CPU profile
 //	         [-progress 5s]      emit live ingest progress (events/sec, ETA)
@@ -48,7 +47,6 @@ type config struct {
 	progressFormat string
 	debugAddr      string
 	benchJSON      string
-	measureScaling bool
 
 	// statusW receives status and progress lines (default os.Stderr).
 	statusW io.Writer
@@ -60,7 +58,6 @@ func main() {
 	flag.Int64Var(&cfg.Seed, "seed", 1, "generator seed")
 	flag.StringVar(&cfg.Out, "out", "results", "output directory for CSVs and report")
 	flag.StringVar(&cfg.Logs, "logs", "", "ingest a tracegen dataset directory instead of generating live")
-	flag.IntVar(&cfg.Shards, "shards", 1, "pipeline shards (0 = GOMAXPROCS; >1 parallelizes ingest)")
 	flag.BoolVar(&cfg.Yoy, "yoy", false, "also simulate the counterfactual baseline year (generator only, not with -logs; doubles runtime)")
 	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress the terminal report")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -71,7 +68,6 @@ func main() {
 	flag.StringVar(&cfg.CacheDir, "cache-dir", "", "content-addressed stage cache directory (requires -key; empty = no caching)")
 	flag.StringVar(&cfg.CacheMode, "cache-mode", "readwrite", "stage-cache mode: off, read or readwrite")
 	flag.IntVar(&cfg.FigWorkers, "fig-workers", 0, "figure finalization workers (0 = GOMAXPROCS); scheduling-only, never changes output bytes")
-	flag.BoolVar(&cfg.measureScaling, "measure-scaling", false, "also measure single-vs-sharded reference rates on a recorded window and report scaling_efficiency (requires -bench-json and -shards ≥ 2)")
 	flag.StringVar(&cfg.FaultPolicy, "fault-policy", "strict", "decode-error policy for -logs replay: strict, skip, quarantine or abort")
 	flag.Float64Var(&cfg.FaultBudget, "fault-budget", 0.001, "tolerated dropped-record fraction under -fault-policy abort")
 	flag.Float64Var(&cfg.FaultInject, "fault-inject", 0, "inject seeded corruption into the replayed logs at this per-record rate (testing)")
@@ -112,18 +108,6 @@ func run(cfg config) error {
 	statusW := cfg.statusW
 	if statusW == nil {
 		statusW = os.Stderr
-	}
-	// Flags that only shape the bench report are checked before any work,
-	// not after a full run has written its outputs.
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	if cfg.measureScaling && cfg.benchJSON == "" {
-		return fmt.Errorf("-measure-scaling requires -bench-json (it only affects the bench report)")
-	}
-	if cfg.measureScaling && shards < 2 {
-		return fmt.Errorf("-measure-scaling needs -shards ≥ 2 (got %d)", shards)
 	}
 	reg, err := universe.New()
 	if err != nil {
@@ -186,17 +170,15 @@ func run(cfg config) error {
 			CPUs:        runtime.NumCPU(),
 			MaxProcs:    runtime.GOMAXPROCS(0),
 			Scale:       cfg.Scale,
-			Shards:      shards,
 			Seed:        cfg.Seed,
 			WallSeconds: time.Since(start).Seconds(),
 			Ingest: obs.IngestBench{
-				Events:        snap.Events,
-				Flows:         ds.Stats.FlowsProcessed,
-				Bytes:         ds.Stats.BytesProcessed,
-				Seconds:       res.Ingest.Seconds(),
-				FlowsPerSec:   float64(ds.Stats.FlowsProcessed) / res.Ingest.Seconds(),
-				BytesPerSec:   float64(ds.Stats.BytesProcessed) / res.Ingest.Seconds(),
-				SnapshotBytes: snap.Counters["snapshot_bytes"],
+				Events:      snap.Events,
+				Flows:       ds.Stats.FlowsProcessed,
+				Bytes:       ds.Stats.BytesProcessed,
+				Seconds:     res.Ingest.Seconds(),
+				FlowsPerSec: float64(ds.Stats.FlowsProcessed) / res.Ingest.Seconds(),
+				BytesPerSec: float64(ds.Stats.BytesProcessed) / res.Ingest.Seconds(),
 			},
 			FiguresMS:     res.FiguresMS,
 			FiguresWallMS: res.FiguresWallMS,
@@ -219,15 +201,6 @@ func run(cfg config) error {
 				VerifyFailures: snap.Counters["cache_verify_failures"],
 			}
 			br.KeyingMS, br.HashedMB = res.KeyingMS, float64(res.HashedBytes)/(1<<20)
-		}
-		if cfg.measureScaling {
-			singleRate, shardedRate, err := measureScaling(reg, cfg, shards, statusW)
-			if err != nil {
-				return err
-			}
-			br.Ingest.SingleRefEventsPerSec = singleRate
-			br.Ingest.ShardedRefEventsPerSec = shardedRate
-			br.Ingest.ScalingEfficiency = shardedRate / singleRate / float64(shards)
 		}
 		path := obs.BenchPath(cfg.benchJSON, br.Date)
 		if err := br.WriteFile(path); err != nil {

@@ -196,7 +196,7 @@ func TestStatsdayMidHistoryEdit(t *testing.T) {
 }
 
 // TestStatsdayEligibility pins the gate: the per-day checkpoint path only
-// engages for single-shard strict-policy replays of a rotated layout, and
+// engages for strict-policy replays of a rotated layout, and
 // never in generate mode.
 func TestStatsdayEligibility(t *testing.T) {
 	logsDir := writeRotatedTestLogs(t, 40, 42, 1)
@@ -217,11 +217,10 @@ func TestStatsdayEligibility(t *testing.T) {
 		mut  func(*config)
 		want bool
 	}{
-		"rotated strict single-shard": {func(*config) {}, true},
-		"generate mode":               {func(c *config) { c.Logs = "" }, false},
-		"flat layout":                 {func(c *config) { c.Logs = flatDir }, false},
-		"sharded":                     {func(c *config) { c.Shards = 4 }, false},
-		"fault injection":             {func(c *config) { c.FaultInject = 0.001 }, false},
+		"rotated strict":  {func(*config) {}, true},
+		"generate mode":   {func(c *config) { c.Logs = "" }, false},
+		"flat layout":     {func(c *config) { c.Logs = flatDir }, false},
+		"fault injection": {func(c *config) { c.FaultInject = 0.001 }, false},
 	} {
 		cfg := base
 		tc.mut(&cfg)

@@ -22,7 +22,7 @@ import (
 // start, naming the reason, instead of silently running as skip.
 func TestDaemonRefusesQuarantine(t *testing.T) {
 	err := run(config{Config: runner.Config{
-		Logs: t.TempDir(), Scale: 0.002, Seed: 1, Shards: 1, FaultPolicy: "quarantine",
+		Logs: t.TempDir(), Scale: 0.002, Seed: 1, FaultPolicy: "quarantine",
 	}, addr: "127.0.0.1:0", poll: time.Millisecond})
 	if err == nil || !strings.Contains(err.Error(), "quarantine") {
 		t.Fatalf("run with -fault-policy quarantine: err = %v, want a refusal naming quarantine", err)
@@ -108,16 +108,5 @@ wait:
 	}
 	if err := daemon.Wait(); err != nil {
 		t.Fatalf("daemon exit after SIGTERM: %v", err)
-	}
-}
-
-// TestDaemonRefusesNegativeShards: a negative -shards is an error before
-// the daemon starts, not a silent GOMAXPROCS.
-func TestDaemonRefusesNegativeShards(t *testing.T) {
-	err := run(config{Config: runner.Config{
-		Logs: t.TempDir(), Scale: 0.002, Seed: 1, Shards: -2,
-	}, addr: "127.0.0.1:0", poll: time.Millisecond})
-	if err == nil || !strings.Contains(err.Error(), "-shards") {
-		t.Fatalf("run with -shards -2: err = %v, want a refusal naming -shards", err)
 	}
 }

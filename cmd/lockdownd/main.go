@@ -36,7 +36,7 @@
 // Usage:
 //
 //	lockdownd -root dataset/ [-addr localhost:8080] [-scale 0.05] [-seed 1]
-//	          [-shards N] [-key hex] [-poll 200ms]
+//	          [-key hex] [-poll 200ms]
 //	          [-fault-policy strict|skip|abort] [-fault-budget f]
 //	          [-fault-inject rate] [-fault-seed n]
 //
@@ -76,7 +76,6 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", "localhost:8080", "HTTP listen address (\":0\" picks a free port)")
 	flag.Float64Var(&cfg.Scale, "scale", 0.05, "population scale the dataset was generated at (ground truth)")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "generator seed the dataset was generated with (ground truth)")
-	flag.IntVar(&cfg.Shards, "shards", 1, "pipeline shards (0 = GOMAXPROCS; >1 parallelizes ingest)")
 	flag.DurationVar(&cfg.poll, "poll", 200*time.Millisecond, "tail poll interval")
 	keyHex := flag.String("key", "", "hex pseudonymization key; fixes device pseudonyms so daemon and batch runs are byte-comparable")
 	flag.StringVar(&cfg.FaultPolicy, "fault-policy", "strict", "decode-error policy: strict, skip or abort (quarantine is refused: the daemon writes no files)")

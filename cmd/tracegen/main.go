@@ -193,8 +193,8 @@ func run(out, pcapOut string, scale float64, seed int64, from, to campus.Day, gz
 		prog = obs.NewProgress(m, &obs.TextReporter{W: os.Stderr}, progress)
 		prog.SetLabel("tracegen")
 		prog.SetTotal(int64(to - from))
-		// The generator flushes once per day; counting the flushes feeds
-		// the reporter exact day-level completion.
+		// The generator ends each day through the DayCounter hook;
+		// counting those feeds the reporter exact day-level completion.
 		var days int64
 		sink = &trace.DayCounter{Sink: countingSink{Sink: w, m: m}, OnDay: func() {
 			days++

@@ -6,14 +6,14 @@ import (
 	"go/types"
 )
 
-// AtomicOnly guards the memory-ordering contract of the lock-free ingest
-// transport: a struct field that participates in an atomic protocol must
-// be accessed atomically *everywhere*. One plain load of a ring cursor (or
-// one plain store to a snapshot publication pointer) compiles, passes
+// AtomicOnly guards the memory-ordering contract of the module's atomic
+// state — the obs counters and stage histograms that progress and debug
+// goroutines snapshot during ingest, and the lockdownd server's published
+// epoch pointer: a struct field that participates in an atomic protocol
+// must be accessed atomically *everywhere*. One plain load of a counter
+// (or one plain store to a snapshot publication pointer) compiles, passes
 // single-threaded tests, and silently corrupts data only under real
-// concurrency — the exact bug class the SPSC ring's padded cursors exist
-// to prevent. Two field classes
-// are covered, module-wide:
+// concurrency. Two field classes are covered, module-wide:
 //
 //   - function-style atomics: a field whose address is ever passed to a
 //     sync/atomic function (atomic.LoadUint64(&s.f), atomic.AddInt64, ...)
@@ -22,7 +22,7 @@ import (
 //     finding.
 //   - typed atomics (atomic.Uint64, atomic.Pointer[T], atomic.Value, ...):
 //     the method set already forces atomic access, but a direct assignment
-//     to the field (`r.head = atomic.Uint64{}` — a plain, tear-prone reset
+//     to the field (`c.v = atomic.Int64{}` — a plain, tear-prone reset
 //     that compiles fine) bypasses it and is a finding.
 //
 // Struct-literal initialization is exempt: construction happens before the

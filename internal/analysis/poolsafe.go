@@ -7,9 +7,9 @@ import (
 	"strings"
 )
 
-// PoolSafe guards the batch-recycling contract around sync.Pool (the PR 3
-// protocol: pooled 256-slot event batches recycled between the dispatcher
-// and the shard workers). Three rules, module-wide:
+// PoolSafe guards the recycling contract around sync.Pool — today the
+// log replay's runPool, whose decode runs are recycled across the replays
+// of a rotated dataset. Three rules, module-wide:
 //
 //   - no escape through exported APIs: a value obtained from pool.Get()
 //     must not be returned by an exported function or method — the caller

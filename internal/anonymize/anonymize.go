@@ -54,12 +54,6 @@ func NewRandomPseudonymizer() (*Pseudonymizer, error) {
 	return NewPseudonymizer(key)
 }
 
-// Key returns a copy of the pseudonymization key, for constructing
-// additional pseudonymizers that must agree (e.g. pipeline shards).
-func (p *Pseudonymizer) Key() []byte {
-	return append([]byte(nil), p.key...)
-}
-
 func (p *Pseudonymizer) hash(domain string, data []byte) uint64 {
 	mac := hmac.New(sha256.New, p.key)
 	mac.Write([]byte(domain))

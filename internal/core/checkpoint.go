@@ -33,12 +33,11 @@ var checkpointMagic = [4]byte{'L', 'K', 'C', 'P'}
 // Dataset a monolithic run would. This is the unit the per-day stats cache
 // stores: one checkpoint per sealed day, replay only the days that follow.
 //
-// Only a single (unsharded) pipeline with its private join tables can be
-// checkpointed, and only at a seal boundary (nothing accumulated since the
-// last SealDay): mid-day state would silently omit the in-progress day's
-// touched set. Static configuration (key, registry, options) is NOT in the
-// payload — the caller must restore with the same ones, which the stage
-// cache guarantees by keying on them.
+// A pipeline can be checkpointed only at a seal boundary (nothing
+// accumulated since the last SealDay): mid-day state would silently omit
+// the in-progress day's touched set. Static configuration (key, registry,
+// options) is NOT in the payload — the caller must restore with the same
+// ones, which the stage cache guarantees by keying on them.
 //
 // The encoding reuses the dataset codec's primitives: varints, raw IEEE
 // float bit patterns (restored midpoints reproduce every Classify verdict
@@ -54,9 +53,6 @@ func (p *Pipeline) EncodeCheckpoint() ([]byte, error) {
 		return nil, fmt.Errorf("core: checkpoint: %d devices accumulated since the last seal (checkpoint at a SealDay boundary)", len(p.touched))
 	}
 	lj := p.join
-	if lj == nil {
-		return nil, fmt.Errorf("core: checkpoint: only a single (unsharded) pipeline can be checkpointed")
-	}
 
 	e := &enc{b: make([]byte, 0, 1<<20)}
 	e.b = append(e.b, checkpointMagic[:]...)

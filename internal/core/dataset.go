@@ -244,7 +244,7 @@ func (p *Pipeline) renderDevice(id anonymize.DeviceID, st *deviceState, snapshot
 }
 
 // renderTouched renders the current state of the given devices (ascending
-// IDs; IDs unknown to this pipeline — other shards' devices — are skipped)
+// IDs; IDs unknown to this pipeline are skipped)
 // as immutable snapshot records. The open-session overlay is restricted to
 // the requested set: an untouched device's open sessions cannot have
 // changed since its last render, so its previous record already reflects

@@ -15,71 +15,31 @@ import (
 )
 
 // localJoin is the one join: the DNS labeler and the DHCP lease index,
-// mutated in stream order by the goroutine that resolves flows against
-// them — a single Pipeline, or the sharded dispatcher. Shards hold none.
+// mutated in stream order by the pipeline that resolves flows against
+// them.
 type localJoin struct {
 	labeler  *dnssim.Labeler
 	leaseIdx leaseIndex
-	// retained approximates the tables' live bytes for the sharded
-	// pipeline's snapshot_bytes gauge: one constant per appended span and
-	// per new address, counted as the tables grow (a checkpoint restore
-	// is not counted; the dispatcher, which never restores, publishes it).
-	retained int64
 }
-
-// Approximate retained sizes: a lease span (two time.Time values, a MAC,
-// an address, padding), a label span (time.Time and string header), and
-// the fixed overhead of one indexed address (map entry and slice header).
-// Distinct domain bytes are counted once, by the labeler's interner.
-const (
-	leaseSpanBytes = 72
-	labelSpanBytes = 56
-	joinAddrBytes  = 96
-)
 
 func newLocalJoin() *localJoin {
 	return &localJoin{labeler: dnssim.NewLabeler(), leaseIdx: make(leaseIndex)}
-}
-
-// observeLease folds one binding into the lease index.
-func (j *localJoin) observeLease(l dhcp.Lease) {
-	addrs := len(j.leaseIdx)
-	if j.leaseIdx.observe(l) {
-		j.retained += leaseSpanBytes
-	}
-	j.retained += int64(len(j.leaseIdx)-addrs) * joinAddrBytes
-}
-
-// observeDNS folds one resolver entry into the labeler.
-func (j *localJoin) observeDNS(e dnssim.Entry) {
-	addrs := j.labeler.Addresses()
-	if j.labeler.Observe(e) {
-		j.retained += labelSpanBytes
-	}
-	j.retained += int64(j.labeler.Addresses()-addrs) * joinAddrBytes
-}
-
-// retainedBytes approximates the join tables' live size.
-func (j *localJoin) retainedBytes() int64 {
-	return j.retained + j.labeler.DomainBytes()
 }
 
 // leaseIndex is an append-only, time-aware IP→MAC index over lease
 // bindings arriving in non-decreasing start order.
 type leaseIndex map[netip.Addr][]dhcp.Lease
 
-// observe folds one binding in, coalescing renewals of the same holder. It
-// reports whether the binding opened a new span.
-func (idx leaseIndex) observe(l dhcp.Lease) bool {
+// observe folds one binding in, coalescing renewals of the same holder.
+func (idx leaseIndex) observe(l dhcp.Lease) {
 	spans := idx[l.Addr]
 	if n := len(spans); n > 0 && spans[n-1].MAC == l.MAC && !l.Start.After(spans[n-1].End) {
 		if l.End.After(spans[n-1].End) {
 			spans[n-1].End = l.End
 		}
-		return false
+		return
 	}
 	idx[l.Addr] = append(spans, l)
-	return true
 }
 
 // lookup resolves a client address at a time. Spans arrive in start order
@@ -111,8 +71,7 @@ const (
 
 // admission is one flow's or HTTP entry's join outcome: whether it is
 // cut, and for an admitted event the device MAC, the study day and the
-// server's DNS label. It is all the accounting step needs, so the sharded
-// dispatcher resolves it and ships it to the shard in the batch slot.
+// server's DNS label. It is all the accounting step needs.
 type admission struct {
 	label   string
 	mac     packet.MAC
@@ -137,7 +96,7 @@ func clientMAC(j *localJoin, addr netip.Addr, t time.Time) (packet.MAC, bool) {
 // admitFlow is the one admission rule for flows, in precedence order: the
 // tap's excluded networks (unless tapFilter is off), then the capture
 // window, then the client MAC, then the server's DNS label. A flow failing
-// several cuts lands in the first one's counter on every ingest path.
+// several cuts lands in the first one's counter.
 func admitFlow(j *localJoin, reg *universe.Registry, tapFilter bool, r *flow.Record) (a admission) {
 	if tapFilter && reg.TapExcluded(r.RespAddr) {
 		a.cut = cutTap
@@ -166,9 +125,7 @@ func admitHTTP(j *localJoin, e *httplog.Entry) (a admission) {
 }
 
 // intakeFlow counts one flow into ingest and settles an admission cut's
-// drop. It reports whether the flow goes on to accounting. Pipeline.Flow,
-// the sharded dispatcher (for cut flows) and the shards (for admitted
-// ones) all count through it, so every path agrees counter for counter.
+// drop. It reports whether the flow goes on to accounting.
 func (s *Stats) intakeFlow(m *obs.Metrics, bytes int64, c cut) bool {
 	m.Add(obs.StageIngest, bytes)
 	switch c {

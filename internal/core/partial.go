@@ -8,8 +8,7 @@ import (
 
 // DayPartial is one sealed day: the delta of the run Stats over the day
 // and the set of devices whose accumulated state changed during the day.
-// Partials are produced by Pipeline.SealDay / ShardedPipeline.SealDay at
-// UTC day rollovers; the touched set is exactly what SnapshotDelta must
+// Partials are produced by Pipeline.SealDay at UTC day rollovers; the touched set is exactly what SnapshotDelta must
 // re-render on top of the previous epoch's snapshot.
 type DayPartial struct {
 	// Label names the day (the rotated layout's directory name, e.g.
@@ -97,36 +96,4 @@ func (p *Pipeline) SealDay(label string) *DayPartial {
 	p.touched = p.touched[:0]
 	p.curSeal++
 	return dp
-}
-
-// SealDay quiesces the shards and concatenates their touched sets (disjoint
-// by construction — each device lives on one shard). The Stats delta is
-// taken against the merged cumulative stats, so dispatcher-side counters
-// (broadcasts, routing cuts) are included. Must be called from the ingest
-// goroutine; ingest may resume immediately afterwards.
-func (sp *ShardedPipeline) SealDay(label string) *DayPartial {
-	if sp.finalized {
-		panic("core: SealDay after Finalize")
-	}
-	sp.Quiesce()
-	cur := sp.statsNow()
-	merged := &DayPartial{Label: label, Stats: cur.Sub(sp.lastSealStats)}
-	for _, p := range sp.shards {
-		merged.Touched = append(merged.Touched, p.SealDay(label).Touched...)
-	}
-	sort.Slice(merged.Touched, func(i, j int) bool { return merged.Touched[i] < merged.Touched[j] })
-	sp.lastSealStats = cur
-	return merged
-}
-
-// statsNow computes the merged cumulative Stats under the documented
-// Finalize merge policy without rendering datasets: shard counters and
-// the dispatcher's (broadcasts and cuts) add. Callable only while the
-// shards are quiescent or finished.
-func (sp *ShardedPipeline) statsNow() Stats {
-	out := sp.dispStats
-	for _, p := range sp.shards {
-		out = out.Add(p.stats)
-	}
-	return out
 }

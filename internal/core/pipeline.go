@@ -50,9 +50,7 @@ type Options struct {
 	// dropping them (ablation).
 	DisableTapFilter bool
 	// Obs receives per-stage counters and sampled timings; nil disables
-	// instrumentation entirely (zero-allocation fast path). A sharded
-	// pipeline shares one Metrics across every shard — all counters are
-	// atomic.
+	// instrumentation entirely (zero-allocation fast path).
 	Obs *obs.Metrics
 }
 
@@ -79,9 +77,7 @@ type Pipeline struct {
 	matcher *appsig.Matcher
 	pseudo  *anonymize.Pseudonymizer
 
-	// join is the single pipeline's private DNS/DHCP tables (join.go).
-	// A shard of a ShardedPipeline has none: its dispatcher resolves
-	// each event's admission and the shard only accounts it.
+	// join is the pipeline's DNS/DHCP tables (join.go).
 	join      *localJoin
 	presence  *anonymize.PresenceTracker
 	stitcher  *appsig.Stitcher
@@ -226,17 +222,6 @@ func (b *domainBitmap) count() int {
 // provides the tap-exclusion table, the geolocation feed, and the Zoom IP
 // list).
 func NewPipeline(reg *universe.Registry, opts Options) (*Pipeline, error) {
-	p, err := newPipeline(reg, opts)
-	if err != nil {
-		return nil, err
-	}
-	p.join = newLocalJoin()
-	return p, nil
-}
-
-// newPipeline builds a pipeline without join tables: the shard
-// configuration, fed only through account and accountHTTP.
-func newPipeline(reg *universe.Registry, opts Options) (*Pipeline, error) {
 	var pseudo *anonymize.Pseudonymizer
 	var err error
 	if opts.Key != nil {
@@ -280,6 +265,7 @@ func newPipeline(reg *universe.Registry, opts Options) (*Pipeline, error) {
 		geoDB:      geo.FromRegistry(reg),
 		matcher:    appsig.NewMatcher(zoomNets),
 		pseudo:     pseudo,
+		join:       newLocalJoin(),
 		presence:   anonymize.NewPresenceTracker(),
 		switchDet:  appsig.NewSwitchDetector(),
 		iotDet:     iotDet,
@@ -341,24 +327,19 @@ func (p *Pipeline) device(id anonymize.DeviceID) *deviceState {
 func (p *Pipeline) Lease(l dhcp.Lease) {
 	p.stats.Leases++
 	p.om.Add(obs.StageIngest, 0)
-	p.join.observeLease(l)
+	p.join.leaseIdx.observe(l)
 }
 
 // DNS implements trace.Sink: feed the labeler.
 func (p *Pipeline) DNS(e dnssim.Entry) {
 	p.stats.DNSEntries++
 	p.om.Add(obs.StageIngest, 0)
-	p.join.observeDNS(e)
+	p.join.labeler.Observe(e)
 }
 
 // HTTPMeta implements trace.Sink: collect User-Agent evidence.
 func (p *Pipeline) HTTPMeta(e httplog.Entry) {
 	a := admitHTTP(p.join, &e)
-	p.accountHTTP(&e, &a)
-}
-
-// accountHTTP is HTTPMeta's accounting step, given the entry's admission.
-func (p *Pipeline) accountHTTP(e *httplog.Entry, a *admission) {
 	if !p.stats.intakeHTTP(p.om, a.cut) || e.UserAgent == "" {
 		return
 	}
@@ -381,8 +362,7 @@ func (p *Pipeline) Flow(r flow.Record) {
 }
 
 // account is Flow's accounting step: every counter and aggregate a flow
-// moves, given its admission. It looks nothing up, so a shard runs it on
-// the admission its dispatcher resolved.
+// moves, given its admission.
 //
 // Observability (when Options.Obs is set) counts the flow at every stage
 // and, for a sampled subset (t non-zero), laps a timer across the stage

@@ -14,7 +14,7 @@ import (
 	"repro/internal/universe"
 )
 
-// sealTestKey pins pseudonyms so single, sharded and restored runs agree.
+// sealTestKey pins pseudonyms so live and restored runs agree.
 var sealTestKey = []byte("seal-parity-key-0123456789abcdef")
 
 // teeSink fans every event out to multiple sinks in order — it drives a
@@ -108,57 +108,6 @@ func TestSealDayMatchesSnapshot(t *testing.T) {
 	mustEqualDatasets(t, "sealed vs never-sealed finalize", clean.Finalize(), final)
 }
 
-// TestShardedSealDayMatchesSingle extends the seal contract to the sharded
-// pipeline: per-day Stats deltas, touched sets and — decisively — the
-// delta snapshots must match the single pipeline's at every day boundary,
-// and the final datasets must be byte-identical under the canonical
-// encoding.
-func TestShardedSealDayMatchesSingle(t *testing.T) {
-	reg, err := universe.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := NewPipeline(reg, Options{Key: sealTestKey})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := NewShardedPipeline(reg, Options{Key: sealTestKey}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var gs, g *trace.Generator
-	var prevS, prevP *Dataset
-	for day := snapFrom; day < snapTo; day++ {
-		label := fmt.Sprintf("day-%03d", day)
-		gs = runWindow(t, gs, reg, single, day, day+1)
-		g = runWindow(t, g, reg, sp, day, day+1)
-		dpS := single.SealDay(label)
-		dpP := sp.SealDay(label)
-
-		if dpS.Stats != dpP.Stats {
-			t.Fatalf("day %d: stats delta differs:\nsingle  %+v\nsharded %+v", day, dpS.Stats, dpP.Stats)
-		}
-		if len(dpS.Touched) != len(dpP.Touched) {
-			t.Fatalf("day %d: touched %d vs %d devices", day, len(dpS.Touched), len(dpP.Touched))
-		}
-		for i := range dpS.Touched {
-			if dpS.Touched[i] != dpP.Touched[i] {
-				t.Fatalf("day %d: touched[%d] differs: %d vs %d", day, i, dpS.Touched[i], dpP.Touched[i])
-			}
-		}
-
-		prevS = single.SnapshotDelta(prevS, dpS)
-		prevP = sp.SnapshotDelta(prevP, dpP)
-		mustEqualDatasets(t, fmt.Sprintf("day %d sharded vs single delta snapshot", day), prevS, prevP)
-	}
-
-	dsS, dsP := single.Finalize(), sp.Finalize()
-	if !bytes.Equal(EncodeDataset(dsS), EncodeDataset(dsP)) {
-		t.Fatal("sealed single and sharded finalize not byte-identical")
-	}
-}
-
 // TestCheckpointRoundTrip pins the checkpoint contract: a pipeline
 // restored from EncodeCheckpoint and fed the remaining days finalizes
 // byte-identically (canonical dataset encoding) to the pipeline that never
@@ -228,7 +177,7 @@ func TestSealWhileIngestConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := NewShardedPipeline(reg, Options{Key: sealTestKey}, 4)
+	p, err := NewPipeline(reg, Options{Key: sealTestKey})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,16 +219,16 @@ func TestSealWhileIngestConcurrentReaders(t *testing.T) {
 	var g *trace.Generator
 	var prev *Dataset
 	for day := snapFrom; day < snapTo; day++ {
-		g = runWindow(t, g, reg, sp, day, day+1)
-		dp := sp.SealDay(fmt.Sprintf("day-%03d", day))
-		prev = sp.SnapshotDelta(prev, dp)
+		g = runWindow(t, g, reg, p, day, day+1)
+		dp := p.SealDay(fmt.Sprintf("day-%03d", day))
+		prev = p.SnapshotDelta(prev, dp)
 		mu.Lock()
 		published = append(published, prev)
 		mu.Unlock()
 	}
 	close(done)
 	wg.Wait()
-	sp.Finalize()
+	p.Finalize()
 
 	if len(published) == 0 || published[len(published)-1].Stats.FlowsProcessed == 0 {
 		t.Fatal("degenerate run: nothing published")

@@ -111,45 +111,6 @@ func TestSnapshotMatchesFinalize(t *testing.T) {
 	mustEqualDatasets(t, "mid-stream snapshot immutable after further ingest", prefixDS, snapMidDS)
 }
 
-// TestShardedSnapshotMatchesSingle extends the contract to the sharded
-// pipeline: Quiesce + per-shard snapshot merge must equal a single
-// pipeline's finalize over the same prefix, mid-stream snapshots must not
-// perturb the sharded final result, and Finalize must still match the
-// single pipeline afterwards.
-func TestShardedSnapshotMatchesSingle(t *testing.T) {
-	reg, err := universe.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := []byte("snapshot-test-key-0123456789abcd")
-
-	single, err := NewPipeline(reg, Options{Key: key})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs := runWindow(t, nil, reg, single, snapFrom, snapMid)
-	prefixDS := single.Snapshot()
-
-	sp, err := NewShardedPipeline(reg, Options{Key: key}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := runWindow(t, nil, reg, sp, snapFrom, snapMid)
-	shardSnap := sp.Snapshot()
-	mustEqualDatasets(t, "sharded snapshot vs single snapshot", prefixDS, shardSnap)
-
-	// Resume ingest on both after the snapshot; final results must agree
-	// with each other (and therefore with a never-snapshotted run, per
-	// the single-pipeline test above).
-	runWindow(t, gs, reg, single, snapMid, snapTo)
-	runWindow(t, g, reg, sp, snapMid, snapTo)
-	mustEqualDatasets(t, "post-snapshot finalize parity", single.Finalize(), sp.Finalize())
-
-	// The published sharded snapshot is immutable under the ingest that
-	// followed it.
-	mustEqualDatasets(t, "sharded snapshot immutable", prefixDS, shardSnap)
-}
-
 func TestSnapshotAfterFinalizePanics(t *testing.T) {
 	reg, err := universe.New()
 	if err != nil {

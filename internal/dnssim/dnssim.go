@@ -116,15 +116,13 @@ func NewLabeler() *Labeler {
 }
 
 // Observe folds one resolver log entry into the index. Consecutive
-// resolutions of the same address to the same domain coalesce. It reports
-// whether the entry opened a new span.
-func (l *Labeler) Observe(e Entry) bool {
+// resolutions of the same address to the same domain coalesce.
+func (l *Labeler) Observe(e Entry) {
 	spans := l.byAddr[e.Answer]
 	if n := len(spans); n > 0 && spans[n-1].domain == e.Query {
-		return false
+		return
 	}
 	l.byAddr[e.Answer] = append(spans, labelSpan{start: e.Time, domain: l.interner.Intern(e.Query)})
-	return true
 }
 
 // Label returns the domain that server meant at time t, or ok=false when
@@ -148,9 +146,6 @@ func (l *Labeler) Label(server netip.Addr, t time.Time) (string, bool) {
 
 // Addresses returns the number of distinct server addresses indexed.
 func (l *Labeler) Addresses() int { return len(l.byAddr) }
-
-// DomainBytes returns the total length of the distinct domains retained.
-func (l *Labeler) DomainBytes() int64 { return l.interner.Bytes() }
 
 // LabelSpan is one externalized span: from Start (until superseded) the
 // address resolved to Domain.

@@ -11,8 +11,6 @@ package dnssim
 // Not safe for concurrent use — an Interner is owned by its Labeler.
 type Interner struct {
 	m map[string]string
-	// bytes is the total length of distinct strings retained.
-	bytes int64
 }
 
 // NewInterner returns an empty intern table.
@@ -31,12 +29,8 @@ func (it *Interner) Intern(s string) string {
 		return c
 	}
 	it.m[s] = s
-	it.bytes += int64(len(s))
 	return s
 }
 
 // Len returns the number of distinct strings interned.
 func (it *Interner) Len() int { return len(it.m) }
-
-// Bytes returns the total length of the distinct strings retained.
-func (it *Interner) Bytes() int64 { return it.bytes }

@@ -23,8 +23,7 @@ import (
 // ≤0.1% injected corruption under the skip policy must agree with the
 // clean run — headline Stats within the declared tolerances, figure CSVs
 // with byte-identical shapes — and every dropped record must be accounted
-// (accepted + drops == offered). Single and 4-shard pipelines are both
-// held to it, and to each other exactly.
+// (accepted + drops == offered).
 
 const (
 	diffScale = 0.05
@@ -74,23 +73,15 @@ func writeDataset(t *testing.T) string {
 	return dir
 }
 
-// replay runs the dataset through a fresh pipeline (1 shard = single
-// Pipeline, else ShardedPipeline) under opts and returns the dataset.
-func replay(t *testing.T, dir string, shards int, opts logsink.ReplayOptions) *core.Dataset {
+// replay runs the dataset through a fresh pipeline under opts and returns
+// the dataset.
+func replay(t *testing.T, dir string, opts logsink.ReplayOptions) *core.Dataset {
 	t.Helper()
 	reg, err := universe.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pipe interface {
-		trace.Sink
-		Finalize() *core.Dataset
-	}
-	if shards == 1 {
-		pipe, err = core.NewPipeline(reg, core.Options{Key: diffKey})
-	} else {
-		pipe, err = core.NewShardedPipeline(reg, core.Options{Key: diffKey}, shards)
-	}
+	pipe, err := core.NewPipeline(reg, core.Options{Key: diffKey})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,18 +176,18 @@ func compareStats(t *testing.T, label string, clean, faulted core.Stats) {
 
 func TestDifferentialCorruptedReplay(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full five-percent-scale generate plus three replays")
+		t.Skip("full five-percent-scale generate plus two replays")
 	}
 	dir := writeDataset(t)
 
-	clean := replay(t, dir, 1, logsink.ReplayOptions{})
+	clean := replay(t, dir, logsink.ReplayOptions{})
 	if clean.Stats.FlowsProcessed == 0 || clean.Stats.Leases == 0 {
 		t.Fatalf("degenerate clean run: %+v", clean.Stats)
 	}
 
 	inject := &faultline.Config{Seed: faultSeed, Rate: faultRate}
 	guard := faultline.NewGuard(faultline.PolicySkip, 0, nil, nil)
-	faulted := replay(t, dir, 1, logsink.ReplayOptions{Guard: guard, Inject: inject})
+	faulted := replay(t, dir, logsink.ReplayOptions{Guard: guard, Inject: inject})
 
 	// Accounting: every record offered to the parsers is either accepted
 	// or dropped into a per-class counter — nothing vanishes silently.
@@ -207,13 +198,13 @@ func TestDifferentialCorruptedReplay(t *testing.T) {
 	if guard.DropTotal() == 0 {
 		t.Fatal("0.1% corruption dropped nothing — injector or guard inert")
 	}
-	t.Logf("single-shard guard: %s", guard.Summary())
+	t.Logf("guard: %s", guard.Summary())
 	dropFrac := float64(guard.DropTotal()) / float64(guard.Offered())
 	if dropFrac > 2*faultRate {
 		t.Errorf("drop fraction %.5f implausibly high for %.4g corruption", dropFrac, faultRate)
 	}
 
-	compareStats(t, "single", clean.Stats, faulted.Stats)
+	compareStats(t, "faulted", clean.Stats, faulted.Stats)
 
 	// Figure-CSV shape: corruption at this rate may nudge values but must
 	// not change what gets charted — same header, same rows, same fields.
@@ -222,27 +213,6 @@ func TestDifferentialCorruptedReplay(t *testing.T) {
 	for i := range cleanShapes {
 		if cleanShapes[i] != faultedShapes[i] {
 			t.Errorf("fig%d CSV shape diverged under corruption", i+1)
-		}
-	}
-
-	// The 4-shard pipeline must see the identical accepted stream and so
-	// agree with the single-shard corrupted run exactly, field for field.
-	guard4 := faultline.NewGuard(faultline.PolicySkip, 0, nil, nil)
-	faulted4 := replay(t, dir, 4, logsink.ReplayOptions{Guard: guard4, Inject: inject})
-	if guard4.Offered() != guard.Offered() || guard4.Drops() != guard.Drops() {
-		t.Errorf("4-shard guard accounting diverged: %s vs %s", guard4.Summary(), guard.Summary())
-	}
-	sv, gv := reflect.ValueOf(faulted.Stats), reflect.ValueOf(faulted4.Stats)
-	for i := 0; i < sv.NumField(); i++ {
-		if sv.Field(i).Interface() != gv.Field(i).Interface() {
-			t.Errorf("Stats.%s: corrupted single %v, corrupted 4-shard %v",
-				sv.Type().Field(i).Name, sv.Field(i).Interface(), gv.Field(i).Interface())
-		}
-	}
-	shapes4 := figureShapes(t, faulted4)
-	for i := range cleanShapes {
-		if cleanShapes[i] != shapes4[i] {
-			t.Errorf("fig%d CSV shape diverged under corruption (4-shard)", i+1)
 		}
 	}
 }
@@ -270,7 +240,7 @@ func TestCorruptDatasetRoundTrip(t *testing.T) {
 
 	var sidecar bytes.Buffer
 	guard := faultline.NewGuard(faultline.PolicyQuarantine, 0, &sidecar, nil)
-	ds := replay(t, dst, 1, logsink.ReplayOptions{Guard: guard})
+	ds := replay(t, dst, logsink.ReplayOptions{Guard: guard})
 	if ds.Stats.FlowsProcessed == 0 {
 		t.Fatal("corrupted replay produced no flows")
 	}

@@ -2,10 +2,9 @@ package figset
 
 import "repro/internal/core"
 
-// Sealer is the slice of core.Pipeline / core.ShardedPipeline the
-// incremental maintainer drives: seal a day into its Stats delta and
-// touched set, then re-render only the devices that day touched on top of
-// the previous copy-on-write snapshot.
+// Sealer is the slice of core.Pipeline the incremental maintainer drives:
+// seal a day into its Stats delta and touched set, then re-render only the
+// devices that day touched on top of the previous copy-on-write snapshot.
 type Sealer interface {
 	SealDay(label string) *core.DayPartial
 	SnapshotDelta(prev *core.Dataset, dp *core.DayPartial) *core.Dataset

@@ -94,90 +94,6 @@ func TestWriteThenReplayMatchesLive(t *testing.T) {
 	_ = campus.NumDays
 }
 
-// batchTally is a tally that also accepts the trace.BatchSink fast path,
-// so Replay hands it event runs instead of per-event calls.
-type batchTally struct {
-	tally
-	batches int
-	flushes int
-	days    map[time.Time]struct{}
-}
-
-func (s *batchTally) EventBatch(events []trace.Event) {
-	s.batches++
-	for i := range events {
-		switch events[i].Kind {
-		case trace.EventFlow:
-			s.day(events[i].Flow.Start)
-		case trace.EventDNS:
-			s.day(events[i].DNS.Time)
-		case trace.EventHTTP:
-			s.day(events[i].HTTP.Time)
-		}
-		events[i].Deliver(&s.tally)
-	}
-}
-
-// day records the distinct UTC days seen in the merged stream — leases are
-// replayed up front and carry no epoch boundary of their own.
-func (s *batchTally) day(t time.Time) {
-	if s.days == nil {
-		s.days = make(map[time.Time]struct{})
-	}
-	s.days[t.UTC().Truncate(24*time.Hour)] = struct{}{}
-}
-
-func (s *batchTally) Flush() { s.flushes++ }
-
-func TestReplayBatchedMatchesPerEvent(t *testing.T) {
-	if testing.Short() {
-		t.Skip("disk round trip")
-	}
-	dir := t.TempDir()
-	reg, err := universe.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := trace.DefaultConfig()
-	cfg.Scale = 0.005
-	g, err := trace.New(cfg, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewWriter(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.RunDays(w, 5, 9); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	plain := &tally{t: t}
-	if err := ReplayWithOptions(dir, plain, ReplayOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	batched := &batchTally{tally: tally{t: t}}
-	if err := ReplayWithOptions(dir, batched, ReplayOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	// Replay seals an epoch at every UTC day rollover plus one final flush
-	// at end of input: (days-1) rollovers + 1 = one flush per distinct day.
-	if batched.batches == 0 || batched.flushes != len(batched.days) {
-		t.Errorf("batches = %d, flushes = %d over %d replayed days; want one flush per day",
-			batched.batches, batched.flushes, len(batched.days))
-	}
-	if batched.flows != plain.flows || batched.dns != plain.dns ||
-		batched.http != plain.http || batched.leases != plain.leases ||
-		batched.bytes != plain.bytes {
-		t.Errorf("batched replay %d/%d/%d/%d (%d bytes) != per-event %d/%d/%d/%d (%d bytes)",
-			batched.flows, batched.dns, batched.http, batched.leases, batched.bytes,
-			plain.flows, plain.dns, plain.http, plain.leases, plain.bytes)
-	}
-}
-
 func TestReplayMissingDir(t *testing.T) {
 	if err := ReplayWithOptions("/nonexistent-dataset-dir", &tally{t: t}, ReplayOptions{}); err == nil {
 		t.Error("missing directory accepted")

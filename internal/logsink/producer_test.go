@@ -38,42 +38,6 @@ func requireNoLeak(t *testing.T, baseline int) {
 	}
 }
 
-// runRecorder is a batch-capable sink that logs each EventBatch run and
-// each Flush as it arrives.
-type runRecorder struct {
-	runs [][]streamEvent // one entry per EventBatch; a nil entry is a Flush
-}
-
-func (r *runRecorder) Flow(flow.Record)       { panic("per-event call on a batch sink") }
-func (r *runRecorder) DNS(dnssim.Entry)       { panic("per-event call on a batch sink") }
-func (r *runRecorder) HTTPMeta(httplog.Entry) { panic("per-event call on a batch sink") }
-func (r *runRecorder) Lease(dhcp.Lease)       { panic("per-event call on a batch sink") }
-func (r *runRecorder) Flush()                 { r.runs = append(r.runs, nil) }
-
-func (r *runRecorder) EventBatch(events []trace.Event) {
-	rec := &recorder{}
-	for i := range events {
-		events[i].Deliver(rec)
-	}
-	r.runs = append(r.runs, rec.seq)
-}
-
-// eventLog is a plain sink keeping every delivered event.
-type eventLog struct{ events []trace.Event }
-
-func (l *eventLog) Flow(r flow.Record) {
-	l.events = append(l.events, trace.Event{Kind: trace.EventFlow, Flow: r})
-}
-func (l *eventLog) DNS(e dnssim.Entry) {
-	l.events = append(l.events, trace.Event{Kind: trace.EventDNS, DNS: e})
-}
-func (l *eventLog) HTTPMeta(e httplog.Entry) {
-	l.events = append(l.events, trace.Event{Kind: trace.EventHTTP, HTTP: e})
-}
-func (l *eventLog) Lease(d dhcp.Lease) {
-	l.events = append(l.events, trace.Event{Kind: trace.EventLease, Lease: d})
-}
-
 // connRows splits day's conn.log into lines and returns them with the
 // indexes of its data rows.
 func connRows(t *testing.T, root, day string) (lines []string, rows []int) {
@@ -108,9 +72,7 @@ func corruptConnRecord(t *testing.T, root, day string) int {
 
 // TestReplayStrictErrorPrefix pins the error-prefix contract: a strict
 // decode error at record k stops the replay with every event accepted
-// before k delivered — one by one to a plain sink, and to a batch sink in
-// exactly the runs a Batcher forms from that prefix, with no trailing
-// Flush.
+// before k delivered, in order, and nothing after it.
 func TestReplayStrictErrorPrefix(t *testing.T) {
 	root := writeRotated(t)
 	days, err := DayDirs(root)
@@ -124,12 +86,12 @@ func TestReplayStrictErrorPrefix(t *testing.T) {
 	// corrupt record follows: every day-0 flow and the k day-1 flows
 	// before it, and everything else exactly as the skip replay (which
 	// drops only the corrupt record) delivers it up to there.
-	plain := &eventLog{}
+	plain := &recorder{}
 	err = ReplayRotatedWithOptions(root, plain, ReplayOptions{})
 	if class, ok := decodeerr.ClassOf(err); !ok || class != decodeerr.Malformed {
 		t.Fatalf("strict replay err = %v, want a malformed decode error", err)
 	}
-	skipped := &eventLog{}
+	skipped := &recorder{}
 	guard := faultline.NewGuard(faultline.PolicySkip, 0, nil, nil)
 	if err := ReplayRotatedWithOptions(root, skipped, ReplayOptions{Guard: guard}); err != nil {
 		t.Fatal(err)
@@ -137,65 +99,19 @@ func TestReplayStrictErrorPrefix(t *testing.T) {
 	if guard.DropTotal() != 1 {
 		t.Fatalf("skip replay: %s, want exactly the one corrupt record dropped", guard.Summary())
 	}
-	n := len(plain.events)
-	if n == 0 || n >= len(skipped.events) || plain.events[n-1].Kind != trace.EventFlow {
-		t.Fatalf("strict replay delivered %d of %d events, want a prefix ending in a flow", n, len(skipped.events))
+	n := len(plain.seq)
+	if n == 0 || n >= len(skipped.seq) || plain.seq[n-1].kind != kindFlow {
+		t.Fatalf("strict replay delivered %d of %d events, want a prefix ending in a flow", n, len(skipped.seq))
 	}
-	for i := range plain.events {
-		if plain.events[i] != skipped.events[i] {
-			t.Fatalf("event %d: strict %+v, skip %+v", i, plain.events[i], skipped.events[i])
-		}
-	}
+	requireSameSeq(t, "strict prefix", plain.seq, skipped.seq[:n])
 	flows := 0
-	for _, e := range plain.events {
-		if e.Kind == trace.EventFlow {
+	for _, e := range plain.seq {
+		if e.kind == kindFlow {
 			flows++
 		}
 	}
 	if want := len(day0) + k; flows != want {
 		t.Fatalf("strict replay delivered %d flows, want %d (%d on day 0, %d on day 1)", flows, want, len(day0), k)
-	}
-
-	// A batch sink: the runs the Batcher forms from the per-event
-	// prefix, with flushes at day rollovers and none at the end.
-	got := &runRecorder{}
-	if err := ReplayRotatedWithOptions(root, got, ReplayOptions{}); err == nil {
-		t.Fatal("batch replay accepted the corrupt record")
-	}
-	flushed := &recorder{}
-	if err := ReplayRotatedWithOptions(root, flushed, ReplayOptions{Guard: faultline.NewGuard(faultline.PolicySkip, 0, nil, nil)}); err != nil {
-		t.Fatal(err)
-	}
-	want := &runRecorder{}
-	b := trace.NewBatcher(want)
-	i := 0
-	for _, e := range flushed.seq {
-		if i == n {
-			break
-		}
-		if e.kind == flushMark {
-			b.Flush()
-			continue
-		}
-		plain.events[i].Deliver(b)
-		i++
-	}
-	if len(got.runs) == 0 {
-		t.Fatal("batch sink saw nothing before the error")
-	}
-	requireSameRuns(t, got.runs, want.runs)
-}
-
-func requireSameRuns(t *testing.T, got, want [][]streamEvent) {
-	t.Helper()
-	for i := 0; i < min(len(got), len(want)); i++ {
-		if (got[i] == nil) != (want[i] == nil) {
-			t.Fatalf("run %d: flush=%v, want flush=%v", i, got[i] == nil, want[i] == nil)
-		}
-		requireSameSeq(t, "batch run", got[i], want[i])
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d runs and flushes, want %d", len(got), len(want))
 	}
 }
 
@@ -300,7 +216,7 @@ func TestTailStopMidDayNoLeak(t *testing.T) {
 	copyDay(t, src, dst, days[0])
 	copyDay(t, src, dst, days[1]) // day 1 is not final: no day 2, no sentinel
 
-	want := &eventLog{}
+	want := &recorder{}
 	if err := ReplayRotatedDay(src, days[0], want, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +235,7 @@ func TestTailStopMidDayNoLeak(t *testing.T) {
 
 	baseline := runtime.NumGoroutine()
 	stop := make(chan struct{})
-	got := &eventLog{}
+	got := &recorder{}
 	err = TailRotated(dst, got, TailOptions{
 		Poll: tailPoll,
 		Stop: stop,
@@ -330,30 +246,23 @@ func TestTailStopMidDayNoLeak(t *testing.T) {
 	if !errors.Is(err, ErrTailStopped) {
 		t.Fatalf("err = %v, want ErrTailStopped", err)
 	}
-	if len(got.events) != len(want.events) {
-		t.Fatalf("%d events before the stop, want %d", len(got.events), len(want.events))
-	}
-	for i := range want.events {
-		if got.events[i] != want.events[i] {
-			t.Fatalf("event %d: %+v, want %+v", i, got.events[i], want.events[i])
-		}
-	}
+	requireSameSeq(t, "stopped tail", got.seq, want.seq)
 	requireNoLeak(t, baseline)
 }
 
 // TestReplayFaultOutputsPinned pins what a replay under 0.1% injected
 // corruption produces — the delivered stream, the guard's audit line and
 // the quarantine bytes — under the quarantine and skip policies. The
-// digests were recorded with the serial replay loop this pipelined one
-// replaced, so they hold decode and delivery to its exact output.
+// digests cover the delivered events in order, so they hold decode and
+// delivery to one exact output.
 func TestReplayFaultOutputsPinned(t *testing.T) {
 	root := writeRotated(t)
 	for _, tc := range []struct {
 		policy faultline.Policy
 		want   string
 	}{
-		{faultline.PolicyQuarantine, "49f46a14aead9985d78549eb6fe93e2f7fb5c90e740764b29e422386cc039e9d"},
-		{faultline.PolicySkip, "04bc35d134bc3ea3a8776d780714324eb2f7d43efd15dc45eb1e89f6ebbac172"},
+		{faultline.PolicyQuarantine, "e40fb01ce23e250fdcec7f900787f9881835229752837c8c987f3e66170bfba6"},
+		{faultline.PolicySkip, "484ca119901c3d1fe4d0fa9ef4bfb64e4444052ca6d897a8d633b893d3cd4214"},
 	} {
 		var quarantine bytes.Buffer
 		guard := faultline.NewGuard(tc.policy, 0, &quarantine, nil)

@@ -35,7 +35,7 @@ const (
 )
 
 // step is one entry of a run's order tape: the slab the next event comes
-// from, or a day flush.
+// from.
 type step uint8
 
 const (
@@ -43,7 +43,6 @@ const (
 	stepDNS
 	stepHTTP
 	stepLease
-	stepFlush
 )
 
 // run is a stretch of the replay stream: per-kind value slabs and the
@@ -69,7 +68,7 @@ func (r *run) reset() {
 }
 
 // deliver plays the run into out in tape order.
-func (r *run) deliver(out *trace.Batcher) {
+func (r *run) deliver(out trace.Sink) {
 	var f, d, h, l int
 	for _, s := range r.tape {
 		switch s {
@@ -85,8 +84,6 @@ func (r *run) deliver(out *trace.Batcher) {
 		case stepLease:
 			out.Lease(r.leases[l])
 			l++
-		case stepFlush:
-			out.Flush()
 		}
 	}
 }
@@ -106,18 +103,13 @@ func (r *run) deliver(out *trace.Batcher) {
 // path. Log headers are read up front and stay fatal under every policy —
 // a file whose schema cannot be read contributes nothing to skip over.
 //
-// Events pass through a trace.Batcher, flushed at each UTC day rollover
-// of the merged traffic and at the end of the directory: each boundary is
-// a flush for a batch-capable sink (the sharded pipeline) and a no-op for
-// a plain one.
-//
 // Decode overlaps delivery: a producer goroutine opens and decodes the
 // logs, applies the guard and the merge, and hands the stream over in
 // runs, while this goroutine plays them into sink — sink is only ever
 // called from here. When the producer stops on an error, every run before
-// it is delivered and the error returned, with no closing flush: the
-// sink sees the prefix the error left. replayDir returns only once the
-// producer has exited, also when sink panics.
+// it is delivered and the error returned: the sink sees the prefix the
+// error left. replayDir returns only once the producer has exited, also
+// when sink panics.
 func replayDir(dir string, sink trace.Sink, opts ReplayOptions, open opener) error {
 	// Both channels hold every run at once when the other side is idle,
 	// so they are sized to the window and a send never waits on capacity.
@@ -138,10 +130,9 @@ func replayDir(dir string, sink trace.Sink, opts ReplayOptions, open opener) err
 			runPool.Put(r)
 		}
 	}()
-	out := trace.NewBatcher(sink)
 	for {
 		r := <-p.ready
-		r.deliver(out)
+		r.deliver(sink)
 		if r.end {
 			return r.err
 		}
@@ -253,7 +244,6 @@ func (p *producer) decodeDir(dir string, open opener) error {
 	if err := advanceHead(&ht, httpR, "http", opts); err != nil {
 		return err
 	}
-	var curDay time.Time
 	for {
 		// Earliest timestamp wins; a later stream must be strictly
 		// earlier to displace an earlier one, which encodes the tie order.
@@ -270,13 +260,6 @@ func (p *producer) decodeDir(dir string, open opener) error {
 		if best == 0 {
 			break
 		}
-		day := t.UTC().Truncate(24 * time.Hour)
-		if !curDay.IsZero() && day.After(curDay) {
-			if err := p.emit(stepFlush); err != nil {
-				return err
-			}
-		}
-		curDay = day
 		switch best {
 		case 1:
 			p.cur.dns = append(p.cur.dns, dn.cur)
@@ -301,7 +284,7 @@ func (p *producer) decodeDir(dir string, open opener) error {
 			return err
 		}
 	}
-	return p.emit(stepFlush)
+	return nil
 }
 
 // logStream is the shape every per-file reader shares (conn, dns, dhcp,

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
-	"slices"
 	"testing"
 	"time"
 
@@ -16,44 +15,38 @@ import (
 	"repro/internal/trace"
 )
 
-// flushMark is the kind a recorder logs for a batch flush.
-const flushMark trace.EventKind = 255
+// Event kinds a recorder logs; TestReplayFaultOutputsPinned's digests fix
+// their values.
+const (
+	kindFlow uint8 = iota
+	kindDNS
+	kindHTTP
+	kindLease
+)
 
-// streamEvent is one recorded replay event: its kind (or flushMark), its
-// timestamp, and a digest of the decoded record standing in for the raw
-// line it came from.
+// streamEvent is one recorded replay event: its kind, its timestamp, and
+// a digest of the decoded record standing in for the raw line it came
+// from.
 type streamEvent struct {
-	kind trace.EventKind
+	kind uint8
 	at   int64
 	id   uint64
 }
 
-// recorder is a batch-capable sink that logs the exact event sequence a
-// replay path delivers, flush positions included.
+// recorder is a sink that logs the exact event sequence a replay path
+// delivers.
 type recorder struct{ seq []streamEvent }
 
-func (r *recorder) add(kind trace.EventKind, at time.Time, v any) {
+func (r *recorder) add(kind uint8, at time.Time, v any) {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%+v", v)
 	r.seq = append(r.seq, streamEvent{kind: kind, at: at.UnixNano(), id: h.Sum64()})
 }
 
-func (r *recorder) Flow(f flow.Record)       { r.add(trace.EventFlow, f.Start, f) }
-func (r *recorder) DNS(e dnssim.Entry)       { r.add(trace.EventDNS, e.Time, e) }
-func (r *recorder) HTTPMeta(e httplog.Entry) { r.add(trace.EventHTTP, e.Time, e) }
-func (r *recorder) Lease(l dhcp.Lease)       { r.add(trace.EventLease, l.Start, l) }
-func (r *recorder) Flush()                   { r.seq = append(r.seq, streamEvent{kind: flushMark}) }
-
-func (r *recorder) EventBatch(events []trace.Event) {
-	for i := range events {
-		events[i].Deliver(r)
-	}
-}
-
-// events returns the recorded sequence without its flush markers.
-func (r *recorder) events() []streamEvent {
-	return slices.DeleteFunc(slices.Clone(r.seq), func(e streamEvent) bool { return e.kind == flushMark })
-}
+func (r *recorder) Flow(f flow.Record)       { r.add(kindFlow, f.Start, f) }
+func (r *recorder) DNS(e dnssim.Entry)       { r.add(kindDNS, e.Time, e) }
+func (r *recorder) HTTPMeta(e httplog.Entry) { r.add(kindHTTP, e.Time, e) }
+func (r *recorder) Lease(l dhcp.Lease)       { r.add(kindLease, l.Start, l) }
 
 // requireSameSeq fails at the first position where got departs from want.
 func requireSameSeq(t *testing.T, what string, got, want []streamEvent) {
@@ -71,9 +64,9 @@ func requireSameSeq(t *testing.T, what string, got, want []streamEvent) {
 
 // TestReplayPathsSameStream pins the single replay order: the whole-
 // dataset batch replay, a loop of per-day replays and the live tail over
-// a complete rotated dataset deliver the identical event sequence with
-// flushes at identical positions — clean, and under seeded corruption,
-// where the guards must also agree on every drop and quarantined line.
+// a complete rotated dataset deliver the identical event sequence — clean,
+// and under seeded corruption, where the guards must also agree on every
+// drop and quarantined line.
 func TestReplayPathsSameStream(t *testing.T) {
 	src := writeRotated(t)
 	writeSentinel(t, src)
@@ -120,12 +113,9 @@ func TestReplayPathsSameStream(t *testing.T) {
 				if err := p.replay(rec, ReplayOptions{Guard: guard, Inject: tc.inject}); err != nil {
 					t.Fatalf("%s: %v", p.name, err)
 				}
-				if flushes := len(rec.seq) - len(rec.events()); flushes < len(days) {
-					t.Fatalf("%s: %d flushes over %d day directories", p.name, flushes, len(days))
-				}
 				if ref == nil {
 					ref, refSummary, refQuarantine = rec, guard.Summary(), quarantine.Bytes()
-					if len(rec.events()) == 0 {
+					if len(rec.seq) == 0 {
 						t.Fatalf("%s: no events", p.name)
 					}
 					if dropped := guard.DropTotal(); (tc.inject != nil) != (dropped > 0) {

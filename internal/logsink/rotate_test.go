@@ -87,12 +87,12 @@ func TestRotatingWriterMatchesMonolithic(t *testing.T) {
 	if err := ReplayRotatedWithOptions(rotDir, rot, ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	isLease := func(e streamEvent) bool { return e.kind == trace.EventLease }
+	isLease := func(e streamEvent) bool { return e.kind == kindLease }
 	notLease := func(e streamEvent) bool { return !isLease(e) }
 	requireSameSeq(t, "flat vs rotated leases",
-		slices.DeleteFunc(flat.events(), notLease), slices.DeleteFunc(rot.events(), notLease))
+		slices.DeleteFunc(slices.Clone(flat.seq), notLease), slices.DeleteFunc(slices.Clone(rot.seq), notLease))
 	requireSameSeq(t, "flat vs rotated traffic",
-		slices.DeleteFunc(flat.events(), isLease), slices.DeleteFunc(rot.events(), isLease))
+		slices.DeleteFunc(flat.seq, isLease), slices.DeleteFunc(rot.seq, isLease))
 }
 
 func TestReplayRotatedEmpty(t *testing.T) {

@@ -39,9 +39,8 @@ type TailOptions struct {
 	// TailSentinel).
 	Sentinel string
 	// OnDaySealed, when non-nil, is called after each day directory has
-	// been fully replayed into the sink (and the sink's batcher flushed —
-	// a batch-capable sink has made the whole day visible). final is true
-	// when the dataset is complete: this was the last day.
+	// been fully replayed into the sink. final is true when the dataset is
+	// complete: this was the last day.
 	OnDaySealed func(day string, final bool)
 }
 
@@ -210,8 +209,7 @@ func openTail(dir, name string, poll time.Duration, stop, unwind <-chan struct{}
 }
 
 // tailDay replays one day directory through replayDir, blocking at each
-// file's tail until the day is final. replayDir's closing flush makes the
-// day visible in a batch-capable sink.
+// file's tail until the day is final.
 func tailDay(dir string, sink trace.Sink, opts ReplayOptions, poll time.Duration, stop <-chan struct{}, final func() bool) error {
 	return replayDir(dir, sink, opts, func(dir, name string, unwind <-chan struct{}) (io.ReadCloser, error) {
 		return openTail(dir, name, poll, stop, unwind, final)

@@ -17,33 +17,10 @@ type IngestBench struct {
 	Seconds     float64 `json:"seconds"`
 	FlowsPerSec float64 `json:"flows_per_sec"`
 	BytesPerSec float64 `json:"bytes_per_sec"`
-	// SnapshotBytes is the sharded dispatcher's join tables' approximate
-	// retained bytes (sharded runs only; zero and omitted for a single
-	// pipeline). Reports written before the field existed simply lack it —
-	// CompareBench skips metrics absent (≤ 0) on either side, so old
-	// baselines keep diffing cleanly.
-	SnapshotBytes int64 `json:"snapshot_bytes,omitempty"`
-	// Scaling reference rates (written by -measure-scaling runs; omitted
-	// otherwise, with the same ≤0-skip compatibility as SnapshotBytes):
-	// the same recorded event window replayed through a fresh single
-	// pipeline and a fresh sharded pipeline, events per second each, and
-	// their quotient normalized by the shard count:
-	//
-	//	scaling_efficiency = sharded ev/s ÷ single ev/s ÷ shards
-	//
-	// 1.0 is perfect linear scaling; 0.4 at 4 shards means 1.6× over the
-	// single pipeline. Only meaningful when MaxProcs ≥ shards — on fewer
-	// cores the shards time-slice one processor and the quotient measures
-	// scheduling overhead, not scaling (benchdiff skips its floor gate in
-	// that case).
-	SingleRefEventsPerSec  float64 `json:"single_ref_events_per_sec,omitempty"`
-	ShardedRefEventsPerSec float64 `json:"sharded_ref_events_per_sec,omitempty"`
-	ScalingEfficiency      float64 `json:"scaling_efficiency,omitempty"`
 }
 
 // CacheBench summarizes the stage cache's accounting for one run (runs
-// with -cache-dir only; omitted otherwise, with the same ≤0-skip
-// baseline compatibility as the optional ingest fields).
+// with -cache-dir only; omitted otherwise).
 type CacheBench struct {
 	Hits           int64 `json:"hits"`
 	Misses         int64 `json:"misses"`
@@ -65,7 +42,6 @@ type BenchReport struct {
 	// reports written before the field existed.
 	MaxProcs int     `json:"maxprocs,omitempty"`
 	Scale    float64 `json:"scale"`
-	Shards   int     `json:"shards"`
 	Seed     int64   `json:"seed"`
 
 	WallSeconds float64     `json:"wall_seconds"`
@@ -160,10 +136,6 @@ func CompareBench(old, cur *BenchReport, maxRegress float64) []BenchDelta {
 	}
 	compare("ingest.flows_per_sec", old.Ingest.FlowsPerSec, cur.Ingest.FlowsPerSec, true)
 	compare("ingest.bytes_per_sec", old.Ingest.BytesPerSec, cur.Ingest.BytesPerSec, true)
-	compare("ingest.snapshot_bytes",
-		float64(old.Ingest.SnapshotBytes), float64(cur.Ingest.SnapshotBytes), false)
-	compare("ingest.scaling_efficiency",
-		old.Ingest.ScalingEfficiency, cur.Ingest.ScalingEfficiency, true)
 	compare("wall_seconds", old.WallSeconds, cur.WallSeconds, false)
 	compare("figures_wall_ms", old.FiguresWallMS, cur.FiguresWallMS, false)
 	compare("seal_ms", old.SealMS, cur.SealMS, false)

@@ -8,7 +8,7 @@ import (
 func sampleReport(fps float64, fig1 float64) *BenchReport {
 	return &BenchReport{
 		Date: "2026-08-05", GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64",
-		CPUs: 8, Scale: 0.05, Shards: 1, Seed: 1,
+		CPUs: 8, Scale: 0.05, Seed: 1,
 		WallSeconds: 20.5,
 		Ingest: IngestBench{
 			Events: 2000000, Flows: 1500000, Bytes: 9e9,
@@ -72,40 +72,39 @@ func TestCompareBench(t *testing.T) {
 }
 
 // TestCompareBenchOldBaselineWithoutEpochFields pins forward compatibility
-// of the baseline format: a baseline written before the snapshot-size
-// field existed (snapshot_bytes zero after decode) must compare cleanly
-// against a current report that carries it — the missing metric is
-// skipped, never reported as a regression, and the rest of the comparison
-// still runs.
+// of the baseline format: a baseline written before an optional metric
+// existed (seal_ms zero after decode) must compare cleanly against a
+// current report that carries it — the missing metric is skipped, never
+// reported as a regression, and the rest of the comparison still runs.
 func TestCompareBenchOldBaselineWithoutEpochFields(t *testing.T) {
-	old := sampleReport(100000, 10) // pre-epoch baseline: zero-valued new fields
+	old := sampleReport(100000, 10) // older baseline: zero-valued optional fields
 	cur := sampleReport(99000, 10)
-	cur.Ingest.SnapshotBytes = 48 << 20
+	cur.SealMS = 48
 
 	for _, d := range CompareBench(old, cur, 0.10) {
-		if d.Metric == "ingest.snapshot_bytes" {
-			t.Errorf("snapshot_bytes compared against a baseline that lacks it (ratio %.3f)", d.Ratio)
+		if d.Metric == "seal_ms" {
+			t.Errorf("seal_ms compared against a baseline that lacks it (ratio %.3f)", d.Ratio)
 		}
 		if d.Regressed {
 			t.Errorf("%s unexpectedly regressed (ratio %.3f)", d.Metric, d.Ratio)
 		}
 	}
 
-	// Once both sides carry the gauge it participates like any metric: a
-	// snapshot that balloons past the threshold regresses.
-	old.Ingest.SnapshotBytes = 32 << 20
-	cur.Ingest.SnapshotBytes = 64 << 20
+	// Once both sides carry the metric it participates like any other: a
+	// seal cost that doubles past the threshold regresses.
+	old.SealMS = 32
+	cur.SealMS = 64
 	var saw bool
 	for _, d := range CompareBench(old, cur, 0.10) {
-		if d.Metric == "ingest.snapshot_bytes" {
+		if d.Metric == "seal_ms" {
 			saw = true
 			if !d.Regressed {
-				t.Errorf("doubled snapshot_bytes not flagged (ratio %.3f)", d.Ratio)
+				t.Errorf("doubled seal_ms not flagged (ratio %.3f)", d.Ratio)
 			}
 		}
 	}
 	if !saw {
-		t.Error("snapshot_bytes missing from comparison when present in both reports")
+		t.Error("seal_ms missing from comparison when present in both reports")
 	}
 }
 

@@ -9,9 +9,9 @@
 // a nil check when observability is disabled. The disabled path allocates
 // nothing (verified by TestNilMetricsZeroAlloc and BenchmarkMetricsDisabled).
 //
-// All counters are atomics, so one Metrics may be shared by every shard of
-// a core.ShardedPipeline and snapshotted concurrently from a Progress
-// goroutine or the debug endpoint. A metric outside the per-stage arrays
+// All counters are atomics, so one Metrics may be written by the ingest
+// goroutine and snapshotted concurrently from a Progress goroutine or the
+// debug endpoint. A metric outside the per-stage arrays
 // is a Counter held by its owner and registered by name once; Snapshot,
 // and through it expvar, -progress and the bench report, reads it.
 package obs
@@ -136,9 +136,8 @@ type Metrics struct {
 	// the robustness invariant drops + accepted == offered.
 	decodeDrops [decodeerr.NumClasses]atomic.Int64
 
-	regMu     sync.Mutex // guards cells and shardPoll
-	cells     map[string]*Counter
-	shardPoll func() []ShardSnapshot
+	regMu sync.Mutex // guards cells
+	cells map[string]*Counter
 }
 
 // Counter is one named metric cell: a counter (Add) or a gauge (Store).
@@ -275,18 +274,6 @@ func (m *Metrics) Register(name string, c *Counter) {
 	m.cells[name] = c
 }
 
-// RegisterShards installs the per-shard poll: Snapshot calls it for the
-// Shards rows and computes the dispatch imbalance from them. The sharded
-// pipeline registers it once; a later call replaces the earlier poll.
-func (m *Metrics) RegisterShards(poll func() []ShardSnapshot) {
-	if m == nil {
-		return
-	}
-	m.regMu.Lock()
-	defer m.regMu.Unlock()
-	m.shardPoll = poll
-}
-
 // StageCounters returns one stage's current counts (for tests and ad-hoc
 // inspection; Snapshot covers the full set).
 func (m *Metrics) StageCounters(s Stage) StageSnapshot {
@@ -355,7 +342,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		}
 	}
 	m.regMu.Lock()
-	poll := m.shardPoll
 	if len(m.cells) > 0 {
 		s.Counters = make(map[string]int64, len(m.cells))
 		for name, c := range m.cells {
@@ -363,16 +349,5 @@ func (m *Metrics) Snapshot() Snapshot {
 		}
 	}
 	m.regMu.Unlock()
-	if poll != nil {
-		s.Shards = poll()
-		var sum, top int64
-		for _, sh := range s.Shards {
-			sum += sh.Dispatched
-			top = max(top, sh.Dispatched)
-		}
-		if sum > 0 {
-			s.Imbalance = float64(top) / (float64(sum) / float64(len(s.Shards)))
-		}
-	}
 	return s
 }

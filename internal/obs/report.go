@@ -24,7 +24,7 @@ type TextReporter struct {
 
 // Report renders s as a single line, e.g.
 //
-//	ingest 12.0s  1.23M ev (102.9k/s)  4.56 GB (389.1 MB/s)  42/121  eta 23s  shards q=[0 3] imb 1.04
+//	ingest 12.0s  1.23M ev (102.9k/s)  4.56 GB (389.1 MB/s)  42/121  eta 23s
 func (r *TextReporter) Report(s Snapshot) error {
 	var b strings.Builder
 	if s.Label != "" {
@@ -45,13 +45,6 @@ func (r *TextReporter) Report(s Snapshot) error {
 			parts[i] = fmt.Sprintf("%s=%d", d.Class, d.Drops)
 		}
 		fmt.Fprintf(&b, "  faults[%s]", strings.Join(parts, " "))
-	}
-	if len(s.Shards) > 0 {
-		depths := make([]string, len(s.Shards))
-		for i, sh := range s.Shards {
-			depths[i] = fmt.Sprintf("%d", sh.QueueDepth)
-		}
-		fmt.Fprintf(&b, "  shards q=[%s] imb %.2f", strings.Join(depths, " "), s.Imbalance)
 	}
 	b.WriteByte('\n')
 	_, err := io.WriteString(r.W, b.String())

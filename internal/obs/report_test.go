@@ -26,8 +26,6 @@ func goldenSnapshot() Snapshot {
 			{Stage: "ingest", Events: 1234567, Bytes: 4560000000},
 			{Stage: "tap_filter", Events: 1200000, Drops: 34567},
 		},
-		Shards:    []ShardSnapshot{{Dispatched: 617000, QueueDepth: 3}, {Dispatched: 617567, QueueDepth: 0}},
-		Imbalance: 1.0004591571313708,
 	}
 }
 
@@ -43,9 +41,7 @@ func TestJSONReporterGolden(t *testing.T) {
 		`"inst_events_per_sec":99000,"inst_bytes_per_sec":360000000,` +
 		`"done":42,"total":121,"eta_s":22.6,` +
 		`"stages":[{"stage":"ingest","events":1234567,"bytes":4560000000},` +
-		`{"stage":"tap_filter","events":1200000,"drops":34567}],` +
-		`"shards":[{"dispatched":617000,"queue_depth":3},{"dispatched":617567,"queue_depth":0}],` +
-		`"dispatch_imbalance":1.0004591571313708}` + "\n"
+		`{"stage":"tap_filter","events":1200000,"drops":34567}]}` + "\n"
 	if b.String() != want {
 		t.Errorf("JSON output mismatch:\n got: %s\nwant: %s", b.String(), want)
 	}
@@ -54,7 +50,7 @@ func TestJSONReporterGolden(t *testing.T) {
 	if err := json.Unmarshal([]byte(b.String()), &s); err != nil {
 		t.Fatalf("round-trip: %v", err)
 	}
-	if s.Events != 1234567 || s.Imbalance == 0 {
+	if s.Events != 1234567 || len(s.Stages) != 2 {
 		t.Errorf("round-trip lost fields: %+v", s)
 	}
 }
@@ -66,7 +62,7 @@ func TestTextReporterGolden(t *testing.T) {
 	if err := r.Report(goldenSnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	const want = "ingest 12.0s  1.23M ev (102.9k/s)  4.56 GB (380.0 MB/s)  42/121  eta 23s  shards q=[3 0] imb 1.00\n"
+	const want = "ingest 12.0s  1.23M ev (102.9k/s)  4.56 GB (380.0 MB/s)  42/121  eta 23s\n"
 	if b.String() != want {
 		t.Errorf("text output mismatch:\n got: %q\nwant: %q", b.String(), want)
 	}

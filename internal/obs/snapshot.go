@@ -25,26 +25,9 @@ type DecodeDropSnapshot struct {
 	Drops int64  `json:"drops"`
 }
 
-// ShardSnapshot is one shard's dispatch count, live queue depth, and
-// transport-ring gauges, as the sharded pipeline's registered poll reports
-// them. QueueDepth is denominated in events (bounded by the
-// "queue_capacity" counter); RingBatches/RingCapacity are denominated in
-// batches — the ring publishes whole batches, so the two use different
-// units on purpose.
-type ShardSnapshot struct {
-	Dispatched int64 `json:"dispatched"`
-	QueueDepth int   `json:"queue_depth"`
-	// Ring transport gauges: current occupancy and depth in batches,
-	// producer full-ring stall episodes, consumer empty-ring waits.
-	RingBatches  int   `json:"ring_batches,omitempty"`
-	RingCapacity int   `json:"ring_capacity,omitempty"`
-	RingStalls   int64 `json:"ring_stalls,omitempty"`
-	RingWaits    int64 `json:"ring_waits,omitempty"`
-}
-
 // Snapshot is a point-in-time view of the whole ingest: cumulative totals,
 // rates, progress toward a known total (days of the study window), and the
-// per-stage / per-shard breakdowns. Progress fills the rate and ETA fields;
+// per-stage breakdown. Progress fills the rate and ETA fields;
 // Metrics.Snapshot fills the counters.
 type Snapshot struct {
 	Label          string  `json:"label,omitempty"`
@@ -65,12 +48,8 @@ type Snapshot struct {
 	// DecodeDrops break rejected input records down by decode-fault class
 	// (populated only when a fault policy dropped records).
 	DecodeDrops []DecodeDropSnapshot `json:"decode_drops,omitempty"`
-	Shards      []ShardSnapshot      `json:"shards,omitempty"`
-	// Imbalance is max/mean of per-shard dispatch counts (1.0 = perfect).
-	Imbalance float64 `json:"dispatch_imbalance,omitempty"`
 	// Counters holds every registered cell by name (Metrics.Register): the
-	// stage cache's cache_* counters (runs with a cache store), and the
-	// sharded pipeline's snapshot_bytes and queue_capacity.
+	// stage cache's cache_* counters (runs with a cache store).
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 

@@ -66,8 +66,8 @@ func OpenCache(cfg Config, reg *universe.Registry, metrics *obs.Metrics) (*Cache
 
 // StatsKey derives the stats stage's cache key: everything that can move
 // a byte of the finalized Dataset or the ground-truth map enters the
-// digest; knobs that provably cannot (shard count, output paths, progress
-// and report options) deliberately do not. logsDigest is the replayed
+// digest; knobs that provably cannot (output paths, progress and report
+// options) deliberately do not. logsDigest is the replayed
 // dataset's TreeDigest ("" in generator mode); noPandemic selects the
 // counterfactual baseline world (the -yoy second pipeline).
 func (rc *Cache) StatsKey(cfg Config, logsDigest stagecache.Digest, noPandemic bool) stagecache.Digest {

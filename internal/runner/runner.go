@@ -5,7 +5,7 @@
 //
 //   - source: generate the workload, replay a flat dataset, or replay a
 //     rotated one day by day from the deepest cached checkpoint;
-//   - ingest: the single or sharded pipeline the source feeds;
+//   - ingest: the pipeline the source feeds;
 //   - seal and checkpoint: the per-day path's seals and final checkpoint
 //     (statsday.go);
 //   - content keying: the stage-cache keys and probes (cache.go);
@@ -23,7 +23,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/anonymize"
 	"repro/internal/campus"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -31,7 +30,6 @@ import (
 	"repro/internal/figset"
 	"repro/internal/logsink"
 	"repro/internal/obs"
-	"repro/internal/packet"
 	"repro/internal/stagecache"
 	"repro/internal/trace"
 	"repro/internal/universe"
@@ -41,13 +39,12 @@ import (
 // Config is one run's settings: everything that can move an output byte or
 // a cache key, and nothing that only observes the run.
 type Config struct {
-	Scale  float64 // population scale the workload is (or was) generated at
-	Seed   int64   // generator seed
-	Key    []byte  // pseudonymization key (nil = random per run)
-	Shards int     // pipeline shards (1 = single pipeline, 0 = GOMAXPROCS)
-	Logs   string  // dataset to replay or follow ("" = generate)
-	Out    string  // output directory; quarantine.log lands here too
-	Yoy    bool    // also simulate the counterfactual baseline year
+	Scale float64 // population scale the workload is (or was) generated at
+	Seed  int64   // generator seed
+	Key   []byte  // pseudonymization key (nil = random per run)
+	Logs  string  // dataset to replay or follow ("" = generate)
+	Out   string  // output directory; quarantine.log lands here too
+	Yoy   bool    // also simulate the counterfactual baseline year
 
 	// Stage-cache knobs: CacheDir roots the content-addressed store
 	// (empty = no caching), CacheMode gates reads/writes, FigWorkers
@@ -94,33 +91,10 @@ type Result struct {
 	HashedBytes int64
 }
 
-// Pipeline is the surface every run drives, over either core.Pipeline or
-// core.ShardedPipeline: streaming ingest, per-day seals with copy-on-write
-// delta snapshots, pseudonyms for the ground-truth rebuild, and the final
-// seal.
-type Pipeline interface {
-	trace.Sink
-	figset.Sealer
-	DeviceID(m packet.MAC) anonymize.DeviceID
-	Finalize() *core.Dataset
-}
-
-// NewPipeline is the one place a run picks single or sharded ingest.
-func NewPipeline(reg *universe.Registry, opts core.Options, shards int) (Pipeline, error) {
-	if shards == 1 {
-		return core.NewPipeline(reg, opts)
-	}
-	return core.NewShardedPipeline(reg, opts, shards)
-}
-
-// policy parses the fault policy and checks the shard count and the fault
-// knobs against the rest of the configuration: every run calls it before
-// any work starts.
+// policy parses the fault policy and checks the fault knobs against the
+// rest of the configuration: every run calls it before any work starts.
 func (c Config) policy() (faultline.Policy, error) {
 	policy := faultline.PolicyStrict
-	if c.Shards < 0 {
-		return policy, fmt.Errorf("-shards %d: want ≥ 0 (0 = GOMAXPROCS)", c.Shards)
-	}
 	if c.FaultPolicy != "" {
 		var err error
 		if policy, err = faultline.ParsePolicy(c.FaultPolicy); err != nil {
@@ -166,7 +140,7 @@ func (c Config) faultLayer(policy faultline.Policy, metrics *obs.Metrics) (opts 
 // truth rebuilds the population a replayed dataset was generated from
 // (same scale and seed) and maps it through the pipeline's pseudonyms:
 // the ground truth for the accuracy experiment.
-func (c Config) truth(reg *universe.Registry, pipe Pipeline) (truthMap, error) {
+func (c Config) truth(reg *universe.Registry, pipe *core.Pipeline) (truthMap, error) {
 	gen, err := trace.New(trace.ScaledConfig(c.Scale, c.Seed), reg)
 	if err != nil {
 		return nil, err
@@ -182,7 +156,7 @@ func (c Config) figParams(truth truthMap) figset.Params {
 // layer its replay runs under, and the figure parameters carrying the
 // ground truth.
 type Live struct {
-	Pipe   Pipeline
+	Pipe   *core.Pipeline
 	Replay logsink.ReplayOptions
 	Params figset.Params
 }
@@ -200,7 +174,7 @@ func OpenLive(cfg Config, reg *universe.Registry, metrics *obs.Metrics) (*Live, 
 	if err != nil {
 		return nil, err
 	}
-	pipe, err := NewPipeline(reg, core.Options{Key: cfg.Key, Obs: metrics}, cfg.Shards)
+	pipe, err := core.NewPipeline(reg, core.Options{Key: cfg.Key, Obs: metrics})
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +311,7 @@ func (b *batch) ingest() (*core.Dataset, truthMap, error) {
 	cfg, env := b.cfg, b.env
 	opts := core.Options{Key: cfg.Key, Obs: env.Metrics}
 	if cfg.Logs == "" {
-		pipe, err := NewPipeline(env.Reg, opts, cfg.Shards)
+		pipe, err := core.NewPipeline(env.Reg, opts)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -353,7 +327,7 @@ func (b *batch) ingest() (*core.Dataset, truthMap, error) {
 		// One Run call lets the generator build day d+1 while the pipeline
 		// ingests day d. The progress reporter still gets exact day-level
 		// completion for its ETA from a sink-side counter of the
-		// generator's per-day flushes.
+		// generator's day ends.
 		var sink trace.Sink = pipe
 		if prog != nil {
 			var days int64
@@ -379,7 +353,7 @@ func (b *batch) ingest() (*core.Dataset, truthMap, error) {
 	b.guard = replay.Guard
 	fmt.Fprintf(env.Status, "replaying dataset from %s...\n", cfg.Logs)
 	env.Progress.Start()
-	var pipe Pipeline
+	var pipe *core.Pipeline
 	if StatsdayEligible(cfg, b.rc, b.policy) {
 		// Incremental path: restore the deepest cached per-day checkpoint
 		// and replay only the days past it.
@@ -388,7 +362,7 @@ func (b *batch) ingest() (*core.Dataset, truthMap, error) {
 		}
 		pipe = b.sd.pipe
 	} else {
-		if pipe, err = NewPipeline(env.Reg, opts, cfg.Shards); err != nil {
+		if pipe, err = core.NewPipeline(env.Reg, opts); err != nil {
 			return nil, nil, err
 		}
 		// Auto-detect the dataset layout: a flat tracegen directory has a

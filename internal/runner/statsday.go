@@ -43,13 +43,12 @@ func rotatedLayout(dir string) bool {
 }
 
 // StatsdayEligible gates the per-day checkpoint path to configurations
-// whose replay is day-separable: a single pipeline (the checkpoint codec
-// captures one pipeline's state), strict policy with no injection (the
+// whose replay is day-separable: strict policy with no injection (the
 // guard's global error budget and the injector's whole-dataset accounting
 // would otherwise span days and break per-day key independence), and a
 // rotated layout (flat datasets have no day boundaries to key on).
 func StatsdayEligible(cfg Config, rc *Cache, policy faultline.Policy) bool {
-	return rc.Store != nil && cfg.Logs != "" && cfg.Shards == 1 &&
+	return rc.Store != nil && cfg.Logs != "" &&
 		policy == faultline.PolicyStrict && cfg.FaultInject == 0 &&
 		rotatedLayout(cfg.Logs)
 }

@@ -8,9 +8,8 @@
 // Soundness rests on two properties the repository already enforces:
 // the pipeline is deterministic (lintlock's determinism analyzer bans
 // wall-clock and unseeded randomness from every analysis package), and
-// sharded output is byte-identical to single-pipeline output (the
-// faultline differential harness) — so the shard count deliberately does
-// NOT enter any key. Keys are conservative in the other direction: the
+// every knob that can move an output byte enters its stage's key
+// (cmd/lockdown's TestStageKeySensitivity). Keys are conservative: the
 // code version is a digest of the whole running binary, so any rebuild
 // invalidates everything. Over-invalidation costs time; under-invalidation
 // would cost correctness.

@@ -33,12 +33,21 @@ import (
 // insertion counter would; the merge therefore reproduces the stable time
 // sort of a serial run byte for byte, whatever the worker count.
 
+// eventKind selects the slab an eventKey indexes.
+type eventKind uint8
+
+const (
+	kindFlow eventKind = iota
+	kindDNS
+	kindHTTP
+)
+
 // eventKey orders one event of a chunk and locates its payload.
 type eventKey struct {
 	t    int64 // event time, Unix nanoseconds
 	seq  int32 // chunk-local insertion order, the stable tie-breaker
 	idx  int32 // index into the slab selected by kind
-	kind EventKind
+	kind eventKind
 }
 
 // chunk is one build worker's output for a day: one slab per payload kind
@@ -54,22 +63,22 @@ func (c *chunk) reset() {
 	c.flows, c.dns, c.http, c.keys = c.flows[:0], c.dns[:0], c.http[:0], c.keys[:0]
 }
 
-func (c *chunk) key(t time.Time, kind EventKind, idx int) {
+func (c *chunk) key(t time.Time, kind eventKind, idx int) {
 	c.keys = append(c.keys, eventKey{t: t.UnixNano(), seq: int32(len(c.keys)), idx: int32(idx), kind: kind})
 }
 
 func (c *chunk) addFlow(r flow.Record) {
-	c.key(r.Start, EventFlow, len(c.flows))
+	c.key(r.Start, kindFlow, len(c.flows))
 	c.flows = append(c.flows, r)
 }
 
 func (c *chunk) addDNS(e dnssim.Entry) {
-	c.key(e.Time, EventDNS, len(c.dns))
+	c.key(e.Time, kindDNS, len(c.dns))
 	c.dns = append(c.dns, e)
 }
 
 func (c *chunk) addHTTP(e httplog.Entry) {
-	c.key(e.Time, EventHTTP, len(c.http))
+	c.key(e.Time, kindHTTP, len(c.http))
 	c.http = append(c.http, e)
 }
 
@@ -202,10 +211,10 @@ func resize[T any](s []T, n int) []T {
 }
 
 // deliver hands one built day to the sink: leases first, then the merged
-// event stream, then a day-boundary Flush.
-func (g *Generator) deliver(buf *dayBuf, b *Batcher) {
+// event stream.
+func (g *Generator) deliver(buf *dayBuf, sink Sink) {
 	for _, l := range buf.leases {
-		b.Lease(l)
+		sink.Lease(l)
 	}
 	g.merge.init(buf.chunks)
 	for {
@@ -214,15 +223,14 @@ func (g *Generator) deliver(buf *dayBuf, b *Batcher) {
 			break
 		}
 		switch k.kind {
-		case EventFlow:
-			b.Flow(c.flows[k.idx])
-		case EventDNS:
-			b.DNS(c.dns[k.idx])
-		case EventHTTP:
-			b.HTTPMeta(c.http[k.idx])
+		case kindFlow:
+			sink.Flow(c.flows[k.idx])
+		case kindDNS:
+			sink.DNS(c.dns[k.idx])
+		case kindHTTP:
+			sink.HTTPMeta(c.http[k.idx])
 		}
 	}
-	b.Flush()
 }
 
 // merger is a k-way merge of sorted chunks by (head time, chunk index),

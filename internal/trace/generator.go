@@ -24,6 +24,22 @@ type Sink interface {
 	Lease(dhcp.Lease)
 }
 
+// DayEnder is an optional Sink extension: RunDays calls EndDay after each
+// day's last event, on the delivering goroutine.
+type DayEnder interface {
+	EndDay()
+}
+
+// DayCounter forwards a generator's stream to Sink and calls OnDay after
+// each delivered day.
+type DayCounter struct {
+	Sink
+	OnDay func()
+}
+
+// EndDay implements DayEnder.
+func (d *DayCounter) EndDay() { d.OnDay() }
+
 // Generator produces the synthetic campus workload.
 type Generator struct {
 	cfg      Config
@@ -49,12 +65,10 @@ type Generator struct {
 	actives []activeDev
 	spread  [][campus.NumMonths][len(socialApps)]float64
 
-	// bufs are the two day buffers handed between producer and caller.
-	// merge and batch (the reusable emission buffer for BatchSink
-	// consumers, empty between days) belong to the caller of RunDays.
+	// bufs are the two day buffers handed between producer and caller;
+	// merge belongs to the caller of RunDays.
 	bufs  [2]dayBuf
 	merge merger
-	batch []Event
 }
 
 // New builds a generator. The same cfg and registry produce byte-identical
@@ -119,17 +133,13 @@ func (g *Generator) Run(sink Sink) error {
 // producer goroutine one day ahead of delivery, so day d+1 is generated
 // while the sink ingests day d; the sink is still called only from the
 // caller's goroutine, and the stream is identical to generating the days
-// one call at a time.
+// one call at a time. A sink that implements DayEnder is told after each
+// day.
 func (g *Generator) RunDays(sink Sink, from, to campus.Day) error {
 	if from < 0 || to > campus.NumDays || from > to {
 		return fmt.Errorf("trace: day range [%d,%d) outside study window", from, to)
 	}
-	// Batch-capable sinks get the same stream in slices (plus a Flush at
-	// the day boundary); the delivery order is identical either way, so
-	// the two paths are stream-equivalent (TestBatchDeliveryEquivalence).
-	b := NewBatcher(sink)
-	b.buf = g.batch
-	defer func() { g.batch = b.buf }()
+	end, _ := sink.(DayEnder)
 	// Unbuffered handoff plus a two-buffer free list: at most one day
 	// being delivered and one being built.
 	free := make(chan *dayBuf, len(g.bufs))
@@ -148,7 +158,10 @@ func (g *Generator) RunDays(sink Sink, from, to campus.Day) error {
 	}()
 	for day := from; day < to; day++ {
 		buf := <-ready
-		g.deliver(buf, b)
+		g.deliver(buf, sink)
+		if end != nil {
+			end.EndDay()
+		}
 		free <- buf
 	}
 	return nil

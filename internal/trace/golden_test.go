@@ -35,9 +35,18 @@ func (s *streamHasher) str(v string) {
 }
 func (s *streamHasher) addr(a netip.Addr) { s.str(a.String()) }
 
-func (s *streamHasher) emit(kind EventKind) {
+// Per-event tags folded into the digest ahead of each payload; the pinned
+// digests fix their values.
+const (
+	tagFlow byte = iota
+	tagDNS
+	tagHTTP
+	tagLease
+)
+
+func (s *streamHasher) emit(tag byte) {
 	s.events++
-	s.h.Write([]byte{byte(kind)})
+	s.h.Write([]byte{tag})
 	s.h.Write(s.buf)
 	s.buf = s.buf[:0]
 }
@@ -56,7 +65,7 @@ func (s *streamHasher) Flow(r flow.Record) {
 	s.u64(uint64(r.RespPkts))
 	s.str(r.Service)
 	s.u64(uint64(r.State))
-	s.emit(EventFlow)
+	s.emit(tagFlow)
 }
 
 func (s *streamHasher) DNS(e dnssim.Entry) {
@@ -65,7 +74,7 @@ func (s *streamHasher) DNS(e dnssim.Entry) {
 	s.str(e.Query)
 	s.addr(e.Answer)
 	s.u64(uint64(e.TTL))
-	s.emit(EventDNS)
+	s.emit(tagDNS)
 }
 
 func (s *streamHasher) HTTPMeta(e httplog.Entry) {
@@ -73,7 +82,7 @@ func (s *streamHasher) HTTPMeta(e httplog.Entry) {
 	s.addr(e.Client)
 	s.str(e.Host)
 	s.str(e.UserAgent)
-	s.emit(EventHTTP)
+	s.emit(tagHTTP)
 }
 
 func (s *streamHasher) Lease(l dhcp.Lease) {
@@ -81,31 +90,30 @@ func (s *streamHasher) Lease(l dhcp.Lease) {
 	s.addr(l.Addr)
 	s.ts(l.Start)
 	s.ts(l.End)
-	s.emit(EventLease)
+	s.emit(tagLease)
 }
 
 func (s *streamHasher) sum() string { return hex.EncodeToString(s.h.Sum(nil)) }
 
-// batchHasher takes the BatchSink path into the same digest.
-type batchHasher struct {
+// dayHasher is a streamHasher that also counts the generator's day-end
+// calls, checking each lands after at least one event of its day.
+type dayHasher struct {
 	*streamHasher
-	flushes  int
-	maxBatch int
+	ends, lastEvents int
+	emptyDay         bool
 }
 
-func (b *batchHasher) EventBatch(events []Event) {
-	b.maxBatch = max(b.maxBatch, len(events))
-	for i := range events {
-		events[i].Deliver(b.streamHasher)
-	}
+func (d *dayHasher) EndDay() {
+	d.ends++
+	d.emptyDay = d.emptyDay || d.events == d.lastEvents
+	d.lastEvents = d.events
 }
-
-func (b *batchHasher) Flush() { b.flushes++ }
 
 // TestGoldenStream pins the sha256 of the delivered event stream for a
-// pandemic and a counterfactual day range, through both delivery paths, at
-// one and four scheduler procs. The digests were produced by the serial
-// single-sort generator, so any drift in merge order or RNG use fails here.
+// pandemic and a counterfactual day range at one and four scheduler procs,
+// and checks exactly one day-end call per delivered day. The digests were
+// produced by the serial single-sort generator, so any drift in merge
+// order or RNG use fails here.
 func TestGoldenStream(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -122,28 +130,21 @@ func TestGoldenStream(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tc := range cases {
 		for _, procs := range []int{1, 4} {
-			for _, batched := range []bool{false, true} {
-				runtime.GOMAXPROCS(procs)
-				cfg := smallConfig()
-				cfg.NoPandemic = tc.noPandemic
-				g := newTestGenerator(t, cfg)
-				h := newStreamHasher()
-				var sink Sink = h
-				bh := &batchHasher{streamHasher: h}
-				if batched {
-					sink = bh
-				}
-				if err := g.RunDays(sink, tc.from, tc.to); err != nil {
-					t.Fatal(err)
-				}
-				if got := h.sum(); got != tc.digest || h.events != tc.events {
-					t.Errorf("%s procs=%d batched=%v: %d events, digest %s; want %d events, %s",
-						tc.name, procs, batched, h.events, got, tc.events, tc.digest)
-				}
-				if batched && (bh.flushes != int(tc.to-tc.from) || bh.maxBatch > batchEmitCap) {
-					t.Errorf("%s procs=%d: flushes=%d maxBatch=%d, want %d flushes and batches ≤ %d",
-						tc.name, procs, bh.flushes, bh.maxBatch, tc.to-tc.from, batchEmitCap)
-				}
+			runtime.GOMAXPROCS(procs)
+			cfg := smallConfig()
+			cfg.NoPandemic = tc.noPandemic
+			g := newTestGenerator(t, cfg)
+			h := &dayHasher{streamHasher: newStreamHasher()}
+			if err := g.RunDays(h, tc.from, tc.to); err != nil {
+				t.Fatal(err)
+			}
+			if got := h.sum(); got != tc.digest || h.events != tc.events {
+				t.Errorf("%s procs=%d: %d events, digest %s; want %d events, %s",
+					tc.name, procs, h.events, got, tc.events, tc.digest)
+			}
+			if h.ends != int(tc.to-tc.from) || h.emptyDay {
+				t.Errorf("%s procs=%d: %d day-end calls (empty day: %v), want one per day (%d)",
+					tc.name, procs, h.ends, h.emptyDay, tc.to-tc.from)
 			}
 		}
 	}
@@ -155,8 +156,7 @@ type panicSink struct {
 	days, at int
 }
 
-func (p *panicSink) EventBatch([]Event) {}
-func (p *panicSink) Flush() {
+func (p *panicSink) EndDay() {
 	if p.days++; p.days == p.at {
 		panic("sink failure")
 	}
@@ -185,8 +185,8 @@ func TestRunDaysUnwindsOnSinkPanic(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines after unwinding, %d before", n, before)
 	}
-	var rec eventRecorder
-	if err := g.RunDays(&rec, 30, 32); err != nil || len(rec.events) == 0 {
-		t.Fatalf("rerun after unwinding: err=%v events=%d", err, len(rec.events))
+	h := newStreamHasher()
+	if err := g.RunDays(h, 30, 32); err != nil || h.events == 0 {
+		t.Fatalf("rerun after unwinding: err=%v events=%d", err, h.events)
 	}
 }
