@@ -170,7 +170,9 @@ examples:
 	$(GO) run ./examples/gaming
 	$(GO) run ./examples/counterfactual
 
+# results_full/ is not listed: it holds the committed paper-scale CSVs
+# (figures-full rewrites them in place).
 clean:
-	rm -rf results results_full results-bench faultlogs fault-skip \
+	rm -rf results results-bench faultlogs fault-skip \
 		fault-skip.log daemonlogs daemon-batch cache-smoke-work \
 		append-smoke-work bin

@@ -94,10 +94,10 @@ func TestPresenceVisitorFilter(t *testing.T) {
 	visitor := DeviceID(1)
 	resident := DeviceID(2)
 	for d := campus.Day(0); d < 5; d++ {
-		tr.Observe(visitor, d)
+		tr.Device(visitor).Set(d)
 	}
 	for d := campus.Day(0); d < 20; d++ {
-		tr.Observe(resident, d)
+		tr.Device(resident).Set(d)
 	}
 	if tr.Resident(visitor) {
 		t.Error("5-day visitor passed the filter")
@@ -116,7 +116,7 @@ func TestPresenceVisitorFilter(t *testing.T) {
 func TestPresenceIdempotent(t *testing.T) {
 	tr := NewPresenceTracker()
 	for i := 0; i < 100; i++ {
-		tr.Observe(7, campus.Day(3))
+		tr.Device(7).Set(campus.Day(3))
 	}
 	if tr.DaysSeen(7) != 1 {
 		t.Errorf("DaysSeen = %d after repeated observations", tr.DaysSeen(7))
@@ -132,19 +132,19 @@ func TestPostShutdownUser(t *testing.T) {
 
 	// Device A: resident who left before break — not post-shutdown.
 	for d := campus.Day(0); d < breakDay-1; d++ {
-		tr.Observe(1, d)
+		tr.Device(1).Set(d)
 	}
 	// Device B: resident present through May — post-shutdown.
 	for d := campus.Day(0); d < campus.NumDays; d += 2 {
-		tr.Observe(2, d)
+		tr.Device(2).Set(d)
 	}
 	// Device C: appears only after break, 20 days — post-shutdown.
 	for d := breakDay; d < breakDay+20; d++ {
-		tr.Observe(3, d)
+		tr.Device(3).Set(d)
 	}
 	// Device D: brief visitor after break — filtered.
 	for d := breakDay; d < breakDay+3; d++ {
-		tr.Observe(4, d)
+		tr.Device(4).Set(d)
 	}
 	if tr.PostShutdownUser(1) {
 		t.Error("pre-break leaver counted as post-shutdown")
@@ -165,9 +165,9 @@ func TestPostShutdownUser(t *testing.T) {
 
 func TestPresenceOutOfRangeDaysIgnored(t *testing.T) {
 	tr := NewPresenceTracker()
-	tr.Observe(9, campus.Day(-1))
-	tr.Observe(9, campus.Day(campus.NumDays))
-	tr.Observe(9, campus.Day(1000))
+	tr.Device(9).Set(campus.Day(-1))
+	tr.Device(9).Set(campus.Day(campus.NumDays))
+	tr.Device(9).Set(campus.Day(1000))
 	if tr.DaysSeen(9) != 0 {
 		t.Errorf("out-of-range days counted: %d", tr.DaysSeen(9))
 	}
@@ -179,7 +179,7 @@ func TestDayBitmapProperty(t *testing.T) {
 		want := map[campus.Day]bool{}
 		for _, raw := range days {
 			d := campus.Day(int(raw) % campus.NumDays)
-			tr.Observe(42, d)
+			tr.Device(42).Set(d)
 			want[d] = true
 		}
 		if tr.DaysSeen(42) != len(want) {
@@ -206,10 +206,10 @@ func BenchmarkPseudonymizeDevice(b *testing.B) {
 	}
 }
 
-func BenchmarkPresenceObserve(b *testing.B) {
+func BenchmarkPresenceSet(b *testing.B) {
 	tr := NewPresenceTracker()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Observe(DeviceID(i%30000), campus.Day(i%campus.NumDays))
+		tr.Device(DeviceID(i % 30000)).Set(campus.Day(i % campus.NumDays))
 	}
 }

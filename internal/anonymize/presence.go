@@ -14,33 +14,35 @@ const MinResidentDays = 14
 // PresenceTracker records which days each device was active, supporting
 // the visitor filter and the post-shutdown-user definition.
 type PresenceTracker struct {
-	days map[DeviceID]*dayBitmap
+	days map[DeviceID]*DayBitmap
 }
 
-// dayBitmap is a bitset over the study's days (121 < 128 bits).
-type dayBitmap struct {
+// DayBitmap is one device's set of active study days (121 < 128 bits).
+type DayBitmap struct {
 	bits [2]uint64
 }
 
-func (b *dayBitmap) set(d campus.Day) {
+// Set marks the device active on the given study day; days outside the
+// study are ignored.
+func (b *DayBitmap) Set(d campus.Day) {
 	if d < 0 || int(d) >= campus.NumDays {
 		return
 	}
 	b.bits[d/64] |= 1 << (uint(d) % 64)
 }
 
-func (b *dayBitmap) get(d campus.Day) bool {
+func (b *DayBitmap) get(d campus.Day) bool {
 	if d < 0 || int(d) >= campus.NumDays {
 		return false
 	}
 	return b.bits[d/64]&(1<<(uint(d)%64)) != 0
 }
 
-func (b *dayBitmap) count() int {
+func (b *DayBitmap) count() int {
 	return popcount(b.bits[0]) + popcount(b.bits[1])
 }
 
-func (b *dayBitmap) anyAtOrAfter(d campus.Day) bool {
+func (b *DayBitmap) anyAtOrAfter(d campus.Day) bool {
 	if d < 0 {
 		d = 0
 	}
@@ -71,17 +73,19 @@ func popcount(x uint64) int {
 
 // NewPresenceTracker returns an empty tracker.
 func NewPresenceTracker() *PresenceTracker {
-	return &PresenceTracker{days: make(map[DeviceID]*dayBitmap)}
+	return &PresenceTracker{days: make(map[DeviceID]*DayBitmap)}
 }
 
-// Observe marks the device active on the given study day.
-func (p *PresenceTracker) Observe(dev DeviceID, day campus.Day) {
+// Device returns the device's day bitmap, creating it on first call: from
+// then on the device counts as tracked (Devices, Export), active days or
+// not. A caller holds the bitmap and Sets each active day on it.
+func (p *PresenceTracker) Device(dev DeviceID) *DayBitmap {
 	b := p.days[dev]
 	if b == nil {
-		b = &dayBitmap{}
+		b = &DayBitmap{}
 		p.days[dev] = b
 	}
-	b.set(day)
+	return b
 }
 
 // DaysSeen returns the number of distinct days the device was active.
@@ -162,7 +166,7 @@ func (p *PresenceTracker) Restore(recs []PresenceRecord) {
 		panic("anonymize: Restore on a PresenceTracker with state")
 	}
 	for _, r := range recs {
-		p.days[r.Device] = &dayBitmap{bits: r.Days}
+		p.days[r.Device] = &DayBitmap{bits: r.Days}
 	}
 }
 

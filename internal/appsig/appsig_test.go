@@ -222,16 +222,19 @@ func TestStitcherFlushDeterministic(t *testing.T) {
 
 func TestSwitchDetector(t *testing.T) {
 	d := NewSwitchDetector()
+	add := func(dev uint64, domain string, bytes int64) {
+		d.Device(dev).Add(ClassifyNintendo(domain), bytes)
+	}
 	// Device 1: a Switch — 80% of bytes to Nintendo.
-	d.AddFlow(1, "npns.srv.nintendo.net", 400)
-	d.AddFlow(1, "atum.hac.lp1.d4c.nintendo.net", 400)
-	d.AddFlow(1, "youtube.com", 200)
+	add(1, "npns.srv.nintendo.net", 400)
+	add(1, "atum.hac.lp1.d4c.nintendo.net", 400)
+	add(1, "youtube.com", 200)
 	// Device 2: a laptop that launched the eshop page once.
-	d.AddFlow(2, "accounts.nintendo.com", 100)
-	d.AddFlow(2, "netflix.com", 5000)
+	add(2, "accounts.nintendo.com", 100)
+	add(2, "netflix.com", 5000)
 	// Device 3: exactly at threshold.
-	d.AddFlow(3, "nex.nintendo.net", 500)
-	d.AddFlow(3, "google.com", 500)
+	add(3, "nex.nintendo.net", 500)
+	add(3, "google.com", 500)
 
 	if !d.IsSwitch(1) {
 		t.Error("device 1 should be a Switch")

@@ -9,36 +9,46 @@ type SwitchDetector struct {
 	// Threshold is the Nintendo-byte fraction required (default 0.5).
 	Threshold float64
 
-	totals map[uint64]*switchCounters
+	totals map[uint64]*SwitchCounters
 }
 
-type switchCounters struct {
+// SwitchCounters is one device's byte counters: all its traffic, the
+// Nintendo share, and the gameplay part of that.
+type SwitchCounters struct {
 	total    int64
 	nintendo int64
 	gameplay int64
 }
 
-// NewSwitchDetector returns a detector with the paper's 50% threshold.
-func NewSwitchDetector() *SwitchDetector {
-	return &SwitchDetector{Threshold: 0.5, totals: make(map[uint64]*switchCounters)}
-}
-
-// AddFlow accounts one flow: the device, its resolved domain (empty when
-// unlabeled), and the flow's total bytes.
-func (d *SwitchDetector) AddFlow(device uint64, domain string, bytes int64) {
-	c := d.totals[device]
-	if c == nil {
-		c = &switchCounters{}
-		d.totals[device] = c
-	}
+// Add accounts one flow of the given Nintendo class (NotNintendo for an
+// unlabeled flow or any other domain).
+func (c *SwitchCounters) Add(class NintendoClass, bytes int64) {
 	c.total += bytes
-	switch ClassifyNintendo(domain) {
+	switch class {
 	case NintendoGameplayTraffic:
 		c.nintendo += bytes
 		c.gameplay += bytes
 	case NintendoOtherTraffic:
 		c.nintendo += bytes
 	}
+}
+
+// NewSwitchDetector returns a detector with the paper's 50% threshold.
+func NewSwitchDetector() *SwitchDetector {
+	return &SwitchDetector{Threshold: 0.5, totals: make(map[uint64]*SwitchCounters)}
+}
+
+// Device returns the device's counters, creating them on first call. The
+// detector sees every flow (it needs the total-bytes denominator), so a
+// caller takes a device's counters on its first flow and Adds each flow,
+// classified by its resolved domain (ClassifyNintendo).
+func (d *SwitchDetector) Device(device uint64) *SwitchCounters {
+	c := d.totals[device]
+	if c == nil {
+		c = &SwitchCounters{}
+		d.totals[device] = c
+	}
+	return c
 }
 
 // IsSwitch reports whether the device crosses the Nintendo-traffic
@@ -106,6 +116,6 @@ func (d *SwitchDetector) Restore(recs []SwitchRecord) {
 		panic("appsig: Restore on a SwitchDetector with state")
 	}
 	for _, r := range recs {
-		d.totals[r.Device] = &switchCounters{total: r.Total, nintendo: r.Nintendo, gameplay: r.Gameplay}
+		d.totals[r.Device] = &SwitchCounters{total: r.Total, nintendo: r.Nintendo, gameplay: r.Gameplay}
 	}
 }

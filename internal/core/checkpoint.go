@@ -294,7 +294,7 @@ func decDevices(d *dec) (map[anonymize.DeviceID]*deviceState, error) {
 			return nil, fmt.Errorf("core: decode checkpoint: device IDs not strictly ascending")
 		}
 		prev += delta
-		st := &deviceState{}
+		st := &deviceState{id: anonymize.DeviceID(prev)}
 		st.mac = decMAC(d)
 		st.daily = d.f32slice(campus.NumDays)
 		st.zoom = d.f32slice(campus.NumDays)
@@ -452,13 +452,13 @@ func decLeaseIndex(d *dec) leaseIndex {
 			d.fail("implausible lease span count %d", ns)
 			return nil
 		}
-		spans := make([]dhcp.Lease, 0, ns)
+		spans := make([]binding, 0, ns)
 		for j := 0; j < ns && d.err == nil; j++ {
 			l := dhcp.Lease{Addr: addr}
 			l.MAC = decMAC(d)
 			l.Start = decTime(d)
 			l.End = decTime(d)
-			spans = append(spans, l)
+			spans = append(spans, binding{Lease: l})
 		}
 		idx[addr] = spans
 	}

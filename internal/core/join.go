@@ -28,7 +28,16 @@ func newLocalJoin() *localJoin {
 
 // leaseIndex is an append-only, time-aware IP→MAC index over lease
 // bindings arriving in non-decreasing start order.
-type leaseIndex map[netip.Addr][]dhcp.Lease
+type leaseIndex map[netip.Addr][]binding
+
+// binding is one lease span of the index. dev is the device slot of the
+// span's MAC, held from the first event the span attributes (derived state:
+// never encoded, nil after restore), so a flow reaches its device through
+// the lease lookup it makes anyway.
+type binding struct {
+	dhcp.Lease
+	dev *deviceState
+}
 
 // observe folds one binding in, coalescing renewals of the same holder.
 func (idx leaseIndex) observe(l dhcp.Lease) {
@@ -39,24 +48,26 @@ func (idx leaseIndex) observe(l dhcp.Lease) {
 		}
 		return
 	}
-	idx[l.Addr] = append(spans, l)
+	idx[l.Addr] = append(spans, binding{Lease: l})
 }
 
 // lookup resolves a client address at a time. Spans arrive in start order
 // and, for a healthy DHCP server, never nest (a renewal extends the same
 // span; a different device only gets the address after expiry), so once a
 // span ends before t no older span can contain it.
-func (idx leaseIndex) lookup(addr netip.Addr, t time.Time) (packet.MAC, bool) {
+// The span is returned in place (nil when none holds t); it stays valid
+// until the next observe.
+func (idx leaseIndex) lookup(addr netip.Addr, t time.Time) *binding {
 	spans := idx[addr]
 	for i := len(spans) - 1; i >= 0; i-- {
 		if spans[i].Contains(t) {
-			return spans[i].MAC, true
+			return &spans[i]
 		}
 		if t.After(spans[i].End) {
 			break
 		}
 	}
-	return packet.MAC{}, false
+	return nil
 }
 
 // cut names the capture boundary that stops an event before accounting.
@@ -70,35 +81,46 @@ const (
 )
 
 // admission is one flow's or HTTP entry's join outcome: whether it is
-// cut, and for an admitted event the device MAC, the study day and the
-// server's DNS label. It is all the accounting step needs.
+// cut, and for an admitted event the device MAC with the lease span that
+// attributed it (nil for an EUI-64 address), and for a flow the study
+// day, the server's facts and its DNS label (domain 0, the empty domain,
+// when unlabeled). It is all the accounting step needs.
 type admission struct {
-	label   string
+	srv     *serverFacts
+	lease   *binding
 	mac     packet.MAC
+	dom     dnssim.Domain
 	labeled bool
 	cut     cut
 	day     campus.Day
 }
 
-// clientMAC resolves a client address at a time: DHCP leases for IPv4,
-// EUI-64 extraction for SLAAC-configured IPv6 residence addresses (no
-// DHCPv6 logs exist; the interface identifier carries the MAC directly).
-func clientMAC(j *localJoin, addr netip.Addr, t time.Time) (packet.MAC, bool) {
-	if mac, ok := j.leaseIdx.lookup(addr, t); ok {
-		return mac, true
+// clientMAC resolves a client address at a time into a.mac and a.lease:
+// DHCP leases for IPv4, EUI-64 extraction for SLAAC-configured IPv6
+// residence addresses (no DHCPv6 logs exist; the interface identifier
+// carries the MAC directly).
+func clientMAC(j *localJoin, a *admission, addr netip.Addr, t time.Time) bool {
+	if a.lease = j.leaseIdx.lookup(addr, t); a.lease != nil {
+		a.mac = a.lease.MAC
+		return true
 	}
 	if universe.ResidenceNetV6.Contains(addr) {
-		return packet.MACFromEUI64(addr)
+		var ok bool
+		a.mac, ok = packet.MACFromEUI64(addr)
+		return ok
 	}
-	return packet.MAC{}, false
+	return false
 }
 
 // admitFlow is the one admission rule for flows, in precedence order: the
-// tap's excluded networks (unless tapFilter is off), then the capture
+// tap's excluded networks (unless the tap filter is off), then the capture
 // window, then the client MAC, then the server's DNS label. A flow failing
-// several cuts lands in the first one's counter.
-func admitFlow(j *localJoin, reg *universe.Registry, tapFilter bool, r *flow.Record) (a admission) {
-	if tapFilter && reg.TapExcluded(r.RespAddr) {
+// several cuts lands in the first one's counter. One labeler probe
+// resolves the server's facts and its label spans.
+func (p *Pipeline) admitFlow(r *flow.Record) (a admission) {
+	var s dnssim.Server
+	s, a.srv = p.server(r.RespAddr)
+	if !p.opts.DisableTapFilter && a.srv.tapExcluded {
 		a.cut = cutTap
 		return a
 	}
@@ -107,18 +129,17 @@ func admitFlow(j *localJoin, reg *universe.Registry, tapFilter bool, r *flow.Rec
 		a.cut = cutWindow
 		return a
 	}
-	if a.mac, ok = clientMAC(j, r.OrigAddr, r.Start); !ok {
+	if !clientMAC(p.join, &a, r.OrigAddr, r.Start) {
 		a.cut = cutNoBinding
 		return a
 	}
-	a.label, a.labeled = j.labeler.Label(r.RespAddr, r.Start)
+	a.dom, a.labeled = p.join.labeler.Label(s, r.Start)
 	return a
 }
 
 // admitHTTP is the admission rule for HTTP metadata: the client MAC only.
 func admitHTTP(j *localJoin, e *httplog.Entry) (a admission) {
-	var ok bool
-	if a.mac, ok = clientMAC(j, e.Client, e.Time); !ok {
+	if !clientMAC(j, &a, e.Client, e.Time) {
 		a.cut = cutNoBinding
 	}
 	return a

@@ -35,6 +35,14 @@ func historyIndex(hist []dhcp.Lease) leaseIndex {
 	return idx
 }
 
+// macAt is the MAC of the lease span holding addr at t.
+func macAt(idx leaseIndex, addr netip.Addr, at time.Time) (packet.MAC, bool) {
+	if b := idx.lookup(addr, at); b != nil {
+		return b.MAC, true
+	}
+	return packet.MAC{}, false
+}
+
 func TestLeaseIndexAttribution(t *testing.T) {
 	s := newLeaseServer(t, "10.20.0.0/24", time.Hour)
 	// Device 1 holds an address, releases it; device 2 gets it later.
@@ -55,18 +63,18 @@ func TestLeaseIndexAttribution(t *testing.T) {
 	}
 
 	idx := historyIndex(s.History())
-	if got, ok := idx.lookup(l1.Addr, leaseEpoch.Add(5*time.Minute)); !ok || got != leaseMAC(1) {
+	if got, ok := macAt(idx, l1.Addr, leaseEpoch.Add(5*time.Minute)); !ok || got != leaseMAC(1) {
 		t.Errorf("early lookup = %v, %v", got, ok)
 	}
-	if got, ok := idx.lookup(l1.Addr, leaseEpoch.Add(40*time.Minute)); !ok || got != leaseMAC(2) {
+	if got, ok := macAt(idx, l1.Addr, leaseEpoch.Add(40*time.Minute)); !ok || got != leaseMAC(2) {
 		t.Errorf("late lookup = %v, %v", got, ok)
 	}
 	// Gap between the two bindings attributes to nobody.
-	if _, ok := idx.lookup(l1.Addr, leaseEpoch.Add(25*time.Minute)); ok {
+	if _, ok := macAt(idx, l1.Addr, leaseEpoch.Add(25*time.Minute)); ok {
 		t.Error("gap lookup succeeded")
 	}
 	// Unknown address.
-	if _, ok := idx.lookup(netip.MustParseAddr("10.99.0.1"), leaseEpoch); ok {
+	if _, ok := macAt(idx, netip.MustParseAddr("10.99.0.1"), leaseEpoch); ok {
 		t.Error("unknown address lookup succeeded")
 	}
 }
@@ -74,13 +82,13 @@ func TestLeaseIndexAttribution(t *testing.T) {
 func TestLeaseIndexBoundaries(t *testing.T) {
 	l := dhcp.Lease{MAC: leaseMAC(7), Addr: netip.MustParseAddr("10.0.0.5"), Start: leaseEpoch, End: leaseEpoch.Add(time.Hour)}
 	idx := historyIndex([]dhcp.Lease{l})
-	if _, ok := idx.lookup(l.Addr, leaseEpoch.Add(-time.Nanosecond)); ok {
+	if _, ok := macAt(idx, l.Addr, leaseEpoch.Add(-time.Nanosecond)); ok {
 		t.Error("before start matched")
 	}
-	if _, ok := idx.lookup(l.Addr, leaseEpoch); !ok {
+	if _, ok := macAt(idx, l.Addr, leaseEpoch); !ok {
 		t.Error("start instant not matched")
 	}
-	if _, ok := idx.lookup(l.Addr, leaseEpoch.Add(time.Hour)); ok {
+	if _, ok := macAt(idx, l.Addr, leaseEpoch.Add(time.Hour)); ok {
 		t.Error("end instant matched (should be exclusive)")
 	}
 }
@@ -91,11 +99,11 @@ func TestLeaseIndexMergesSameMACOverlap(t *testing.T) {
 		{MAC: leaseMAC(1), Addr: addr, Start: leaseEpoch, End: leaseEpoch.Add(time.Hour)},
 		{MAC: leaseMAC(1), Addr: addr, Start: leaseEpoch.Add(30 * time.Minute), End: leaseEpoch.Add(2 * time.Hour)},
 	})
-	if got, ok := idx.lookup(addr, leaseEpoch.Add(90*time.Minute)); !ok || got != leaseMAC(1) {
+	if got, ok := macAt(idx, addr, leaseEpoch.Add(90*time.Minute)); !ok || got != leaseMAC(1) {
 		t.Errorf("merged lookup = %v, %v", got, ok)
 	}
 	// The renewal extends the episode back to its original start.
-	if got, ok := idx.lookup(addr, leaseEpoch.Add(10*time.Minute)); !ok || got != leaseMAC(1) {
+	if got, ok := macAt(idx, addr, leaseEpoch.Add(10*time.Minute)); !ok || got != leaseMAC(1) {
 		t.Errorf("episode start lookup = %v, %v", got, ok)
 	}
 }
@@ -129,7 +137,7 @@ func TestServerChurnNormalizesConsistently(t *testing.T) {
 	idx := historyIndex(s.History())
 	misses := 0
 	for _, o := range truth {
-		got, ok := idx.lookup(o.addr, o.t)
+		got, ok := macAt(idx, o.addr, o.t)
 		if !ok {
 			misses++
 			continue

@@ -91,12 +91,16 @@ type Pipeline struct {
 	sigDomains   map[string]bool // union of IoT signature domains
 	domainBit    map[string]int  // registered domain -> bitmap index
 
+	// servers and domains are the per-run fact tables (facts.go), indexed
+	// by the labeler's server and domain numbering.
+	servers []serverFacts
+	domains []domainFacts
+
 	devices map[anonymize.DeviceID]*deviceState
-	// idCache memoizes the keyed-HMAC pseudonym per MAC: the mapping is
-	// deterministic under one key, and computing it per flow would put
-	// SHA-256 on the hot path.
-	idCache map[packet.MAC]anonymize.DeviceID
-	weeks   [4]weekWindow
+	// byMAC is the device slot table: each MAC's state, reached without
+	// the keyed-HMAC pseudonym (SHA-256) or the pseudonym-keyed maps.
+	byMAC map[packet.MAC]*deviceState
+	weeks [4]weekWindow
 
 	// om is the observability sink (nil when disabled; see Options.Obs).
 	om *obs.Metrics
@@ -164,8 +168,13 @@ func groupOfCategory(c universe.Category) CategoryGroup {
 	}
 }
 
-// deviceState is everything accumulated for one device.
+// deviceState is everything accumulated for one device, and its slot in
+// the per-device trackers: the presence bitmap, the Switch-detector
+// counters and the two February midpoints live in their trackers (which
+// own export and classification) and are held here from the point the
+// tracker would create them, so a flow reaches them without a lookup.
 type deviceState struct {
+	id          anonymize.DeviceID
 	mac         packet.MAC
 	daily       []float32 // bytes per study day
 	zoom        []float32
@@ -184,6 +193,12 @@ type deviceState struct {
 	// equal to the pipeline's curSeal iff the device is on the touched
 	// list for the day in progress.
 	sealEpoch int
+
+	// Tracker slots (facts.go); nil until the device's first flow, or for
+	// a midpoint until its first February flow the classifier accepts.
+	days           *anonymize.DayBitmap
+	switches       *appsig.SwitchCounters
+	geo, geoAblate *geo.Midpoint
 }
 
 // SocialMonth is one device's monthly usage of one social platform.
@@ -273,7 +288,7 @@ func NewPipeline(reg *universe.Registry, opts Options) (*Pipeline, error) {
 		sigDomains: sigDomains,
 		domainBit:  domainBit,
 		devices:    make(map[anonymize.DeviceID]*deviceState),
-		idCache:    make(map[packet.MAC]anonymize.DeviceID),
+		byMAC:      make(map[packet.MAC]*deviceState),
 		om:         opts.Obs,
 	}
 	p.geoCls = geo.NewClassifier(p.geoDB)
@@ -289,37 +304,63 @@ func NewPipeline(reg *universe.Registry, opts Options) (*Pipeline, error) {
 	return p, nil
 }
 
-// DeviceID exposes the pseudonym for a MAC — used on every flow internally
-// and by validation harnesses that compare against generator ground truth.
+// DeviceID exposes the pseudonym for a MAC — used by validation harnesses
+// that compare against generator ground truth.
 func (p *Pipeline) DeviceID(m packet.MAC) anonymize.DeviceID {
-	if id, ok := p.idCache[m]; ok {
-		return id
+	if d := p.byMAC[m]; d != nil {
+		return d.id
 	}
-	id := p.pseudo.Device(m)
-	p.idCache[m] = id
-	return id
+	return p.pseudo.Device(m)
 }
 
-// device returns (allocating on first sight) the mutable state for a
-// pseudonym. Every state mutation goes through here — the flow path, the
-// HTTP path, and session accounting — so it doubles as the touched-device
-// hook: the first access per seal generation records the device on the
-// day's touched list, which is exactly the set a delta snapshot must
-// re-render.
-func (p *Pipeline) device(id anonymize.DeviceID) *deviceState {
+// device returns the mutable state of an admitted event's device,
+// allocating it on first sight, touches it and records the MAC on it. The
+// lease span that attributed the event holds the device's slot from its
+// first use, so only an EUI-64 client or a span's first event probes
+// byMAC, and only a MAC's first event computes its pseudonym.
+func (p *Pipeline) device(a *admission) *deviceState {
+	var d *deviceState
+	if a.lease != nil {
+		d = a.lease.dev
+	}
+	if d == nil {
+		if d = p.byMAC[a.mac]; d == nil {
+			d = p.deviceByID(p.pseudo.Device(a.mac))
+			p.byMAC[a.mac] = d
+		}
+		if a.lease != nil {
+			a.lease.dev = d
+		}
+	}
+	p.touch(d)
+	d.mac = a.mac
+	return d
+}
+
+// deviceByID returns the mutable state for a pseudonym, allocating it on
+// first sight.
+func (p *Pipeline) deviceByID(id anonymize.DeviceID) *deviceState {
 	d := p.devices[id]
 	if d == nil {
 		d = &deviceState{
+			id:    id,
 			daily: make([]float32, campus.NumDays),
 			zoom:  make([]float32, campus.NumDays),
 		}
 		p.devices[id] = d
 	}
+	return d
+}
+
+// touch is the touched-device hook every state mutation passes (the flow
+// and HTTP paths through device, session accounting directly): the first
+// access per seal generation records the device on the day's touched
+// list, which is exactly the set a delta snapshot must re-render.
+func (p *Pipeline) touch(d *deviceState) {
 	if d.sealEpoch != p.curSeal {
 		d.sealEpoch = p.curSeal
-		p.touched = append(p.touched, id)
+		p.touched = append(p.touched, d.id)
 	}
-	return d
 }
 
 // Lease implements trace.Sink: index a DHCP binding. Bindings must arrive
@@ -343,8 +384,7 @@ func (p *Pipeline) HTTPMeta(e httplog.Entry) {
 	if !p.stats.intakeHTTP(p.om, a.cut) || e.UserAgent == "" {
 		return
 	}
-	d := p.device(p.DeviceID(a.mac))
-	d.mac = a.mac
+	d := p.device(&a)
 	if d.uas == nil {
 		d.uas = make(map[string]struct{}, 4)
 	}
@@ -354,10 +394,10 @@ func (p *Pipeline) HTTPMeta(e httplog.Entry) {
 }
 
 // Flow implements trace.Sink: the main ingest path, admission (join.go)
-// then accounting.
+// then accounting. Within the package the record travels by pointer.
 func (p *Pipeline) Flow(r flow.Record) {
 	t := p.om.Now()
-	a := admitFlow(p.join, p.reg, !p.opts.DisableTapFilter, &r)
+	a := p.admitFlow(&r)
 	p.account(&r, &a, t)
 }
 
@@ -382,14 +422,12 @@ func (p *Pipeline) account(r *flow.Record, a *admission, t time.Time) {
 	p.stats.FlowsProcessed++
 	p.stats.BytesProcessed += bytes
 
-	mac, day, domain, labeled := a.mac, a.day, a.label, a.labeled
-	id := p.DeviceID(mac)
+	day, srv, dom, labeled := a.day, a.srv, p.domain(a.dom), a.labeled
+	d := p.device(a)
 	m.Add(obs.StageDHCPNormalize, 0)
 	m.Add(obs.StageAggregate, bytes)
 	t = m.Lap(obs.StageDHCPNormalize, t)
-	p.presence.Observe(id, day)
-	d := p.device(id)
-	d.mac = mac
+	p.presenceDays(d).Set(day)
 	d.flows++
 	d.daily[day] += float32(bytes)
 
@@ -417,36 +455,36 @@ func (p *Pipeline) account(r *flow.Record, a *admission, t time.Time) {
 	month, inMonth := campus.MonthOf(r.Start)
 
 	// Distinct-site tracking (§4.1): February vs April+May.
-	if bit, known := p.domainBit[domain]; known && labeled {
+	if labeled && dom.bit >= 0 {
 		switch {
 		case month == campus.February:
-			d.sitesFeb.set(bit)
+			d.sitesFeb.set(dom.bit)
 		case month == campus.April || month == campus.May:
-			d.sitesAprMay.set(bit)
+			d.sitesAprMay.set(dom.bit)
 		}
 	}
 
 	// February geolocation midpoint (§4.2), plus its ablation twin.
 	if month == campus.February {
-		p.geoCls.AddFlow(uint64(id), r.RespAddr, bytes)
-		p.geoClsAblate.AddFlow(uint64(id), r.RespAddr, bytes)
+		foldGeo(p.geoCls, &d.geo, d.id, srv.geo, bytes)
+		foldGeo(p.geoClsAblate, &d.geoAblate, d.id, srv.geoAblate, bytes)
 	}
 
 	// IoT signature evidence.
-	if labeled && p.sigDomains[domain] {
+	if labeled && dom.sig {
 		if d.sigDomains == nil {
 			d.sigDomains = make(map[string]bool, 4)
 		}
-		d.sigDomains[domain] = true
+		d.sigDomains[dom.name] = true
 	}
 
 	// Switch detection sees every flow (it needs the total-bytes
 	// denominator).
-	p.switchDet.AddFlow(uint64(id), domain, bytes)
+	p.switchCounters(d).Add(dom.nintendo, bytes)
 	t = m.Lap(obs.StageAggregate, t)
 
 	// Application accounting.
-	app, matched := p.matcher.App(domain, r.RespAddr)
+	app, matched := srv.app(dom)
 	if matched {
 		m.Add(obs.StageAppsigMatch, bytes)
 	} else {
@@ -458,11 +496,9 @@ func (p *Pipeline) account(r *flow.Record, a *admission, t time.Time) {
 	// flows connect by direct IP outside the domain-mapped space, so the
 	// app match overrides the registry's category.
 	if inMonth {
-		group := GroupOther
+		group := srv.group
 		if app == appsig.AppZoom {
 			group = GroupWork
-		} else if info, ok := p.reg.LookupAddr(r.RespAddr); ok {
-			group = groupOfCategory(info.Service.Category)
 		}
 		d.groupBytes[month][group] += bytes
 	}
@@ -484,7 +520,7 @@ func (p *Pipeline) account(r *flow.Record, a *admission, t time.Time) {
 	case appsig.AppFacebook, appsig.AppInstagram, appsig.AppTikTok:
 		m.Add(obs.StageSessionStitch, bytes)
 		ts := m.Now()
-		p.stitcher.Add(uint64(id), app, domain, r.Start, r.Duration, bytes)
+		p.stitcher.Add(uint64(d.id), app, dom.name, r.Start, r.Duration, bytes)
 		m.Lap(obs.StageSessionStitch, ts)
 	case appsig.AppSteam:
 		if inMonth {
@@ -492,7 +528,7 @@ func (p *Pipeline) account(r *flow.Record, a *admission, t time.Time) {
 			d.steam[month].Connections++
 		}
 	case appsig.AppNintendo:
-		if appsig.ClassifyNintendo(domain) == appsig.NintendoGameplayTraffic {
+		if dom.nintendo == appsig.NintendoGameplayTraffic {
 			if d.gameplay == nil {
 				d.gameplay = make([]float32, campus.NumDays)
 			}
@@ -508,7 +544,8 @@ func (p *Pipeline) onSession(s appsig.Session) {
 	if !ok {
 		return
 	}
-	d := p.device(anonymize.DeviceID(s.Device))
+	d := p.deviceByID(anonymize.DeviceID(s.Device))
+	p.touch(d)
 	d.social[month][idx].Duration += s.Duration()
 	d.social[month][idx].Sessions++
 }

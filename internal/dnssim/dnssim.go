@@ -90,47 +90,71 @@ func hashAddr(a netip.Addr) uint64 {
 // because flows routinely outlive the resolution that named them —
 // the last resolution before the flow wins, matching how the real pipeline
 // joins logs.
+//
+// Server addresses and domains are handed out as dense indexes (Server,
+// Domain), so a caller can keep its own per-server and per-domain tables
+// in slices: one map probe per flow (Server) resolves both the label spans
+// and the caller's row.
 type Labeler struct {
-	byAddr map[netip.Addr][]labelSpan
-	// interner canonicalizes domain strings so spans don't pin replayed
-	// log lines and downstream map probes compare pointer-equal keys.
-	interner *Interner
+	servers map[netip.Addr]Server
+	spans   [][]labelSpan // by Server
+	// domains interns domain strings so spans don't pin replayed log
+	// lines, and numbers them for the caller's per-domain tables.
+	domains *Interner
 	// LookAhead tolerates capture/log clock skew: a flow observed
 	// slightly before the first resolution of its server can still be
 	// labeled if the resolution follows within this window.
 	LookAhead time.Duration
 }
 
+// Server is the labeler's dense index of one server address, assigned on
+// first sight in a run.
+type Server int32
+
 type labelSpan struct {
 	start  time.Time
-	domain string
+	domain Domain
 }
 
 // NewLabeler returns an empty labeler with a 1h look-ahead.
 func NewLabeler() *Labeler {
 	return &Labeler{
-		byAddr:    make(map[netip.Addr][]labelSpan),
-		interner:  NewInterner(),
+		servers:   make(map[netip.Addr]Server),
+		domains:   NewInterner(),
 		LookAhead: time.Hour,
 	}
+}
+
+// Server returns the index of a server address, assigning the next one on
+// first sight (an address no resolution named yet gets an index with no
+// spans, which Label answers with ok=false).
+func (l *Labeler) Server(addr netip.Addr) Server {
+	if s, ok := l.servers[addr]; ok {
+		return s
+	}
+	s := Server(len(l.spans))
+	l.servers[addr] = s
+	l.spans = append(l.spans, nil)
+	return s
 }
 
 // Observe folds one resolver log entry into the index. Consecutive
 // resolutions of the same address to the same domain coalesce.
 func (l *Labeler) Observe(e Entry) {
-	spans := l.byAddr[e.Answer]
-	if n := len(spans); n > 0 && spans[n-1].domain == e.Query {
+	s := l.Server(e.Answer)
+	spans := l.spans[s]
+	if n := len(spans); n > 0 && l.domains.String(spans[n-1].domain) == e.Query {
 		return
 	}
-	l.byAddr[e.Answer] = append(spans, labelSpan{start: e.Time, domain: l.interner.Intern(e.Query)})
+	l.spans[s] = append(spans, labelSpan{start: e.Time, domain: l.domains.Intern(e.Query)})
 }
 
-// Label returns the domain that server meant at time t, or ok=false when
-// the address was never resolved in the log.
-func (l *Labeler) Label(server netip.Addr, t time.Time) (string, bool) {
-	spans := l.byAddr[server]
+// Label returns the domain server s meant at time t, or ok=false (and the
+// empty domain, 0) when the address was never resolved in the log.
+func (l *Labeler) Label(s Server, t time.Time) (Domain, bool) {
+	spans := l.spans[s]
 	if len(spans) == 0 {
-		return "", false
+		return 0, false
 	}
 	// Latest span starting at or before t.
 	i := sort.Search(len(spans), func(i int) bool { return spans[i].start.After(t) })
@@ -141,11 +165,22 @@ func (l *Labeler) Label(server netip.Addr, t time.Time) (string, bool) {
 	if spans[0].start.Sub(t) <= l.LookAhead {
 		return spans[0].domain, true
 	}
-	return "", false
+	return 0, false
 }
 
-// Addresses returns the number of distinct server addresses indexed.
-func (l *Labeler) Addresses() int { return len(l.byAddr) }
+// Name returns the domain string of an index Label handed out.
+func (l *Labeler) Name(d Domain) string { return l.domains.String(d) }
+
+// Addresses returns the number of distinct server addresses resolved.
+func (l *Labeler) Addresses() int {
+	n := 0
+	for _, spans := range l.spans {
+		if len(spans) > 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // LabelSpan is one externalized span: from Start (until superseded) the
 // address resolved to Domain.
@@ -160,20 +195,23 @@ type AddrSpans struct {
 	Spans []LabelSpan
 }
 
-// ExportSpans returns the whole index in ascending address order, spans in
-// observation order — the checkpoint serialization surface.
+// ExportSpans returns every resolved address in ascending address order,
+// spans in observation order — the checkpoint serialization surface. The
+// indexes are not part of it: they are per-run numbering.
 func (l *Labeler) ExportSpans() []AddrSpans {
-	addrs := make([]netip.Addr, 0, len(l.byAddr))
-	for a := range l.byAddr {
-		addrs = append(addrs, a)
+	addrs := make([]netip.Addr, 0, len(l.servers))
+	for a, s := range l.servers {
+		if len(l.spans[s]) > 0 {
+			addrs = append(addrs, a)
+		}
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
 	out := make([]AddrSpans, 0, len(addrs))
 	for _, a := range addrs {
-		spans := l.byAddr[a]
+		spans := l.spans[l.servers[a]]
 		exp := make([]LabelSpan, len(spans))
 		for i, s := range spans {
-			exp[i] = LabelSpan{Start: s.start, Domain: s.domain}
+			exp[i] = LabelSpan{Start: s.start, Domain: l.domains.String(s.domain)}
 		}
 		out = append(out, AddrSpans{Addr: a, Spans: exp})
 	}
@@ -181,17 +219,17 @@ func (l *Labeler) ExportSpans() []AddrSpans {
 }
 
 // RestoreSpans reinstates an index exported by ExportSpans into an empty
-// labeler (panics otherwise). Domains are re-interned so restored spans
-// regain the pointer-equal-key property.
+// labeler (panics otherwise). Addresses and domains are numbered afresh,
+// in index order.
 func (l *Labeler) RestoreSpans(index []AddrSpans) {
-	if len(l.byAddr) != 0 {
+	if len(l.servers) != 0 {
 		panic("dnssim: RestoreSpans on a labeler with state")
 	}
 	for _, as := range index {
 		spans := make([]labelSpan, len(as.Spans))
 		for i, s := range as.Spans {
-			spans[i] = labelSpan{start: s.Start, domain: l.interner.Intern(s.Domain)}
+			spans[i] = labelSpan{start: s.Start, domain: l.domains.Intern(s.Domain)}
 		}
-		l.byAddr[as.Addr] = spans
+		l.spans[l.Server(as.Addr)] = spans
 	}
 }

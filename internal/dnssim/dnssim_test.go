@@ -70,21 +70,28 @@ func TestQueryRotatesAcrossClientsOrTime(t *testing.T) {
 	}
 }
 
+// label is the domain-string lookup a flow gets: its server's index, then
+// the span at t.
+func label(l *Labeler, server netip.Addr, t time.Time) (string, bool) {
+	d, ok := l.Label(l.Server(server), t)
+	return l.Name(d), ok
+}
+
 func TestLabelerBasic(t *testing.T) {
 	r, _ := testResolver(t)
 	l := NewLabeler()
 	client := netip.MustParseAddr("10.1.2.3")
 	e, _ := r.Query(client, "instagram.com", t0)
 	l.Observe(e)
-	if got, ok := l.Label(e.Answer, t0.Add(time.Minute)); !ok || got != "instagram.com" {
+	if got, ok := label(l, e.Answer, t0.Add(time.Minute)); !ok || got != "instagram.com" {
 		t.Errorf("Label = %q, %v", got, ok)
 	}
 	// Flows long after the resolution still label (sticky semantics).
-	if got, ok := l.Label(e.Answer, t0.Add(48*time.Hour)); !ok || got != "instagram.com" {
+	if got, ok := label(l, e.Answer, t0.Add(48*time.Hour)); !ok || got != "instagram.com" {
 		t.Errorf("late Label = %q, %v", got, ok)
 	}
 	// Unknown server.
-	if _, ok := l.Label(netip.MustParseAddr("198.51.100.1"), t0); ok {
+	if _, ok := label(l, netip.MustParseAddr("198.51.100.1"), t0); ok {
 		t.Error("unknown server labeled")
 	}
 }
@@ -94,11 +101,11 @@ func TestLabelerLookAhead(t *testing.T) {
 	server := netip.MustParseAddr("203.0.113.5")
 	l.Observe(Entry{Time: t0, Client: netip.MustParseAddr("10.0.0.1"), Query: "example.org", Answer: server, TTL: DefaultTTL})
 	// Flow 30s before first resolution: tolerated.
-	if got, ok := l.Label(server, t0.Add(-30*time.Second)); !ok || got != "example.org" {
+	if got, ok := label(l, server, t0.Add(-30*time.Second)); !ok || got != "example.org" {
 		t.Errorf("look-ahead Label = %q, %v", got, ok)
 	}
 	// Flow 2h before: outside look-ahead.
-	if _, ok := l.Label(server, t0.Add(-2*time.Hour)); ok {
+	if _, ok := label(l, server, t0.Add(-2*time.Hour)); ok {
 		t.Error("distant pre-resolution flow labeled")
 	}
 }
@@ -111,10 +118,10 @@ func TestLabelerAddressMigration(t *testing.T) {
 	client := netip.MustParseAddr("10.0.0.1")
 	l.Observe(Entry{Time: t0, Client: client, Query: "old.example", Answer: server})
 	l.Observe(Entry{Time: t0.Add(time.Hour), Client: client, Query: "new.example", Answer: server})
-	if got, _ := l.Label(server, t0.Add(30*time.Minute)); got != "old.example" {
+	if got, _ := label(l, server, t0.Add(30*time.Minute)); got != "old.example" {
 		t.Errorf("era 1 = %q", got)
 	}
-	if got, _ := l.Label(server, t0.Add(90*time.Minute)); got != "new.example" {
+	if got, _ := label(l, server, t0.Add(90*time.Minute)); got != "new.example" {
 		t.Errorf("era 2 = %q", got)
 	}
 }
@@ -130,8 +137,8 @@ func TestLabelerCoalescesRepeats(t *testing.T) {
 			Answer: server,
 		})
 	}
-	if len(l.byAddr[server]) != 1 {
-		t.Errorf("repeated resolutions kept %d spans, want 1", len(l.byAddr[server]))
+	if n := len(l.spans[l.Server(server)]); n != 1 {
+		t.Errorf("repeated resolutions kept %d spans, want 1", n)
 	}
 	if l.Addresses() != 1 {
 		t.Errorf("Addresses = %d", l.Addresses())
@@ -200,7 +207,7 @@ func TestEndToEndResolveObserveLabel(t *testing.T) {
 		}
 	}
 	for _, p := range pairs {
-		got, ok := l.Label(p.addr, now.Add(time.Minute))
+		got, ok := label(l, p.addr, now.Add(time.Minute))
 		if !ok || got != p.domain {
 			t.Errorf("Label(%v) = %q, %v; want %q", p.addr, got, ok, p.domain)
 		}
@@ -217,10 +224,11 @@ func BenchmarkLabel(b *testing.B) {
 	client := netip.MustParseAddr("10.1.1.1")
 	e, _ := r.Query(client, "facebook.com", t0)
 	l.Observe(e)
+	s := l.Server(e.Answer)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Label(e.Answer, t0.Add(time.Minute))
+		l.Label(s, t0.Add(time.Minute))
 	}
 }
 

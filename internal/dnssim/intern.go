@@ -1,36 +1,44 @@
 package dnssim
 
+// Domain is the dense index an Interner assigns one distinct domain
+// string. Domain 0 is always the empty string.
+type Domain int32
+
 // Interner canonicalizes domain strings at the dns_label boundary: every
-// distinct domain is stored once per run, and every label span, device
-// bitmap key and appsig probe afterwards shares that one instance. Log
-// replay otherwise retains a fresh substring of each log line per span
-// (pinning the line). Interned strings also make the downstream map probes
-// (domainBit, sigDomains, appsig suffix walk) cheaper: equal keys compare
-// pointer-equal before any byte comparison.
+// distinct domain is stored once per run and numbered, and every label
+// span refers to it by number. Log replay otherwise retains a fresh
+// substring of each log line per span (pinning the line), and the numbers
+// let a caller resolve per-domain facts once into a slice instead of
+// probing string-keyed maps per flow.
 //
 // Not safe for concurrent use — an Interner is owned by its Labeler.
 type Interner struct {
-	m map[string]string
+	ids  map[string]Domain
+	strs []string // by Domain; strs[0] is ""
 }
 
-// NewInterner returns an empty intern table.
+// NewInterner returns an intern table holding only the empty string.
 func NewInterner() *Interner {
-	return &Interner{m: make(map[string]string, 256)}
+	return &Interner{ids: make(map[string]Domain, 256), strs: []string{""}}
 }
 
-// Intern returns the canonical instance of s, storing s itself on first
-// sight. The map key and value are the same string, so each distinct
-// domain costs one header plus its bytes.
-func (it *Interner) Intern(s string) string {
+// Intern returns the index of s, storing s itself on first sight. The
+// empty string is always 0 and is not stored.
+func (it *Interner) Intern(s string) Domain {
 	if s == "" {
-		return ""
+		return 0
 	}
-	if c, ok := it.m[s]; ok {
-		return c
+	if d, ok := it.ids[s]; ok {
+		return d
 	}
-	it.m[s] = s
-	return s
+	d := Domain(len(it.strs))
+	it.ids[s] = d
+	it.strs = append(it.strs, s)
+	return d
 }
 
-// Len returns the number of distinct strings interned.
-func (it *Interner) Len() int { return len(it.m) }
+// String returns the string of an index Intern handed out.
+func (it *Interner) String(d Domain) string { return it.strs[d] }
+
+// Len returns the number of distinct non-empty strings interned.
+func (it *Interner) Len() int { return len(it.ids) }

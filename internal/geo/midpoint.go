@@ -17,18 +17,36 @@ type Midpoint struct {
 	n       int
 }
 
+// Point is a location's unit-vector terms, the trigonometry Add would
+// otherwise recompute for every flow to the same destination.
+type Point struct {
+	cosLat, sinLat, cosLon, sinLon float64
+}
+
+// Point resolves the location's unit-vector terms.
+func (loc Location) Point() Point {
+	latR := loc.Lat * math.Pi / 180
+	lonR := loc.Lon * math.Pi / 180
+	return Point{
+		cosLat: math.Cos(latR), sinLat: math.Sin(latR),
+		cosLon: math.Cos(lonR), sinLon: math.Sin(lonR),
+	}
+}
+
 // Add folds one location with the given weight (e.g. flow bytes).
 // Non-positive weights are ignored.
-func (m *Midpoint) Add(loc Location, weight float64) {
+func (m *Midpoint) Add(loc Location, weight float64) { m.AddPoint(loc.Point(), weight) }
+
+// AddPoint is Add on a resolved point. Each component is folded as
+// weight*cosLat*cos(lon), in that order, so the sums are bit-identical to
+// Add's however the point was obtained.
+func (m *Midpoint) AddPoint(p Point, weight float64) {
 	if weight <= 0 || math.IsNaN(weight) || math.IsInf(weight, 0) {
 		return
 	}
-	latR := loc.Lat * math.Pi / 180
-	lonR := loc.Lon * math.Pi / 180
-	cosLat := math.Cos(latR)
-	m.x += weight * cosLat * math.Cos(lonR)
-	m.y += weight * cosLat * math.Sin(lonR)
-	m.z += weight * math.Sin(latR)
+	m.x += weight * p.cosLat * p.cosLon
+	m.y += weight * p.cosLat * p.sinLon
+	m.z += weight * p.sinLat
 	m.weight += weight
 	m.n++
 }
@@ -103,19 +121,34 @@ func NewClassifier(db *DB) *Classifier {
 // AddFlow folds one flow: the device's pseudonymous ID, the server address,
 // and the flow's byte count.
 func (c *Classifier) AddFlow(device uint64, server netip.Addr, bytes int64) {
+	if p, ok := c.Point(server); ok {
+		c.Device(device).AddPoint(p, float64(bytes))
+	}
+}
+
+// Point resolves a server address to the point AddFlow folds for it. ok is
+// false when AddFlow skips the server: no database entry, or a CDN prefix
+// while the exclusion is on. The answer never changes for an address, so a
+// caller may resolve each server once.
+func (c *Classifier) Point(server netip.Addr) (Point, bool) {
 	e, ok := c.db.Lookup(server)
-	if !ok {
-		return
+	if !ok || e.CDNExcluded && !c.IncludeCDNs {
+		return Point{}, false
 	}
-	if e.CDNExcluded && !c.IncludeCDNs {
-		return
-	}
+	return e.Loc.Point(), true
+}
+
+// Device returns the device's midpoint accumulator, creating it on first
+// call. AddFlow creates it on the device's first resolved flow; a caller
+// that folds points itself must call Device at that same point, or Export
+// would carry an accumulator AddFlow never made.
+func (c *Classifier) Device(device uint64) *Midpoint {
 	mp := c.points[device]
 	if mp == nil {
 		mp = &Midpoint{}
 		c.points[device] = mp
 	}
-	mp.Add(e.Loc, float64(bytes))
+	return mp
 }
 
 // Classify returns the device's population label.

@@ -88,12 +88,82 @@ func digits(b []byte, max int) (uint64, bool) {
 	return n, true
 }
 
-// ParseAddrBytes is netip.ParseAddr on a borrowed field.
+// ParseAddrBytes is netip.ParseAddr on a borrowed field. Dotted-quad IPv4
+// and plain IPv6 literals decode in place; the rest (zones, embedded IPv4
+// tails, malformed input) take netip.ParseAddr, which owns the errors.
 func ParseAddrBytes(b []byte) (netip.Addr, error) {
 	if a, ok := ipv4(b); ok {
 		return a, nil
 	}
+	if a, ok := ipv6(b); ok {
+		return a, nil
+	}
 	return netip.ParseAddr(string(b))
+}
+
+// ipv6 decodes an IPv6 literal made only of hex groups of 1-4 digits and
+// colons, with at most one "::" standing for at least one zero group —
+// exactly the zone-free literals without an IPv4 tail that
+// netip.ParseAddr accepts, decoded the way it decodes them. Anything else
+// reports false.
+func ipv6(b []byte) (netip.Addr, bool) {
+	var ip [16]byte
+	ellipsis := -1 // byte offset in ip where "::" stands
+	if len(b) >= 2 && b[0] == ':' && b[1] == ':' {
+		ellipsis = 0
+		b = b[2:]
+		if len(b) == 0 {
+			return netip.IPv6Unspecified(), true
+		}
+	}
+	i := 0
+	for i < 16 {
+		off, acc := 0, 0
+		for ; off < len(b); off++ {
+			v, ok := hexDigit(b[off])
+			if !ok {
+				break
+			}
+			acc = acc<<4 | int(v)
+		}
+		if off == 0 || off > 4 {
+			return netip.Addr{}, false
+		}
+		ip[i], ip[i+1] = byte(acc>>8), byte(acc)
+		i += 2
+		b = b[off:]
+		if len(b) == 0 {
+			break
+		}
+		if b[0] != ':' || len(b) == 1 {
+			return netip.Addr{}, false // an IPv4 tail, a zone, or garbage
+		}
+		b = b[1:]
+		if b[0] == ':' {
+			if ellipsis >= 0 {
+				return netip.Addr{}, false
+			}
+			ellipsis = i
+			b = b[1:]
+			if len(b) == 0 {
+				break
+			}
+		}
+	}
+	if len(b) != 0 {
+		return netip.Addr{}, false
+	}
+	if i < 16 {
+		if ellipsis < 0 {
+			return netip.Addr{}, false
+		}
+		n := 16 - i
+		copy(ip[ellipsis+n:], ip[ellipsis:i])
+		clear(ip[ellipsis : ellipsis+n])
+	} else if ellipsis >= 0 {
+		return netip.Addr{}, false
+	}
+	return netip.AddrFrom16(ip), true
 }
 
 // ipv4 decodes a dotted quad of 1-3 digit octets ≤ 255 without leading

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/decodeerr"
+	"repro/internal/flow"
 )
 
 // TestParseStringRoundTripRegressions pins values whose escapes overlap:
@@ -57,6 +58,10 @@ func FuzzFieldBytes(f *testing.F) {
 		"+1.5", "1e9", "NaN", "0x1p3", "-1.000000", ".000000", "1.00000", "01583020800.000000",
 		"10.0.0.1", "0.0.0.0", "255.255.255.255", "01.2.3.4", "256.0.0.1", "1.2.3", "1.2.3.4.5",
 		"::ffff:1.2.3.4", "2001:db8::9", "1..2.3",
+		"fe80::1%eth0", "fe80::1%", "::", "1::", "::1", "::1.2.3.4", "64:ff9b::192.0.2.33",
+		"2001:DB8:0:0:8:800:200C:417A", "2001:db8:0:0:8:800:200c:417a", "1:2:3:4:5:6:7::", "::2:3:4:5:6:7:8",
+		"1:2:3:4:5:6:7:8", "1:2:3:4:5:6:7:8:9", "1:2:3:4:5:6:7:8::", "1:2:3:4:5:6:7", "12345::1", "00000::1",
+		"1::2::3", ":::", ":1::", "1:", "1::2:", "::g", "fffff::", "2001:db8::9 ",
 		"443", "65535", "65536", "00080", "-1", "+5", "", "9223372036854775807", "9223372036854775808",
 		"999999999999999999", "tls", "-", "(empty)", `a\x09b`, `C:\x0a`, `\\x41`,
 	} {
@@ -92,34 +97,53 @@ func FuzzFieldBytes(f *testing.F) {
 }
 
 // TestConnReaderZeroAllocs pins the in-place decode: after warm-up, a
-// canonical IPv4 conn.log line decodes without allocating.
+// canonical conn.log line decodes without allocating, with IPv4 and with
+// IPv6 endpoints.
 func TestConnReaderZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var buf bytes.Buffer
-	w := NewConnWriter(&buf)
-	for i := 0; i < 400; i++ {
-		if err := w.Write(randomRecord(rng)); err != nil {
+	v6 := func(r flow.Record) flow.Record {
+		o, s := r.OrigAddr.As4(), r.RespAddr.As4()
+		r.OrigAddr = netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 0xca, 0xfe, 0, 0, 0x02, 0x16, 0xb9, 0xff, 0xfe, o[1], o[2], o[3]})
+		r.RespAddr = netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, s[0], s[1], 0, 0, 0, 0, 0, 0, 0, 0, s[2], s[3]})
+		return r
+	}
+	for _, family := range []struct {
+		name string
+		addr func(flow.Record) flow.Record
+	}{
+		{"IPv4", func(r flow.Record) flow.Record { return r }},
+		{"IPv6", v6},
+	} {
+		rng := rand.New(rand.NewSource(3))
+		var buf bytes.Buffer
+		w := NewConnWriter(&buf)
+		for i := 0; i < 400; i++ {
+			if err := w.Write(family.addr(randomRecord(rng))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewConnReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ { // warm-up: fills the service vocabulary
-		if _, err := r.Next(); err != nil {
+		r, err := NewConnReader(&buf)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := r.Next(); err != nil && err != io.EOF {
-			t.Fatal(err)
+		for i := 0; i < 100; i++ { // warm-up: fills the service vocabulary
+			rec, err := r.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if family.name == "IPv6" && !rec.RespAddr.Is6() {
+				t.Fatalf("%s: decoded %v", family.name, rec.RespAddr)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("ConnReader.Next: %v allocs per line, want 0", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := r.Next(); err != nil && err != io.EOF {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("ConnReader.Next (%s): %v allocs per line, want 0", family.name, allocs)
+		}
 	}
 }
