@@ -59,7 +59,7 @@ lint-golangci:
 
 # cmd/lintlock enforces the privacy-boundary, determinism, obs-nil-guard,
 # and hot-path-error invariants plus the concurrency protocols
-# (atomiconly, poolsafe, goroutineowner); the second pass audits
+# (atomiconly, goroutineowner); the second pass audits
 # every //lintlock:ignore directive for bare or stale suppressions (see
 # README "Static analysis").
 lint-custom:
@@ -119,8 +119,8 @@ daemon-smoke:
 
 # Stage-cache smoke: a cold 5%-scale run populates the content-addressed
 # cache, a warm rerun must hit every stage, emit byte-identical outputs,
-# and clear a 3x wall-clock gate, and a figure-only knob change
-# (-fig-workers) must reuse the cached stats while recomputing only
+# and clear a 3x wall-clock gate, and a rerun after the cache's figures
+# entry is deleted must reuse the cached stats while recomputing only
 # figures (see scripts/cache_smoke.sh and the ci cache-smoke job; the go
 # test variant is cmd/lockdown/cache_test.go).
 cache-smoke:

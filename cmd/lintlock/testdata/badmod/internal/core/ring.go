@@ -1,12 +1,8 @@
 // Package core violates the concurrency-protocol invariants on purpose:
-// mixed plain/atomic field access, a pooled object escaping an exported
-// API, and a goroutine with no shutdown edge.
+// mixed plain/atomic field access and a goroutine with no shutdown edge.
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 type ring struct {
 	head uint64
@@ -28,13 +24,3 @@ func Watch(r *ring) {
 		}
 	}()
 }
-
-type batch struct {
-	n     int
-	items []int
-}
-
-var batchPool = sync.Pool{New: func() any { return new(batch) }}
-
-// Take hands a pooled batch to arbitrary callers.
-func Take() *batch { return batchPool.Get().(*batch) }

@@ -1,7 +1,6 @@
 // Package core is clean under the concurrency-protocol analyzers: typed
-// atomics accessed through their method set, an owned goroutine with a
-// close-signaled stop and WaitGroup edge, and pool discipline with a
-// reset before Put.
+// atomics accessed through their method set and an owned goroutine with a
+// close-signaled stop and WaitGroup edge.
 package core
 
 import (
@@ -31,19 +30,4 @@ func Watch(r *ring, stop <-chan struct{}, wg *sync.WaitGroup) {
 			}
 		}
 	}()
-}
-
-type batch struct {
-	n     int
-	items []int
-}
-
-var batchPool = sync.Pool{New: func() any { return new(batch) }}
-
-// process recycles its batch with per-use state reset before Put.
-func process() {
-	b := batchPool.Get().(*batch)
-	b.items = b.items[:0]
-	b.n = 0
-	batchPool.Put(b)
 }

@@ -30,11 +30,10 @@ func cacheTestConfig(t *testing.T, cacheDir string) config {
 	}
 	return config{
 		Config: runner.Config{
-			Scale:     scale,
-			Seed:      1,
-			Key:       cacheTestKey,
-			CacheDir:  cacheDir,
-			CacheMode: "readwrite",
+			Scale:    scale,
+			Seed:     1,
+			Key:      cacheTestKey,
+			CacheDir: cacheDir,
 		},
 		quiet:   true,
 		statusW: io.Discard,
@@ -89,9 +88,8 @@ func statusHas(t *testing.T, label, status, frag string) {
 
 // TestCacheColdWarmPartialParity is the stage cache's acceptance walk: a
 // cold run populates the cache; a warm run hits every stage and must be
-// byte-identical; and a figure-only knob change reuses the cached stats, recomputes only
-// figures, and still produces identical bytes (-fig-workers is
-// output-neutral by design).
+// byte-identical; and a run whose figures entry was lost reuses the cached
+// stats, recomputes only figures, and still produces identical bytes.
 func TestCacheColdWarmPartialParity(t *testing.T) {
 	cacheDir := t.TempDir()
 	base := cacheTestConfig(t, cacheDir)
@@ -127,19 +125,21 @@ func TestCacheColdWarmPartialParity(t *testing.T) {
 		t.Errorf("warm run reports ingest throughput %v from cached stats", br.Ingest.FlowsPerSec)
 	}
 
+	if err := os.RemoveAll(filepath.Join(cacheDir, "figures")); err != nil {
+		t.Fatal(err)
+	}
 	partialDir := t.TempDir()
 	partial := base
 	partial.Out = partialDir
-	partial.FigWorkers = 2
 	partialStatus := runCached(t, partial)
-	statusHas(t, "figure-only change", partialStatus, "stats=hit figures=miss")
-	wantIdenticalOutputs(t, "figure-only change", want, readOutputs(t, partialDir))
+	statusHas(t, "lost figures entry", partialStatus, "stats=hit figures=miss")
+	wantIdenticalOutputs(t, "lost figures entry", want, readOutputs(t, partialDir))
 
-	// And the figures entry for the new knob is now cached too.
+	// And the recomputed figures entry is cached again.
 	againDir := t.TempDir()
 	again := partial
 	again.Out = againDir
-	statusHas(t, "figure-only rerun", runCached(t, again), "stats=hit figures=hit")
+	statusHas(t, "figures rerun", runCached(t, again), "stats=hit figures=hit")
 }
 
 // TestCacheCorruptionRecovery damages cached stats payloads after a cold
@@ -209,8 +209,9 @@ func TestCacheCorruptionRecovery(t *testing.T) {
 // (rendered in the "cache:" status line), the bench report's cache block,
 // and the expvar "obs" variable's counters object. The probed run is set
 // up so all four counters are nonzero: the main stats entry hits, the
-// damaged counterfactual entry fails verification, and the figures entry
-// is invalidated by a changed -fig-workers.
+// damaged counterfactual entry fails verification, and the -yoy figures
+// entry is gone while the figures entry of a run without -yoy is the
+// stage's latest, so its miss is an invalidation.
 func TestCacheCountersOneSource(t *testing.T) {
 	cacheDir := t.TempDir()
 	base := cacheTestConfig(t, cacheDir)
@@ -219,8 +220,14 @@ func TestCacheCountersOneSource(t *testing.T) {
 
 	cold := base
 	cold.Out = t.TempDir()
-	cold.FigWorkers = 2
 	runCached(t, cold)
+	if err := os.RemoveAll(filepath.Join(cacheDir, "figures")); err != nil {
+		t.Fatal(err)
+	}
+	noYoy := base
+	noYoy.Yoy = false
+	noYoy.Out = t.TempDir()
+	statusHas(t, "run without -yoy", runCached(t, noYoy), "stats=hit figures=miss")
 
 	// The counterfactual entry is the stats entry without a truth payload.
 	entries, err := filepath.Glob(filepath.Join(cacheDir, "stats", "*", "dataset.bin"))
@@ -248,7 +255,6 @@ func TestCacheCountersOneSource(t *testing.T) {
 
 	probe := base
 	probe.Out = t.TempDir()
-	probe.FigWorkers = 1
 	probe.debugAddr = "127.0.0.1:0"
 	probe.benchJSON = filepath.Join(t.TempDir(), "bench.json")
 	status := runCached(t, probe)
@@ -391,12 +397,11 @@ func TestStageKeySensitivity(t *testing.T) {
 		}
 	}
 	mustNotMove := map[string]func(*config){
-		"out":         func(c *config) { c.Out = "elsewhere" },
-		"quiet":       func(c *config) { c.quiet = false },
-		"progress":    func(c *config) { c.progressEvery = 1; c.progressFormat = "json" },
-		"bench":       func(c *config) { c.benchJSON = "bench.json" },
-		"fig-workers": func(c *config) { c.FigWorkers = 7 },
-		"cache-dir":   func(c *config) { c.CacheDir = "other" },
+		"out":       func(c *config) { c.Out = "elsewhere" },
+		"quiet":     func(c *config) { c.quiet = false },
+		"progress":  func(c *config) { c.progressEvery = 1; c.progressFormat = "json" },
+		"bench":     func(c *config) { c.benchJSON = "bench.json" },
+		"cache-dir": func(c *config) { c.CacheDir = "other" },
 		"fault knobs (generate mode)": func(c *config) {
 			c.FaultPolicy = "skip"
 			c.FaultInject = 0.5
@@ -441,9 +446,6 @@ func TestStageKeySensitivity(t *testing.T) {
 		return rc.FiguresKey(cfg.Config, dsD, truthD, "")
 	}
 	baseFig := figKeyOf(func(*config) {})
-	if figKeyOf(func(c *config) { c.FigWorkers = 2 }) == baseFig {
-		t.Error("figures key ignores -fig-workers")
-	}
 	if figKeyOf(func(c *config) { c.Out = "elsewhere" }) != baseFig {
 		t.Error("figures key moves with the output directory")
 	}
@@ -507,11 +509,10 @@ func deriveStableStatsKey(t *testing.T) (stagecache.Digest, error) {
 		return "", err
 	}
 	cfg := runner.Config{
-		Scale:     0.05,
-		Seed:      1,
-		Key:       cacheTestKey,
-		CacheDir:  t.TempDir(),
-		CacheMode: "readwrite",
+		Scale:    0.05,
+		Seed:     1,
+		Key:      cacheTestKey,
+		CacheDir: t.TempDir(),
 	}
 	rc, err := runner.OpenCache(cfg, reg, nil)
 	if err != nil {
@@ -521,28 +522,4 @@ func deriveStableStatsKey(t *testing.T) (stagecache.Digest, error) {
 		return "", fmt.Errorf("cache did not engage: %s", rc.Note)
 	}
 	return rc.StatsKey(cfg, "", false), nil
-}
-
-// TestCacheReadMode proves a populated cache is sufficient on its own: a
-// read-only pass over a warm cache hits every stage and writes nothing
-// new.
-func TestCacheReadMode(t *testing.T) {
-	cacheDir := t.TempDir()
-	base := cacheTestConfig(t, cacheDir)
-	base.Scale = 0.002
-
-	coldDir := t.TempDir()
-	cold := base
-	cold.Out = coldDir
-	runCached(t, cold)
-	want := readOutputs(t, coldDir)
-
-	roDir := t.TempDir()
-	ro := base
-	ro.Out = roDir
-	ro.CacheMode = "read"
-	status := runCached(t, ro)
-	statusHas(t, "read-only warm", status, "mode=read ")
-	statusHas(t, "read-only warm", status, "stats=hit figures=hit")
-	wantIdenticalOutputs(t, "read-only warm", want, readOutputs(t, roDir))
 }

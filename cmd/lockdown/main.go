@@ -13,9 +13,8 @@
 //	         [-progress-format text|json]
 //	         [-debug-addr host:port]  expvar + pprof endpoint while running
 //	         [-bench-json path]  write a machine-readable BENCH_<date>.json
-//	         [-cache-dir d]      content-addressed stage cache (skip clean stages)
-//	         [-cache-mode m]     off | read | readwrite (default readwrite)
-//	         [-fig-workers n]    figure pool size (0 = GOMAXPROCS; output-neutral)
+//	         [-cache-dir d]      content-addressed stage cache (skip clean stages;
+//	                             needs -key)
 //
 // Scale 1.0 reproduces paper-scale population counts (~32k peak devices,
 // tens of millions of flows; allow several minutes and ~2 GB RAM). The
@@ -66,8 +65,6 @@ func main() {
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "serve expvar + pprof on this address while running (e.g. localhost:6060)")
 	flag.StringVar(&cfg.benchJSON, "bench-json", "", "write a machine-readable bench report (a .json path, or a directory receiving BENCH_<date>.json)")
 	flag.StringVar(&cfg.CacheDir, "cache-dir", "", "content-addressed stage cache directory (requires -key; empty = no caching)")
-	flag.StringVar(&cfg.CacheMode, "cache-mode", "readwrite", "stage-cache mode: off, read or readwrite")
-	flag.IntVar(&cfg.FigWorkers, "fig-workers", 0, "figure finalization workers (0 = GOMAXPROCS); scheduling-only, never changes output bytes")
 	flag.StringVar(&cfg.FaultPolicy, "fault-policy", "strict", "decode-error policy for -logs replay: strict, skip, quarantine or abort")
 	flag.Float64Var(&cfg.FaultBudget, "fault-budget", 0.001, "tolerated dropped-record fraction under -fault-policy abort")
 	flag.Float64Var(&cfg.FaultInject, "fault-inject", 0, "inject seeded corruption into the replayed logs at this per-record rate (testing)")

@@ -8,7 +8,6 @@
 //	tracegen -out dataset/ [-scale 0.05] [-seed 1] [-days 0:121]
 //	tracegen -pcap capture.pcap -scale 0.002 -days 10:11
 //	tracegen -out dataset/ -progress 5s   emit live event rates and ETA
-//	tracegen -out dataset/ -cache-dir cache/   reuse an identical prior dataset
 package main
 
 import (
@@ -26,7 +25,6 @@ import (
 	"repro/internal/httplog"
 	"repro/internal/logsink"
 	"repro/internal/obs"
-	"repro/internal/stagecache"
 	"repro/internal/trace"
 	"repro/internal/universe"
 )
@@ -41,8 +39,6 @@ func main() {
 	rotate := flag.Bool("rotate", false, "rotate into one directory per study day (Zeek-style)")
 	noPandemic := flag.Bool("no-pandemic", false, "generate the counterfactual baseline world")
 	progress := flag.Duration("progress", 0, "emit a progress line at this interval (0 = off)")
-	cacheDir := flag.String("cache-dir", "", "content-addressed stage cache directory (empty = no caching; -out only)")
-	cacheMode := flag.String("cache-mode", "readwrite", "stage-cache mode: off, read or readwrite")
 	flag.Parse()
 
 	if (*out == "") == (*pcapOut == "") {
@@ -54,48 +50,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(2)
 	}
-	cache, err := openCache(*cacheDir, *cacheMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(2)
-	}
-	if err := run(*out, *pcapOut, *scale, *seed, from, to, *gz, *rotate, *noPandemic, *progress, cache); err != nil {
+	if err := run(*out, *pcapOut, *scale, *seed, from, to, *gz, *rotate, *noPandemic, *progress); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
-}
-
-// openCache resolves the cache flags (nil store = caching inactive).
-func openCache(dir, modeStr string) (*stagecache.Store, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	mode, err := stagecache.ParseMode(modeStr)
-	if err != nil {
-		return nil, err
-	}
-	return stagecache.Open(dir, mode, nil)
-}
-
-// datasetKey digests everything that shapes the emitted log bytes: the
-// code version (generator calibration, writers, signature tables are all
-// compile-time) plus every generation knob, including the encoding ones —
-// a gzipped or rotated tree is a different artifact.
-func datasetKey(scale float64, seed int64, from, to campus.Day, gz, rotate, noPandemic bool) (stagecache.Digest, error) {
-	code, err := stagecache.CodeDigest()
-	if err != nil {
-		return "", err
-	}
-	h := stagecache.NewHasher("tracegen/dataset")
-	h.Digest("code", code)
-	h.Float("scale", scale)
-	h.Int("seed", seed)
-	h.Int("from", int64(from))
-	h.Int("to", int64(to))
-	h.Bool("gzip", gz)
-	h.Bool("rotate", rotate)
-	h.Bool("no_pandemic", noPandemic)
-	return h.Sum(), nil
 }
 
 // countingSink wraps a sink with obs intake counters (flows carry their
@@ -141,21 +99,8 @@ func parseDays(spec string) (campus.Day, campus.Day, error) {
 	return campus.Day(from), campus.Day(to), nil
 }
 
-func run(out, pcapOut string, scale float64, seed int64, from, to campus.Day, gz, rotate, noPandemic bool, progress time.Duration, cache *stagecache.Store) error {
+func run(out, pcapOut string, scale float64, seed int64, from, to campus.Day, gz, rotate, noPandemic bool, progress time.Duration) error {
 	start := time.Now()
-	var key stagecache.Digest
-	if cache != nil && out != "" {
-		var err error
-		key, err = datasetKey(scale, seed, from, to, gz, rotate, noPandemic)
-		if err != nil {
-			return err
-		}
-		if cache.GetDir("dataset", key, out) {
-			fmt.Fprintf(os.Stderr, "tracegen: dataset replayed from cache (%s) to %s in %v\n",
-				cache.Summary(), out, time.Since(start).Round(time.Millisecond))
-			return nil
-		}
-	}
 	reg, err := universe.New()
 	if err != nil {
 		return err
@@ -212,11 +157,6 @@ func run(out, pcapOut string, scale float64, seed int64, from, to campus.Day, gz
 	prog.Stop()
 	if err := w.Close(); err != nil {
 		return err
-	}
-	if cache != nil {
-		if err := cache.PutDir("dataset", key, nil, out); err != nil {
-			return err
-		}
 	}
 	fmt.Fprintf(os.Stderr, "tracegen: wrote dataset for days [%d,%d) of %d devices to %s in %v\n",
 		from, to, len(gen.Devices()), out, time.Since(start).Round(time.Millisecond))

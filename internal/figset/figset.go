@@ -27,10 +27,6 @@ type Params struct {
 	// experiment and IoT threshold sweep; nil skips neither (they just
 	// score zero devices).
 	Truth map[anonymize.DeviceID]devclass.Type
-	// Workers bounds the figure pool (0 = GOMAXPROCS). Every figure is an
-	// independent pure function writing its own Results slot, so the pool
-	// size changes scheduling only, never output bytes.
-	Workers int
 }
 
 // Results bundles every computed experiment for rendering.
@@ -60,9 +56,10 @@ type Results struct {
 	Stats core.Stats
 }
 
-// Compute runs every experiment over ds on a bounded worker pool: each
-// figure is an independent pure function over the sealed Dataset writing
-// its own Results slot. It returns per-figure wall times in milliseconds
+// Compute runs every experiment over ds on a pool of GOMAXPROCS workers:
+// each figure is an independent pure function over the sealed Dataset
+// writing its own Results slot, so the pool size changes scheduling only,
+// never output bytes. It returns per-figure wall times in milliseconds
 // and the pool's overall wall time (on a multi-core host the max lane,
 // not the sum) for bench reports.
 func Compute(ds *core.Dataset, p Params) (*Results, map[string]float64, float64) {
@@ -87,7 +84,7 @@ func Compute(ds *core.Dataset, p Params) (*Results, map[string]float64, float64)
 		{Name: "zoom_weekend", Run: func() { r.ZoomWknd = experiments.ZoomWeekend(ds) }},
 		{Name: "convergence", Run: func() { r.Convergence = experiments.DiurnalConvergence(ds) }},
 	}
-	figMS, figWallMS := obs.RunTimedParallel(p.Workers, tasks)
+	figMS, figWallMS := obs.RunTimedParallel(0, tasks)
 	return r, figMS, figWallMS
 }
 

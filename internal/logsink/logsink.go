@@ -206,5 +206,5 @@ func (o ReplayOptions) lenient() bool {
 // stream and an error-budget guard over every decode failure. Leases come
 // first, then the traffic logs merged by timestamp (see replayDir).
 func ReplayWithOptions(dir string, sink trace.Sink, opts ReplayOptions) error {
-	return replayDir(dir, sink, opts, openLog)
+	return replayDir(dir, sink, opts, openLog, new(window))
 }

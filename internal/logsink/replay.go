@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/dhcp"
@@ -34,6 +33,13 @@ const (
 	runLen       = 256
 )
 
+// window is one replay's decode runs. A replay over several day
+// directories passes the same window to each replayDir, so the runs' slabs
+// are allocated once per replay rather than once per day: on a 1%-scale
+// rotated replay, a window per day doubled the GC cycles and cost about
+// 10% more CPU. A window is never shared between concurrent replays.
+type window [replayWindow]run
+
 // step is one entry of a run's order tape: the slab the next event comes
 // from.
 type step uint8
@@ -57,10 +63,6 @@ type run struct {
 	end    bool
 	err    error
 }
-
-// runPool recycles runs across replays (a rotated replay is one replay
-// per day directory).
-var runPool = sync.Pool{New: func() any { return new(run) }}
 
 func (r *run) reset() {
 	r.tape, r.flows, r.dns, r.http, r.leases = r.tape[:0], r.flows[:0], r.dns[:0], r.http[:0], r.leases[:0]
@@ -110,14 +112,12 @@ func (r *run) deliver(out trace.Sink) {
 // it is delivered and the error returned: the sink sees the prefix the
 // error left. replayDir returns only once the producer has exited, also
 // when sink panics.
-func replayDir(dir string, sink trace.Sink, opts ReplayOptions, open opener) error {
+func replayDir(dir string, sink trace.Sink, opts ReplayOptions, open opener, w *window) error {
 	// Both channels hold every run at once when the other side is idle,
 	// so they are sized to the window and a send never waits on capacity.
-	var runs [replayWindow]*run
 	free := make(chan *run, replayWindow)
-	for i := range runs {
-		runs[i] = runPool.Get().(*run)
-		free <- runs[i]
+	for i := range w {
+		free <- &w[i]
 	}
 	p := &producer{opts: opts, free: free, ready: make(chan *run, replayWindow), stop: make(chan struct{})}
 	done := make(chan struct{})
@@ -125,10 +125,6 @@ func replayDir(dir string, sink trace.Sink, opts ReplayOptions, open opener) err
 	defer func() {
 		close(p.stop)
 		<-done
-		for _, r := range runs {
-			r.reset()
-			runPool.Put(r)
-		}
 	}()
 	for {
 		r := <-p.ready
@@ -140,8 +136,9 @@ func replayDir(dir string, sink trace.Sink, opts ReplayOptions, open opener) err
 	}
 }
 
-// producer is the decode side of replayDir: it fills runs taken from free
-// and hands each to ready in stream order, until stop closes.
+// producer is the decode side of replayDir: it resets and fills runs
+// taken from free and hands each to ready in stream order, until stop
+// closes.
 type producer struct {
 	opts  ReplayOptions
 	cur   *run
@@ -155,6 +152,7 @@ type producer struct {
 func (p *producer) produce(dir string, open opener, done chan<- struct{}) {
 	defer close(done)
 	p.cur = <-p.free
+	p.cur.reset()
 	err := p.decodeDir(dir, open)
 	if errors.Is(err, errUnwound) {
 		return

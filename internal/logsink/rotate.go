@@ -106,7 +106,7 @@ func (rw *RotatingWriter) Close() error {
 }
 
 // ReplayRotatedWithOptions replays a rotated dataset: every day directory
-// under root, in date order, each through ReplayRotatedDay. One guard
+// under root, in date order, each through one DayReplayer. One guard
 // spans the whole dataset (the error budget is global, matching a
 // multi-month run).
 func ReplayRotatedWithOptions(root string, sink trace.Sink, opts ReplayOptions) error {
@@ -117,8 +117,9 @@ func ReplayRotatedWithOptions(root string, sink trace.Sink, opts ReplayOptions) 
 	if len(days) == 0 {
 		return fmt.Errorf("logsink: no day directories under %s", root)
 	}
+	var r DayReplayer
 	for _, d := range days {
-		if err := ReplayRotatedDay(root, d, sink, opts); err != nil {
+		if err := r.Replay(root, d, sink, opts); err != nil {
 			return err
 		}
 	}
@@ -144,9 +145,19 @@ func DayDirs(root string) ([]string, error) {
 	return days, nil
 }
 
-// ReplayRotatedDay replays exactly one day directory of a rotated dataset
-// in replayDir's order, with injection sub-seeded per day, so a day's
-// stream is the one every other path feeds for that day.
+// DayReplayer replays the day directories of rotated datasets one at a
+// time, through one decode window that it allocates once and reuses for
+// every day. Its zero value is ready; it must not run two replays at once.
+type DayReplayer struct{ w window }
+
+// Replay replays exactly one day directory of a rotated dataset in
+// replayDir's order, with injection sub-seeded per day, so a day's stream
+// is the one every other path feeds for that day.
+func (r *DayReplayer) Replay(root, day string, sink trace.Sink, opts ReplayOptions) error {
+	return replayDir(filepath.Join(root, day), sink, opts.day(day), openLog, &r.w)
+}
+
+// ReplayRotatedDay replays one day directory through a fresh DayReplayer.
 func ReplayRotatedDay(root, day string, sink trace.Sink, opts ReplayOptions) error {
-	return replayDir(filepath.Join(root, day), sink, opts.day(day), openLog)
+	return new(DayReplayer).Replay(root, day, sink, opts)
 }

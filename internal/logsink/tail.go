@@ -82,6 +82,7 @@ func TailRotated(root string, sink trace.Sink, opts TailOptions) error {
 		return days, err
 	}
 	seen := 0 // day directories fully replayed so far
+	w := new(window)
 	for {
 		days, err := dayDirs()
 		if err != nil {
@@ -98,7 +99,7 @@ func TailRotated(root string, sink trace.Sink, opts TailOptions) error {
 				ds, err := dayDirs()
 				return err == nil && len(ds) > next
 			}
-			if err := tailDay(filepath.Join(root, day), sink, opts.day(day), poll, opts.Stop, final); err != nil {
+			if err := tailDay(filepath.Join(root, day), sink, opts.day(day), poll, opts.Stop, final, w); err != nil {
 				return err
 			}
 			seen = next
@@ -186,9 +187,12 @@ func waitPoll(poll time.Duration, stop, unwind <-chan struct{}) error {
 }
 
 // openTail opens one log for tailing, waiting for the file to appear (a
-// freshly rotated day directory may not have all files yet).
+// freshly rotated day directory may not have all files yet). Like
+// tailReader, it reads finality before the open that decides: a file
+// written just before its day went final is still found.
 func openTail(dir, name string, poll time.Duration, stop, unwind <-chan struct{}, final func() bool) (io.ReadCloser, error) {
 	for {
+		fin := final()
 		f, err := os.Open(filepath.Join(dir, name))
 		if err == nil {
 			return &tailReader{f: f, poll: poll, stop: stop, unwind: unwind, final: final}, nil
@@ -199,7 +203,7 @@ func openTail(dir, name string, poll time.Duration, stop, unwind <-chan struct{}
 		if fileExists(filepath.Join(dir, name+".gz")) {
 			return nil, fmt.Errorf("logsink: %s is gzip-compressed in %s; tail mode requires plain logs", name, dir)
 		}
-		if final() {
+		if fin {
 			return nil, fmt.Errorf("logsink: %s missing in finalized day directory %s", name, dir)
 		}
 		if err := waitPoll(poll, stop, unwind); err != nil {
@@ -210,8 +214,8 @@ func openTail(dir, name string, poll time.Duration, stop, unwind <-chan struct{}
 
 // tailDay replays one day directory through replayDir, blocking at each
 // file's tail until the day is final.
-func tailDay(dir string, sink trace.Sink, opts ReplayOptions, poll time.Duration, stop <-chan struct{}, final func() bool) error {
+func tailDay(dir string, sink trace.Sink, opts ReplayOptions, poll time.Duration, stop <-chan struct{}, final func() bool, w *window) error {
 	return replayDir(dir, sink, opts, func(dir, name string, unwind <-chan struct{}) (io.ReadCloser, error) {
 		return openTail(dir, name, poll, stop, unwind, final)
-	})
+	}, w)
 }

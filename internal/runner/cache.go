@@ -40,24 +40,17 @@ func OpenCache(cfg Config, reg *universe.Registry, metrics *obs.Metrics) (*Cache
 	if cfg.CacheDir == "" {
 		return rc, nil
 	}
-	mode, err := stagecache.ParseMode(cfg.CacheMode)
-	if err != nil {
-		return nil, err
-	}
-	if mode == stagecache.ModeOff {
-		rc.Note = "mode=off"
-		return rc, nil
-	}
 	if len(cfg.Key) == 0 {
 		rc.Note = "disabled: -key required (random per-run pseudonyms make cached stages unlinkable)"
 		return rc, nil
 	}
+	var err error
 	rc.Code, err = stagecache.CodeDigest()
 	if err != nil {
 		return nil, fmt.Errorf("stage cache: code digest: %w", err)
 	}
 	rc.Rules = stagecache.RulesDigest(reg, appsig.TableRows())
-	rc.Store, err = stagecache.Open(cfg.CacheDir, mode, metrics)
+	rc.Store, err = stagecache.Open(cfg.CacheDir, stagecache.ModeReadWrite, metrics)
 	if err != nil {
 		return nil, fmt.Errorf("stage cache: %w", err)
 	}
@@ -98,11 +91,9 @@ func (rc *Cache) StatsKey(cfg Config, logsDigest stagecache.Digest, noPandemic b
 // FiguresKey derives the figures stage's cache key. The stage is chained
 // on the *content* of its inputs (the encoded dataset, truth map and
 // optional counterfactual baseline), buildkit-style: two configurations
-// that produce byte-identical stats share one figures entry. Figure-only
-// knobs (here FigWorkers, conservatively keyed even though the pool size
-// is output-neutral) invalidate figures without touching stats — that
-// asymmetry is what makes a figure-only change replay from cached stats in
-// milliseconds.
+// that produce byte-identical stats share one figures entry. Besides that
+// content, only the scale and seed (which the report and the accuracy
+// sampling read) enter the key.
 func (rc *Cache) FiguresKey(cfg Config, dsDigest, truthDigest, yoyDigest stagecache.Digest) stagecache.Digest {
 	h := stagecache.NewHasher("lockdown/figures")
 	h.Digest("code", rc.Code)
@@ -115,7 +106,6 @@ func (rc *Cache) FiguresKey(cfg Config, dsDigest, truthDigest, yoyDigest stageca
 	}
 	h.Float("scale", cfg.Scale)
 	h.Int("seed", cfg.Seed)
-	h.Int("fig_workers", int64(cfg.FigWorkers))
 	return h.Sum()
 }
 

@@ -46,13 +46,9 @@ type Config struct {
 	Out   string  // output directory; quarantine.log lands here too
 	Yoy   bool    // also simulate the counterfactual baseline year
 
-	// Stage-cache knobs: CacheDir roots the content-addressed store
-	// (empty = no caching), CacheMode gates reads/writes, FigWorkers
-	// bounds the figure pool (a figure-only knob, so changing it
-	// invalidates only the figures stage).
-	CacheDir   string
-	CacheMode  string
-	FigWorkers int
+	// CacheDir roots the content-addressed stage cache (empty = no
+	// caching).
+	CacheDir string
 
 	// Fault-robustness knobs (only meaningful with Logs; the generator
 	// path has no decode step to guard).
@@ -149,7 +145,7 @@ func (c Config) truth(reg *universe.Registry, pipe *core.Pipeline) (truthMap, er
 }
 
 func (c Config) figParams(truth truthMap) figset.Params {
-	return figset.Params{Scale: c.Scale, Seed: c.Seed, Truth: truth, Workers: c.FigWorkers}
+	return figset.Params{Scale: c.Scale, Seed: c.Seed, Truth: truth}
 }
 
 // Live is a following run's setup (cmd/lockdownd): the pipeline, the fault
@@ -415,7 +411,7 @@ func (b *batch) baseline() (*statsEntry, error) {
 
 // figures resolves the figures stage: every CSV plus the report, keyed on
 // the content of the stats payloads. A hit skips figure computation
-// entirely — the figure-only-change replay path.
+// entirely.
 func (b *batch) figures(stats, base *statsEntry, res *Result) (arts map[string][]byte, hit bool, err error) {
 	cfg, rc := b.cfg, b.rc
 	var figKey, dsDigest, truthDigest stagecache.Digest

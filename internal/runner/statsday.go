@@ -148,8 +148,9 @@ func (rc *Cache) runStatsday(cfg Config, tree *stagecache.Tree, reg *universe.Re
 		}
 	}
 
+	var replayer logsink.DayReplayer
 	for i := start; i < len(days); i++ {
-		if err := logsink.ReplayRotatedDay(cfg.Logs, days[i], pipe, replayOpts); err != nil {
+		if err := replayer.Replay(cfg.Logs, days[i], pipe, replayOpts); err != nil {
 			return nil, err
 		}
 		t0 := time.Now()

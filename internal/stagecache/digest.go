@@ -1,5 +1,5 @@
-// Package stagecache is a content-addressed on-disk cache over the
-// pipeline DAG (generate → ingest → stats → figures), borrowing the
+// Package stagecache is a content-addressed on-disk cache over the run
+// graph's stages (stats, statsday checkpoints, figures), borrowing the
 // dagger/buildkit model: every stage output is persisted under a key that
 // digests the stage's inputs, its configuration, and the code version, so
 // a rerun skips any stage whose key is unchanged and recomputes exactly

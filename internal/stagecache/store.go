@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,38 +18,14 @@ import (
 // data.
 const StoreVersion = 1
 
-// Mode controls what the store is allowed to do.
+// Mode is the store's access mode. A store always serves hits and
+// persists misses; leaving the cache directory out is how a run turns
+// caching off. The type keeps its one value for lockbench, whose cached
+// repeat (bench/traced.go) opens the store with ModeReadWrite.
 type Mode uint8
 
-const (
-	// ModeOff disables the cache entirely.
-	ModeOff Mode = iota
-	// ModeRead serves hits but never writes (useful for proving a
-	// populated cache is sufficient, and for read-only cache volumes).
-	ModeRead
-	// ModeReadWrite serves hits and persists misses — the default.
-	ModeReadWrite
-)
-
-var modeNames = map[Mode]string{ModeOff: "off", ModeRead: "read", ModeReadWrite: "readwrite"}
-
-// String returns the mode's flag spelling.
-func (m Mode) String() string {
-	if n, ok := modeNames[m]; ok {
-		return n
-	}
-	return "unknown"
-}
-
-// ParseMode parses a -cache-mode flag value.
-func ParseMode(s string) (Mode, error) {
-	for m, n := range modeNames {
-		if n == s {
-			return m, nil
-		}
-	}
-	return ModeOff, fmt.Errorf("stagecache: unknown mode %q (want off, read or readwrite)", s)
-}
+// ModeReadWrite serves hits and persists misses.
+const ModeReadWrite Mode = 0
 
 // ErrCorrupt marks a cache entry that failed verification (checksum
 // mismatch, truncation, manifest damage, version skew). Callers treat it
@@ -94,12 +68,11 @@ type Counters struct {
 	VerifyFailures int64
 }
 
-// Store is the on-disk cache. All methods are safe on a nil receiver
-// (ModeOff semantics), mirroring the nil-*Metrics idiom, so callers thread
+// Store is the on-disk cache. All methods are safe on a nil receiver (a
+// cache that is off), mirroring the nil-*Metrics idiom, so callers thread
 // a possibly-nil *Store without branching.
 type Store struct {
-	dir  string
-	mode Mode
+	dir string
 
 	// The store's accounting, registered with the run's obs.Metrics under
 	// the cache_* names: Counters and every obs snapshot read these same
@@ -111,49 +84,28 @@ type Store struct {
 	verifyFailures obs.Counter
 }
 
-// Open prepares a store rooted at dir. ModeOff returns a nil store.
-// Opening in a writable mode sweeps leftover staging directories from
-// torn runs — they were never committed, so removing them is always safe.
-// The store's counters are registered with om under the cache_* names; a
-// nil om registers nothing, and Counters works either way.
-func Open(dir string, mode Mode, om *obs.Metrics) (*Store, error) {
-	if mode == ModeOff {
-		return nil, nil
+// Open prepares a store rooted at dir and sweeps leftover staging
+// directories from torn runs — they were never committed, so removing
+// them is always safe. The store's counters are registered with om under
+// the cache_* names; a nil om registers nothing, and Counters works
+// either way.
+func Open(dir string, _ Mode, om *obs.Metrics) (*Store, error) {
+	s := &Store{dir: dir}
+	if err := os.MkdirAll(s.tmpDir(), 0o755); err != nil {
+		return nil, err
 	}
-	s := &Store{dir: dir, mode: mode}
-	if mode == ModeReadWrite {
-		if err := os.MkdirAll(s.tmpDir(), 0o755); err != nil {
-			return nil, err
-		}
-		entries, err := os.ReadDir(s.tmpDir())
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range entries {
-			os.RemoveAll(filepath.Join(s.tmpDir(), e.Name()))
-		}
+	entries, err := os.ReadDir(s.tmpDir())
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		os.RemoveAll(filepath.Join(s.tmpDir(), e.Name()))
 	}
 	om.Register("cache_hits", &s.hits)
 	om.Register("cache_misses", &s.misses)
 	om.Register("cache_invalidations", &s.invalidations)
 	om.Register("cache_verify_failures", &s.verifyFailures)
 	return s, nil
-}
-
-// Dir returns the store root ("" for a nil store).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
-}
-
-// Mode returns the store's mode (ModeOff for a nil store).
-func (s *Store) Mode() Mode {
-	if s == nil {
-		return ModeOff
-	}
-	return s.mode
 }
 
 func (s *Store) tmpDir() string               { return filepath.Join(s.dir, "tmp") }
@@ -274,144 +226,14 @@ func (s *Store) GetBytes(stage string, key Digest, validate func(map[string][]by
 	return files, true
 }
 
-// GetDir fetches an entry whose payload is a file tree, verifying every
-// file while streaming it into dstDir (created if needed). On any
-// verification failure the partial copy is removed and ok is false.
-func (s *Store) GetDir(stage string, key Digest, dstDir string) bool {
-	if s == nil {
-		return false
-	}
-	m, err := s.loadManifest(stage, key)
-	if err != nil {
-		if errors.Is(err, ErrCorrupt) {
-			s.verifyFailures.Add(1)
-		}
-		s.noteMiss(stage, key)
-		return false
-	}
-	srcDir := s.entryDir(stage, key)
-	if err := copyVerified(srcDir, dstDir, m.Files); err != nil {
-		os.RemoveAll(dstDir)
-		if errors.Is(err, ErrCorrupt) {
-			s.verifyFailures.Add(1)
-		}
-		s.noteMiss(stage, key)
-		return false
-	}
-	s.hits.Add(1)
-	return true
-}
-
-func copyVerified(srcDir, dstDir string, files []fileEntry) error {
-	for _, fe := range files {
-		src := filepath.Join(srcDir, filepath.FromSlash(fe.Name))
-		dst := filepath.Join(dstDir, filepath.FromSlash(fe.Name))
-		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-			return err
-		}
-		in, err := os.Open(src)
-		if err != nil {
-			return fmt.Errorf("%w: %s: %v", ErrCorrupt, fe.Name, err)
-		}
-		out, err := os.Create(dst)
-		if err != nil {
-			in.Close()
-			return err
-		}
-		h := sha256.New()
-		n, err := io.Copy(io.MultiWriter(out, h), in)
-		in.Close()
-		if cerr := out.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		if n != fe.Size {
-			return fmt.Errorf("%w: %s: size %d, want %d", ErrCorrupt, fe.Name, n, fe.Size)
-		}
-		if hex.EncodeToString(h.Sum(nil)) != fe.SHA256 {
-			return fmt.Errorf("%w: %s: checksum mismatch", ErrCorrupt, fe.Name)
-		}
-	}
-	return nil
-}
-
-// Writable reports whether Put calls will persist.
-func (s *Store) Writable() bool { return s != nil && s.mode == ModeReadWrite }
-
-// PutBytes commits an entry with in-memory payloads. The entry is staged
-// under tmp/ and renamed into place in one step: a crash at any point
-// leaves either no entry or a complete, verifiable one. Not writable
-// modes are a no-op.
+// PutBytes commits an entry with in-memory payloads. The payloads are
+// staged under tmp/ (manifest last) and the entry is renamed into place in
+// one step: a crash at any point leaves either no entry or a complete,
+// verifiable one. On a nil store it is a no-op.
 func (s *Store) PutBytes(stage string, key Digest, inputs map[string]Digest, files map[string][]byte) error {
-	if !s.Writable() {
+	if s == nil {
 		return nil
 	}
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return s.commit(stage, key, inputs, names, func(dst string, name string) (int64, string, error) {
-		b := files[name]
-		if err := os.WriteFile(dst, b, 0o644); err != nil {
-			return 0, "", err
-		}
-		sum := sha256.Sum256(b)
-		return int64(len(b)), hex.EncodeToString(sum[:]), nil
-	})
-}
-
-// PutDir commits an entry whose payload is the file tree rooted at
-// srcDir (every regular file, relative slash-separated names).
-func (s *Store) PutDir(stage string, key Digest, inputs map[string]Digest, srcDir string) error {
-	if !s.Writable() {
-		return nil
-	}
-	var names []string
-	err := filepath.WalkDir(srcDir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.Type().IsRegular() {
-			rel, err := filepath.Rel(srcDir, path)
-			if err != nil {
-				return err
-			}
-			names = append(names, filepath.ToSlash(rel))
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	sort.Strings(names)
-	return s.commit(stage, key, inputs, names, func(dst string, name string) (int64, string, error) {
-		in, err := os.Open(filepath.Join(srcDir, filepath.FromSlash(name)))
-		if err != nil {
-			return 0, "", err
-		}
-		defer in.Close()
-		out, err := os.Create(dst)
-		if err != nil {
-			return 0, "", err
-		}
-		h := sha256.New()
-		n, err := io.Copy(io.MultiWriter(out, h), in)
-		if cerr := out.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return 0, "", err
-		}
-		return n, hex.EncodeToString(h.Sum(nil)), nil
-	})
-}
-
-// commit stages the entry (payloads first, manifest last), renames it into
-// place, and updates the stage index.
-func (s *Store) commit(stage string, key Digest, inputs map[string]Digest, names []string, write func(dst, name string) (int64, string, error)) error {
 	staging, err := os.MkdirTemp(s.tmpDir(), "put-")
 	if err != nil {
 		return err
@@ -424,16 +246,18 @@ func (s *Store) commit(stage string, key Digest, inputs map[string]Digest, names
 			m.Inputs[k] = string(v)
 		}
 	}
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	for _, name := range names {
-		dst := filepath.Join(staging, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+		b := files[name]
+		if err := os.WriteFile(filepath.Join(staging, name), b, 0o644); err != nil {
 			return err
 		}
-		size, sum, err := write(dst, name)
-		if err != nil {
-			return err
-		}
-		m.Files = append(m.Files, fileEntry{Name: name, Size: size, SHA256: sum})
+		sum := sha256.Sum256(b)
+		m.Files = append(m.Files, fileEntry{Name: name, Size: int64(len(b)), SHA256: hex.EncodeToString(sum[:])})
 	}
 	mb, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -495,12 +319,12 @@ func (s *Store) updateIndex(stage string, key Digest) error {
 }
 
 // Summary renders the store's accounting for an end-of-run status line,
-// e.g. "dir=cache mode=readwrite hits=2 misses=0 invalidations=0 verify_failures=0".
+// e.g. "dir=cache hits=2 misses=0 invalidations=0 verify_failures=0".
 func (s *Store) Summary() string {
 	if s == nil {
-		return "mode=off"
+		return "off"
 	}
 	c := s.Counters()
-	return fmt.Sprintf("dir=%s mode=%s hits=%d misses=%d invalidations=%d verify_failures=%d",
-		s.dir, s.mode, c.Hits, c.Misses, c.Invalidations, c.VerifyFailures)
+	return fmt.Sprintf("dir=%s hits=%d misses=%d invalidations=%d verify_failures=%d",
+		s.dir, c.Hits, c.Misses, c.Invalidations, c.VerifyFailures)
 }

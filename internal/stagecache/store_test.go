@@ -9,9 +9,9 @@ import (
 	"testing"
 )
 
-func testStore(t *testing.T, mode Mode) *Store {
+func testStore(t *testing.T) *Store {
 	t.Helper()
-	s, err := Open(t.TempDir(), mode, nil)
+	s, err := Open(t.TempDir(), ModeReadWrite, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func testFiles() map[string][]byte {
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
-	s := testStore(t, ModeReadWrite)
+	s := testStore(t)
 	if err := s.PutBytes("stats", testKey, map[string]Digest{"code": "abc"}, testFiles()); err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestMissAndInvalidation(t *testing.T) {
-	s := testStore(t, ModeReadWrite)
+	s := testStore(t)
 	// A miss on a stage with no committed entries is cold, not an
 	// invalidation.
 	if _, ok := s.GetBytes("stats", testKey, nil); ok {
@@ -76,7 +76,7 @@ func TestMissAndInvalidation(t *testing.T) {
 }
 
 func TestValidateRejectionCountsAsVerifyFailure(t *testing.T) {
-	s := testStore(t, ModeReadWrite)
+	s := testStore(t)
 	if err := s.PutBytes("stats", testKey, nil, testFiles()); err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +143,11 @@ func TestCorruptionMatrix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := testStore(t, ModeReadWrite)
+			s := testStore(t)
 			if err := s.PutBytes("stats", testKey, nil, testFiles()); err != nil {
 				t.Fatal(err)
 			}
-			tc.corrupt(t, filepath.Join(s.Dir(), "stats", string(testKey)))
+			tc.corrupt(t, filepath.Join(s.dir, "stats", string(testKey)))
 			if _, ok := s.GetBytes("stats", testKey, nil); ok {
 				t.Fatal("corrupted entry served as a hit")
 			}
@@ -196,10 +196,10 @@ func rewriteManifest(t *testing.T, entryDir string, mutate func(*manifest)) {
 // leave — an entry directory without a manifest, and a staging directory
 // under tmp/ — and requires the first to read as a plain miss (no verify
 // failure: nothing claimed to be valid) and the second to be swept on the
-// next writable Open.
+// next Open.
 func TestTornWriteIsInvisible(t *testing.T) {
-	s := testStore(t, ModeReadWrite)
-	entry := filepath.Join(s.Dir(), "stats", string(testKey))
+	s := testStore(t)
+	entry := filepath.Join(s.dir, "stats", string(testKey))
 	if err := os.MkdirAll(entry, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -211,149 +211,44 @@ func TestTornWriteIsInvisible(t *testing.T) {
 	}
 	wantCounters(t, s, Counters{Misses: 1})
 
-	staging := filepath.Join(s.Dir(), "tmp", "put-leftover")
+	staging := filepath.Join(s.dir, "tmp", "put-leftover")
 	if err := os.MkdirAll(staging, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(staging, "dataset.bin"), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(s.Dir(), ModeReadWrite, nil); err != nil {
+	if _, err := Open(s.dir, ModeReadWrite, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(staging); !errors.Is(err, os.ErrNotExist) {
-		t.Error("writable Open did not sweep the torn staging directory")
-	}
-}
-
-func TestModeRead(t *testing.T) {
-	rw := testStore(t, ModeReadWrite)
-	if err := rw.PutBytes("stats", testKey, nil, testFiles()); err != nil {
-		t.Fatal(err)
-	}
-	ro, err := Open(rw.Dir(), ModeRead, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ro.Writable() {
-		t.Error("read-only store claims to be writable")
-	}
-	if _, ok := ro.GetBytes("stats", testKey, nil); !ok {
-		t.Error("read-only store missed a committed entry")
-	}
-	if err := ro.PutBytes("stats", otherKey, nil, testFiles()); err != nil {
-		t.Fatalf("read-only Put should be a silent no-op, got %v", err)
-	}
-	if _, ok := ro.GetBytes("stats", otherKey, nil); ok {
-		t.Error("read-only Put persisted an entry")
-	}
-}
-
-func TestParseMode(t *testing.T) {
-	for spelling, want := range map[string]Mode{"off": ModeOff, "read": ModeRead, "readwrite": ModeReadWrite} {
-		got, err := ParseMode(spelling)
-		if err != nil || got != want {
-			t.Errorf("ParseMode(%q) = %v, %v", spelling, got, err)
-		}
-	}
-	if _, err := ParseMode("rw"); err == nil {
-		t.Error("ParseMode accepted an unknown spelling")
-	}
-}
-
-func TestOpenModeOffIsNilStore(t *testing.T) {
-	s, err := Open(t.TempDir(), ModeOff, nil)
-	if err != nil || s != nil {
-		t.Fatalf("Open(ModeOff) = %v, %v; want nil, nil", s, err)
+		t.Error("Open did not sweep the torn staging directory")
 	}
 }
 
 // TestNilStore pins the nil-receiver contract: every method is safe and
-// behaves as ModeOff.
+// behaves as a cache that is off.
 func TestNilStore(t *testing.T) {
 	var s *Store
 	if _, ok := s.GetBytes("stats", testKey, nil); ok {
 		t.Error("nil store served a hit")
 	}
-	if s.GetDir("dataset", testKey, t.TempDir()) {
-		t.Error("nil store served a dir hit")
-	}
 	if err := s.PutBytes("stats", testKey, nil, testFiles()); err != nil {
 		t.Error("nil store PutBytes errored")
-	}
-	if err := s.PutDir("dataset", testKey, nil, t.TempDir()); err != nil {
-		t.Error("nil store PutDir errored")
-	}
-	if s.Writable() || s.Mode() != ModeOff || s.Dir() != "" {
-		t.Error("nil store is not ModeOff-shaped")
 	}
 	if s.Counters() != (Counters{}) {
 		t.Error("nil store has nonzero counters")
 	}
-	if s.Summary() != "mode=off" {
+	if s.Summary() != "off" {
 		t.Errorf("nil store summary = %q", s.Summary())
 	}
 }
 
-func TestPutDirGetDir(t *testing.T) {
-	s := testStore(t, ModeReadWrite)
-	src := t.TempDir()
-	files := map[string]string{
-		"conn.log":     "flow 1\nflow 2\n",
-		"sub/dns.log":  "query a\n",
-		"sub/http.log": "",
-	}
-	for name, content := range files {
-		p := filepath.Join(src, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.PutDir("dataset", testKey, nil, src); err != nil {
-		t.Fatal(err)
-	}
-	dst := filepath.Join(t.TempDir(), "restored")
-	if !s.GetDir("dataset", testKey, dst) {
-		t.Fatal("GetDir missed a committed tree")
-	}
-	for name, content := range files {
-		b, err := os.ReadFile(filepath.Join(dst, filepath.FromSlash(name)))
-		if err != nil {
-			t.Fatalf("restored tree missing %s: %v", name, err)
-		}
-		if string(b) != content {
-			t.Errorf("%s = %q, want %q", name, b, content)
-		}
-	}
-	wantCounters(t, s, Counters{Hits: 1})
-
-	// Corrupt one cached payload: GetDir must fail verification, remove
-	// the partial copy, and count the failure.
-	cached := filepath.Join(s.Dir(), "dataset", string(testKey), "conn.log")
-	if err := os.WriteFile(cached, []byte("flow 1\nflow X\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	dst2 := filepath.Join(t.TempDir(), "restored2")
-	if s.GetDir("dataset", testKey, dst2) {
-		t.Fatal("GetDir served a corrupted tree")
-	}
-	if _, err := os.Stat(dst2); !errors.Is(err, os.ErrNotExist) {
-		t.Error("GetDir left a partial copy behind after verification failure")
-	}
-	c := s.Counters()
-	if c.VerifyFailures != 1 {
-		t.Errorf("verify failures = %d, want 1", c.VerifyFailures)
-	}
-}
-
 func TestSummaryShape(t *testing.T) {
-	s := testStore(t, ModeReadWrite)
+	s := testStore(t)
 	s.GetBytes("stats", testKey, nil)
 	sum := s.Summary()
-	for _, frag := range []string{"mode=readwrite", "hits=0", "misses=1", "invalidations=0", "verify_failures=0"} {
+	for _, frag := range []string{"dir=" + s.dir + " ", "hits=0", "misses=1", "invalidations=0", "verify_failures=0"} {
 		if !strings.Contains(sum, frag) {
 			t.Errorf("summary %q missing %q", sum, frag)
 		}

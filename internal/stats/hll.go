@@ -6,22 +6,17 @@ import (
 	"math"
 )
 
-// HyperLogLog estimates set cardinality in fixed memory. The pipeline uses
-// it to count distinct sites visited per device across months (§4.1's "34%
-// more distinct sites") without retaining per-device domain sets for tens
-// of thousands of devices over four months.
+// HyperLogLog estimates set cardinality in fixed memory. It is the
+// design's ablation for distinct-site counting (DESIGN.md §4): the
+// pipeline counts §4.1's "34% more distinct sites" exactly, with
+// per-device domain bitmaps, and the tests compare this estimator against
+// that exact count.
 //
 // This is the classic Flajolet–Fushimi–Gandouet–Meunier estimator with the
 // standard small-range (linear counting) correction.
-//
-// A HyperLogLog published as part of a sealed epoch snapshot must be
-// immutable: concurrent readers hold the same registers. Seal marks the
-// estimator read-only; every mutating method refuses afterwards, and
-// Merged provides the clone-on-merge path for combining sealed snapshots.
 type HyperLogLog struct {
-	p      uint8 // precision: number of index bits
-	sealed bool
-	regs   []uint8
+	p    uint8 // precision: number of index bits
+	regs []uint8
 }
 
 // NewHyperLogLog returns an estimator with 2^p registers. Precision must be
@@ -48,13 +43,8 @@ func fnv1a64(data []byte) uint64 {
 	return h
 }
 
-// Add inserts an item. Add panics on a sealed estimator: a sealed
-// HyperLogLog is part of a published snapshot and mutating it would
-// corrupt what concurrent readers see.
+// Add inserts an item.
 func (h *HyperLogLog) Add(item []byte) {
-	if h.sealed {
-		panic("stats: Add on sealed HyperLogLog")
-	}
 	x := fnv1a64(item)
 	// Mix: FNV has weak avalanche in the high bits; finalize with the
 	// splitmix64 finisher so register indexing is unbiased.
@@ -124,14 +114,8 @@ func (h *HyperLogLog) Estimate() float64 {
 }
 
 // Merge folds other into h, mutating h's registers in place. Both must
-// share the same precision. Merging into a sealed estimator is refused:
-// the receiver's registers are shared with every reader of the published
-// snapshot, so an in-place fold would corrupt their view. Use Merged to
-// combine sealed snapshots.
+// share the same precision.
 func (h *HyperLogLog) Merge(other *HyperLogLog) error {
-	if h.sealed {
-		return fmt.Errorf("stats: Merge into sealed HyperLogLog (use Merged)")
-	}
 	if h.p != other.p {
 		return fmt.Errorf("stats: merging HLL precision %d into %d", other.p, h.p)
 	}
@@ -143,43 +127,8 @@ func (h *HyperLogLog) Merge(other *HyperLogLog) error {
 	return nil
 }
 
-// Merged returns a new unsealed estimator holding the union of h and
-// other without mutating either — the clone-on-merge path for sealed
-// epoch snapshots. Both must share the same precision.
-func (h *HyperLogLog) Merged(other *HyperLogLog) (*HyperLogLog, error) {
-	if h.p != other.p {
-		return nil, fmt.Errorf("stats: merging HLL precision %d into %d", other.p, h.p)
-	}
-	out := h.Clone()
-	out.sealed = false
-	if err := out.Merge(other); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Clone returns a deep copy of h (registers included). The copy keeps the
-// sealed flag, so cloning a sealed snapshot yields a sealed snapshot;
-// unseal by cloning via Merged with an empty estimator is never needed —
-// Merged already returns an unsealed copy.
-func (h *HyperLogLog) Clone() *HyperLogLog {
-	return &HyperLogLog{p: h.p, sealed: h.sealed, regs: append([]uint8(nil), h.regs...)}
-}
-
-// Seal marks the estimator immutable. After Seal, Add and Reset panic and
-// Merge returns an error; Estimate, Clone, and Merged remain safe for
-// concurrent readers. Seal is idempotent.
-func (h *HyperLogLog) Seal() { h.sealed = true }
-
-// Sealed reports whether the estimator has been sealed.
-func (h *HyperLogLog) Sealed() bool { return h.sealed }
-
-// Reset clears the estimator. Reset panics on a sealed estimator for the
-// same reason Add does.
+// Reset clears the estimator.
 func (h *HyperLogLog) Reset() {
-	if h.sealed {
-		panic("stats: Reset on sealed HyperLogLog")
-	}
 	for i := range h.regs {
 		h.regs[i] = 0
 	}

@@ -222,3 +222,19 @@ func BenchmarkSummarize10k(b *testing.B) {
 		Summarize(vals)
 	}
 }
+
+func TestReservoirSnapshotIsolation(t *testing.T) {
+	r := NewReservoir[int](4, 1)
+	for i := 0; i < 4; i++ {
+		r.Offer(i)
+	}
+	snap := r.Snapshot()
+	for i := 100; i < 400; i++ {
+		r.Offer(i)
+	}
+	for i, v := range snap {
+		if v != i {
+			t.Fatalf("snapshot[%d] = %d after later Offers, want %d", i, v, i)
+		}
+	}
+}

@@ -2,8 +2,9 @@
 # Cache smoke: prove the stage cache's acceptance walk on the shipped
 # binary. A cold run populates the cache; a warm run must hit every stage,
 # produce byte-identical outputs, and beat the cold wall clock by at least
-# MIN_SPEEDUP; a figure-only knob change (-fig-workers) must reuse the
-# cached stats (stats=hit figures=miss) and still emit identical bytes.
+# MIN_SPEEDUP; after the cache's figures/ directory is deleted (a lost
+# entry), a rerun must reuse the cached stats (stats=hit figures=miss) and
+# still emit identical bytes.
 # The bench JSONs are left behind for cmd/benchdiff -summary.
 #
 # Usage: cache_smoke.sh <lockdown-binary> <work-dir> <key-hex> <scale> [min-speedup]
@@ -55,12 +56,13 @@ awk -v cold="$COLD_WALL" -v warm="$WARM_WALL" -v min="$MIN_SPEEDUP" 'BEGIN {
     printf "warm speedup: %.1fx\n", cold / warm;
 }' || exit 1
 
-echo "== figure-only change (-fig-workers 2: stats stay cached)"
-"$BIN" -scale "$SCALE" -quiet -key "$KEY" -cache-dir "$CACHE" -fig-workers 2 \
+echo "== lost figures entry (figures/ deleted: stats stay cached)"
+rm -rf "$CACHE/figures"
+"$BIN" -scale "$SCALE" -quiet -key "$KEY" -cache-dir "$CACHE" \
     -out "$WORK/partial" -bench-json "$WORK/BENCH_cache_partial.json" 2>"$WORK/partial.log"
 cat "$WORK/partial.log"
 grep -q 'stats=hit figures=miss' "$WORK/partial.log" \
-    || fail "figure-only change did not reuse cached stats"
-diff -r "$WORK/cold" "$WORK/partial" || fail "figure-only change moved output bytes"
+    || fail "lost figures entry did not reuse cached stats"
+diff -r "$WORK/cold" "$WORK/partial" || fail "recomputed figures moved output bytes"
 
 echo "cache-smoke: OK"
