@@ -17,8 +17,9 @@
 //	                             needs -key)
 //
 // Scale 1.0 reproduces paper-scale population counts (~32k peak devices,
-// tens of millions of flows; allow several minutes and ~2 GB RAM). The
-// default 0.05 runs in ~20 seconds and preserves every trend.
+// about 55 million flows): on a 2-vCPU host it took 148 s and 1.63 GB
+// peak RSS. The default 0.05 took about 4 s and 95 MB there, and
+// preserves every trend.
 package main
 
 import (

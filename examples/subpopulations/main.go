@@ -49,15 +49,18 @@ func main() {
 
 	for _, prof := range profiles {
 		cls := geo.NewClassifier(db)
+		var mp geo.Midpoint
 		for domain, bytes := range prof.flows {
 			ip, ok := reg.ResolveIP(domain, 1)
 			if !ok {
 				log.Fatalf("domain %s not in universe", domain)
 			}
-			cls.AddFlow(1, ip, bytes)
+			if pt, ok := cls.Point(ip); ok {
+				mp.AddPoint(pt, float64(bytes))
+			}
 		}
-		mid, ok := cls.MidpointOf(1)
-		verdict := cls.Classify(1)
+		mid, ok := mp.Result()
+		verdict := mp.Classify()
 		fmt.Printf("%-36s → ", prof.name)
 		if ok {
 			fmt.Printf("midpoint (%.1f, %.1f), inUS=%v → %s\n", mid.Lat, mid.Lon, geo.InUS(mid), verdict)
@@ -77,7 +80,10 @@ func main() {
 		cls := geo.NewClassifier(db)
 		cls.IncludeCDNs = include
 		ip, _ := reg.ResolveIP("cnn.com", 1)
-		cls.AddFlow(1, ip, 1<<30)
-		fmt.Printf("  IncludeCDNs=%-5v → %s\n", include, cls.Classify(1))
+		var mp geo.Midpoint
+		if pt, ok := cls.Point(ip); ok {
+			mp.AddPoint(pt, 1<<30)
+		}
+		fmt.Printf("  IncludeCDNs=%-5v → %s\n", include, mp.Classify())
 	}
 }

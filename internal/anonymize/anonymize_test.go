@@ -90,103 +90,99 @@ func TestSuppress(t *testing.T) {
 }
 
 func TestPresenceVisitorFilter(t *testing.T) {
-	tr := NewPresenceTracker()
-	visitor := DeviceID(1)
-	resident := DeviceID(2)
+	var visitor, resident DayBitmap
 	for d := campus.Day(0); d < 5; d++ {
-		tr.Device(visitor).Set(d)
+		visitor.Set(d)
 	}
 	for d := campus.Day(0); d < 20; d++ {
-		tr.Device(resident).Set(d)
+		resident.Set(d)
 	}
-	if tr.Resident(visitor) {
+	if visitor.Resident() {
 		t.Error("5-day visitor passed the filter")
 	}
-	if !tr.Resident(resident) {
+	if !resident.Resident() {
 		t.Error("20-day resident failed the filter")
 	}
-	if tr.DaysSeen(visitor) != 5 || tr.DaysSeen(resident) != 20 {
-		t.Errorf("days = %d, %d", tr.DaysSeen(visitor), tr.DaysSeen(resident))
+	if visitor.count() != 5 || resident.count() != 20 {
+		t.Errorf("days = %d, %d", visitor.count(), resident.count())
 	}
-	if tr.Devices() != 2 || tr.CountResidents() != 1 {
-		t.Errorf("devices=%d residents=%d", tr.Devices(), tr.CountResidents())
+	var unseen *DayBitmap
+	if unseen.Resident() || unseen.PostShutdownUser() {
+		t.Error("a device never seen (nil bitmap) passed the filter")
 	}
 }
 
 func TestPresenceIdempotent(t *testing.T) {
-	tr := NewPresenceTracker()
+	var b DayBitmap
 	for i := 0; i < 100; i++ {
-		tr.Device(7).Set(campus.Day(3))
+		b.Set(campus.Day(3))
 	}
-	if tr.DaysSeen(7) != 1 {
-		t.Errorf("DaysSeen = %d after repeated observations", tr.DaysSeen(7))
+	if b.count() != 1 {
+		t.Errorf("count = %d after repeated observations", b.count())
 	}
-	if !tr.ActiveOn(7, 3) || tr.ActiveOn(7, 4) {
-		t.Error("ActiveOn wrong")
+	if b != (DayBitmap{1 << 3, 0}) {
+		t.Errorf("bitmap = %x, want day 3 only", b)
 	}
 }
 
 func TestPostShutdownUser(t *testing.T) {
-	tr := NewPresenceTracker()
+	var a, b, c, d DayBitmap
 	breakDay, _ := campus.DayOf(campus.BreakStart)
 
 	// Device A: resident who left before break — not post-shutdown.
-	for d := campus.Day(0); d < breakDay-1; d++ {
-		tr.Device(1).Set(d)
+	for day := campus.Day(0); day < breakDay-1; day++ {
+		a.Set(day)
 	}
 	// Device B: resident present through May — post-shutdown.
-	for d := campus.Day(0); d < campus.NumDays; d += 2 {
-		tr.Device(2).Set(d)
+	for day := campus.Day(0); day < campus.NumDays; day += 2 {
+		b.Set(day)
 	}
 	// Device C: appears only after break, 20 days — post-shutdown.
-	for d := breakDay; d < breakDay+20; d++ {
-		tr.Device(3).Set(d)
+	for day := breakDay; day < breakDay+20; day++ {
+		c.Set(day)
 	}
 	// Device D: brief visitor after break — filtered.
-	for d := breakDay; d < breakDay+3; d++ {
-		tr.Device(4).Set(d)
+	for day := breakDay; day < breakDay+3; day++ {
+		d.Set(day)
 	}
-	if tr.PostShutdownUser(1) {
+	if a.PostShutdownUser() {
 		t.Error("pre-break leaver counted as post-shutdown")
 	}
-	if !tr.PostShutdownUser(2) {
+	if !b.PostShutdownUser() {
 		t.Error("staying resident not post-shutdown")
 	}
-	if !tr.PostShutdownUser(3) {
+	if !c.PostShutdownUser() {
 		t.Error("late-arriving resident not post-shutdown")
 	}
-	if tr.PostShutdownUser(4) {
+	if d.PostShutdownUser() {
 		t.Error("post-break visitor counted")
-	}
-	if got := tr.CountPostShutdown(); got != 2 {
-		t.Errorf("CountPostShutdown = %d, want 2", got)
 	}
 }
 
 func TestPresenceOutOfRangeDaysIgnored(t *testing.T) {
-	tr := NewPresenceTracker()
-	tr.Device(9).Set(campus.Day(-1))
-	tr.Device(9).Set(campus.Day(campus.NumDays))
-	tr.Device(9).Set(campus.Day(1000))
-	if tr.DaysSeen(9) != 0 {
-		t.Errorf("out-of-range days counted: %d", tr.DaysSeen(9))
+	var b DayBitmap
+	b.Set(campus.Day(-1))
+	b.Set(campus.Day(campus.NumDays))
+	b.Set(campus.Day(1000))
+	if b.count() != 0 {
+		t.Errorf("out-of-range days counted: %d", b.count())
 	}
 }
 
 func TestDayBitmapProperty(t *testing.T) {
 	f := func(days []uint8) bool {
-		tr := NewPresenceTracker()
+		var b DayBitmap
 		want := map[campus.Day]bool{}
 		for _, raw := range days {
 			d := campus.Day(int(raw) % campus.NumDays)
-			tr.Device(42).Set(d)
+			b.Set(d)
 			want[d] = true
 		}
-		if tr.DaysSeen(42) != len(want) {
+		if b.count() != len(want) {
 			return false
 		}
 		for d := campus.Day(0); d < campus.NumDays; d++ {
-			if tr.ActiveOn(42, d) != want[d] {
+			if b[d/64]>>(uint(d)%64)&1 == 1 != want[d] {
 				return false
 			}
 		}
@@ -207,9 +203,9 @@ func BenchmarkPseudonymizeDevice(b *testing.B) {
 }
 
 func BenchmarkPresenceSet(b *testing.B) {
-	tr := NewPresenceTracker()
+	days := make([]DayBitmap, 30000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Device(DeviceID(i % 30000)).Set(campus.Day(i % campus.NumDays))
+		days[i%len(days)].Set(campus.Day(i % campus.NumDays))
 	}
 }

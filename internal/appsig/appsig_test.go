@@ -220,10 +220,13 @@ func TestStitcherFlushDeterministic(t *testing.T) {
 	}
 }
 
-func TestSwitchDetector(t *testing.T) {
-	d := NewSwitchDetector()
+func TestSwitchCounters(t *testing.T) {
+	devs := map[uint64]*SwitchCounters{}
 	add := func(dev uint64, domain string, bytes int64) {
-		d.Device(dev).Add(ClassifyNintendo(domain), bytes)
+		if devs[dev] == nil {
+			devs[dev] = &SwitchCounters{}
+		}
+		devs[dev].Add(ClassifyNintendo(domain), bytes)
 	}
 	// Device 1: a Switch — 80% of bytes to Nintendo.
 	add(1, "npns.srv.nintendo.net", 400)
@@ -236,27 +239,26 @@ func TestSwitchDetector(t *testing.T) {
 	add(3, "nex.nintendo.net", 500)
 	add(3, "google.com", 500)
 
-	if !d.IsSwitch(1) {
+	if !devs[1].IsSwitch() {
 		t.Error("device 1 should be a Switch")
 	}
-	if d.IsSwitch(2) {
+	if devs[2].IsSwitch() {
 		t.Error("device 2 misdetected")
 	}
-	if !d.IsSwitch(3) {
+	if !devs[3].IsSwitch() {
 		t.Error("device 3 at exactly 50% should match (≥ threshold)")
 	}
-	if d.IsSwitch(99) {
-		t.Error("unknown device matched")
+	if devs[99].IsSwitch() {
+		t.Error("unknown device (nil counters) matched")
 	}
-	if got := d.GameplayBytes(1); got != 400 {
+	if (&SwitchCounters{}).IsSwitch() {
+		t.Error("device without bytes matched")
+	}
+	if got := devs[1].Gameplay; got != 400 {
 		t.Errorf("gameplay bytes = %d, want 400 (update traffic filtered)", got)
 	}
-	if d.Devices() != 3 {
-		t.Errorf("devices = %d", d.Devices())
-	}
-	switches := d.Switches()
-	if len(switches) != 2 {
-		t.Errorf("switches = %v", switches)
+	if got := devs[1].Nintendo; got != 800 {
+		t.Errorf("nintendo bytes = %d, want 800", got)
 	}
 }
 

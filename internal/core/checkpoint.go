@@ -27,10 +27,10 @@ var checkpointMagic = [4]byte{'L', 'K', 'C', 'P'}
 
 // EncodeCheckpoint serializes the pipeline's complete mutable state — run
 // stats, every device accumulator, the DNS label index, the DHCP lease
-// index, presence bitmaps, open stitcher sessions, Switch-detector
-// counters, and both geolocation classifiers — so that a pipeline restored
-// from the payload and fed the remaining days produces bit-for-bit the
-// Dataset a monolithic run would. This is the unit the per-day stats cache
+// index, presence bitmaps, open stitcher sessions, Switch counters, and
+// both February midpoints — so that a pipeline restored from the payload
+// and fed the remaining days produces bit-for-bit the Dataset a
+// monolithic run would. This is the unit the per-day stats cache
 // stores: one checkpoint per sealed day, replay only the days that follow.
 //
 // A pipeline can be checkpointed only at a seal boundary (nothing
@@ -62,15 +62,21 @@ func (p *Pipeline) EncodeCheckpoint() ([]byte, error) {
 	e.uvarint(uint64(NumGroups))
 	e.uvarint(campus.HoursPerWeek)
 
+	devs := make([]*deviceState, 0, len(p.devices))
+	for _, st := range p.devices {
+		devs = append(devs, st)
+	}
+	sort.Slice(devs, func(i, j int) bool { return devs[i].id < devs[j].id })
+
 	encStats(e, &p.stats)
-	encDevices(e, p.devices)
+	encDevices(e, devs)
 	encLabelIndex(e, lj.labeler.ExportSpans())
 	encLeaseIndex(e, lj.leaseIdx)
-	encPresence(e, p.presence.Export())
+	encRecords(e, devs, presenceRec)
 	encOpenSessions(e, p.stitcher.ExportOpen())
-	encSwitchRecords(e, p.switchDet.Export())
-	encMidpoints(e, p.geoCls.Export())
-	encMidpoints(e, p.geoClsAblate.Export())
+	encRecords(e, devs, switchRec)
+	encRecords(e, devs, geoRec)
+	encRecords(e, devs, geoAblateRec)
 
 	sum := sha256.Sum256(e.b)
 	e.b = append(e.b, sum[:]...)
@@ -120,18 +126,18 @@ func RestoreCheckpoint(reg *universe.Registry, opts Options, b []byte) (*Pipelin
 
 	decStats(d, &p.stats)
 	devices, err2 := decDevices(d)
-	labelIdx := decLabelIndex(d)
-	leaseIdx := decLeaseIndex(d)
-	presence := decPresence(d)
-	open := decOpenSessions(d)
-	switches := decSwitchRecords(d)
-	geoRecs := decMidpoints(d)
-	geoAblRecs := decMidpoints(d)
-	if d.err != nil {
-		return nil, d.err
-	}
 	if err2 != nil {
 		return nil, err2
+	}
+	labelIdx := decLabelIndex(d)
+	leaseIdx := decLeaseIndex(d)
+	decRecords(d, devices, presenceRec)
+	open := decOpenSessions(d)
+	decRecords(d, devices, switchRec)
+	decRecords(d, devices, geoRec)
+	decRecords(d, devices, geoAblateRec)
+	if d.err != nil {
+		return nil, d.err
 	}
 	if d.off != len(body) {
 		return nil, fmt.Errorf("core: decode checkpoint: %d trailing bytes", len(body)-d.off)
@@ -140,11 +146,7 @@ func RestoreCheckpoint(reg *universe.Registry, opts Options, b []byte) (*Pipelin
 	p.devices = devices
 	lj.labeler.RestoreSpans(labelIdx)
 	lj.leaseIdx = leaseIdx
-	p.presence.Restore(presence)
 	p.stitcher.RestoreOpen(open)
-	p.switchDet.Restore(switches)
-	p.geoCls.Restore(geoRecs)
-	p.geoClsAblate.Restore(geoAblRecs)
 	// The checkpoint was taken at a seal boundary: the next delta starts
 	// from the restored cumulative stats, with nothing touched (which
 	// newPipeline already set up).
@@ -170,6 +172,18 @@ func decStats(d *dec, st *Stats) {
 	} {
 		*p = d.varint()
 	}
+}
+
+// decSeries reads a per-day or per-hour accumulator, which the accounting
+// indexes directly: it must hold exactly n values, or be nil where
+// optional (never seen).
+func decSeries(d *dec, n int, optional bool) []float32 {
+	s := d.f32slice(n)
+	if len(s) != n && !(optional && s == nil) {
+		d.fail("series of %d values, want %d", len(s), n)
+		return nil
+	}
+	return s
 }
 
 func encTime(e *enc, t time.Time)  { e.varint(t.UnixNano()) }
@@ -209,20 +223,15 @@ func decAddr(d *dec) netip.Addr {
 	}
 }
 
-// encDevices writes the per-device accumulators sorted by pseudonym,
-// delta-coded, each field in a fixed order.
-func encDevices(e *enc, devices map[anonymize.DeviceID]*deviceState) {
-	ids := make([]anonymize.DeviceID, 0, len(devices))
-	for id := range devices {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.uvarint(uint64(len(ids)))
+// encDevices writes the per-device accumulators (devs ascending by
+// pseudonym), delta-coded, each field in a fixed order. The verdict
+// evidence is not among them: it follows in its own record sections.
+func encDevices(e *enc, devs []*deviceState) {
+	e.uvarint(uint64(len(devs)))
 	var prev uint64
-	for _, id := range ids {
-		st := devices[id]
-		e.uvarint(uint64(id) - prev)
-		prev = uint64(id)
+	for _, st := range devs {
+		e.uvarint(uint64(st.id) - prev)
+		prev = uint64(st.id)
 		encMAC(e, st.mac)
 		e.f32slice(st.daily)
 		e.f32slice(st.zoom)
@@ -279,28 +288,25 @@ func encDevices(e *enc, devices map[anonymize.DeviceID]*deviceState) {
 }
 
 func decDevices(d *dec) (map[anonymize.DeviceID]*deviceState, error) {
-	n := int(d.uvarint())
+	n := d.count("device")
 	if d.err != nil {
 		return nil, d.err
-	}
-	if n < 0 || n > len(d.b) {
-		return nil, fmt.Errorf("core: decode checkpoint: implausible device count %d", n)
 	}
 	devices := make(map[anonymize.DeviceID]*deviceState, n)
 	var prev uint64
 	for i := 0; i < n; i++ {
-		delta := d.uvarint()
-		if i > 0 && delta == 0 {
+		id := prev + d.uvarint()
+		if i > 0 && id <= prev {
 			return nil, fmt.Errorf("core: decode checkpoint: device IDs not strictly ascending")
 		}
-		prev += delta
+		prev = id
 		st := &deviceState{id: anonymize.DeviceID(prev)}
 		st.mac = decMAC(d)
-		st.daily = d.f32slice(campus.NumDays)
-		st.zoom = d.f32slice(campus.NumDays)
-		st.gameplay = d.f32slice(campus.NumDays)
+		st.daily = decSeries(d, campus.NumDays, false)
+		st.zoom = decSeries(d, campus.NumDays, false)
+		st.gameplay = decSeries(d, campus.NumDays, true)
 		for w := range st.hourWeek {
-			st.hourWeek[w] = d.f32slice(campus.HoursPerWeek)
+			st.hourWeek[w] = decSeries(d, campus.HoursPerWeek, true)
 		}
 		for m := range st.groupBytes {
 			for g := range st.groupBytes[m] {
@@ -318,13 +324,13 @@ func decDevices(d *dec) (map[anonymize.DeviceID]*deviceState, error) {
 		for w := range st.sitesAprMay {
 			st.sitesAprMay[w] = d.uvarint()
 		}
-		if nu := int(d.uvarint()); nu > 0 {
+		if nu := d.count("user-agent"); nu > 0 {
 			st.uas = make(map[string]struct{}, nu)
 			for k := 0; k < nu && d.err == nil; k++ {
 				st.uas[d.string()] = struct{}{}
 			}
 		}
-		if ns := int(d.uvarint()); ns > 0 {
+		if ns := d.count("signature-domain"); ns > 0 {
 			st.sigDomains = make(map[string]bool, ns)
 			for k := 0; k < ns && d.err == nil; k++ {
 				st.sigDomains[d.string()] = true
@@ -379,26 +385,23 @@ func encLabelIndex(e *enc, index []dnssim.AddrSpans) {
 }
 
 func decLabelIndex(d *dec) []dnssim.AddrSpans {
-	nd := int(d.uvarint())
-	if d.err != nil || nd < 0 || nd > len(d.b) {
-		d.fail("implausible domain count %d", nd)
+	nd := d.count("domain")
+	if d.err != nil {
 		return nil
 	}
 	domains := make([]string, nd)
 	for i := range domains {
 		domains[i] = d.string()
 	}
-	na := int(d.uvarint())
-	if d.err != nil || na < 0 || na > len(d.b) {
-		d.fail("implausible address count %d", na)
+	na := d.count("address")
+	if d.err != nil {
 		return nil
 	}
 	out := make([]dnssim.AddrSpans, 0, na)
 	for i := 0; i < na && d.err == nil; i++ {
 		as := dnssim.AddrSpans{Addr: decAddr(d)}
-		ns := int(d.uvarint())
-		if d.err != nil || ns < 0 || ns > len(d.b) {
-			d.fail("implausible span count %d", ns)
+		ns := d.count("span")
+		if d.err != nil {
 			return nil
 		}
 		as.Spans = make([]dnssim.LabelSpan, 0, ns)
@@ -439,17 +442,15 @@ func encLeaseIndex(e *enc, idx leaseIndex) {
 }
 
 func decLeaseIndex(d *dec) leaseIndex {
-	n := int(d.uvarint())
-	if d.err != nil || n < 0 || n > len(d.b) {
-		d.fail("implausible lease address count %d", n)
+	n := d.count("lease address")
+	if d.err != nil {
 		return nil
 	}
 	idx := make(leaseIndex, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		addr := decAddr(d)
-		ns := int(d.uvarint())
-		if d.err != nil || ns < 0 || ns > len(d.b) {
-			d.fail("implausible lease span count %d", ns)
+		ns := d.count("lease span")
+		if d.err != nil {
 			return nil
 		}
 		spans := make([]binding, 0, ns)
@@ -463,35 +464,6 @@ func decLeaseIndex(d *dec) leaseIndex {
 		idx[addr] = spans
 	}
 	return idx
-}
-
-func encPresence(e *enc, recs []anonymize.PresenceRecord) {
-	e.uvarint(uint64(len(recs)))
-	var prev uint64
-	for _, r := range recs {
-		e.uvarint(uint64(r.Device) - prev)
-		prev = uint64(r.Device)
-		e.uvarint(r.Days[0])
-		e.uvarint(r.Days[1])
-	}
-}
-
-func decPresence(d *dec) []anonymize.PresenceRecord {
-	n := int(d.uvarint())
-	if d.err != nil || n < 0 || n > len(d.b) {
-		d.fail("implausible presence count %d", n)
-		return nil
-	}
-	out := make([]anonymize.PresenceRecord, 0, n)
-	var prev uint64
-	for i := 0; i < n && d.err == nil; i++ {
-		prev += d.uvarint()
-		out = append(out, anonymize.PresenceRecord{
-			Device: anonymize.DeviceID(prev),
-			Days:   [2]uint64{d.uvarint(), d.uvarint()},
-		})
-	}
-	return out
 }
 
 func encOpenSessions(e *enc, sessions []appsig.OpenSession) {
@@ -512,9 +484,8 @@ func encOpenSessions(e *enc, sessions []appsig.OpenSession) {
 }
 
 func decOpenSessions(d *dec) []appsig.OpenSession {
-	n := int(d.uvarint())
-	if d.err != nil || n < 0 || n > len(d.b) {
-		d.fail("implausible open-session count %d", n)
+	n := d.count("open-session")
+	if d.err != nil {
 		return nil
 	}
 	out := make([]appsig.OpenSession, 0, n)
@@ -533,70 +504,114 @@ func decOpenSessions(d *dec) []appsig.OpenSession {
 	return out
 }
 
-func encSwitchRecords(e *enc, recs []appsig.SwitchRecord) {
-	e.uvarint(uint64(len(recs)))
-	var prev uint64
-	for _, r := range recs {
-		e.uvarint(r.Device - prev)
-		prev = r.Device
-		e.varint(r.Total)
-		e.varint(r.Nintendo)
-		e.varint(r.Gameplay)
+// recordKind is one section of per-device verdict evidence: the devices
+// that hold the evidence each get a record, ascending by pseudonym and
+// delta-coded. A device holds it from the creation point the accounting
+// decides (a non-nil pointer on its state), so the sections list exactly
+// the devices that reached that point.
+type recordKind struct {
+	name string
+	// has reports whether the device holds the evidence.
+	has func(st *deviceState) bool
+	// enc writes the evidence; dec reads it onto a device without it.
+	enc func(e *enc, st *deviceState)
+	dec func(d *dec, st *deviceState)
+}
+
+var presenceRec = recordKind{
+	name: "presence",
+	has:  func(st *deviceState) bool { return st.days != nil },
+	enc: func(e *enc, st *deviceState) {
+		e.uvarint(st.days[0])
+		e.uvarint(st.days[1])
+	},
+	dec: func(d *dec, st *deviceState) {
+		st.days = &anonymize.DayBitmap{d.uvarint(), d.uvarint()}
+	},
+}
+
+var switchRec = recordKind{
+	name: "switch",
+	has:  func(st *deviceState) bool { return st.switches != nil },
+	enc: func(e *enc, st *deviceState) {
+		e.varint(st.switches.Total)
+		e.varint(st.switches.Nintendo)
+		e.varint(st.switches.Gameplay)
+	},
+	dec: func(d *dec, st *deviceState) {
+		st.switches = &appsig.SwitchCounters{Total: d.varint(), Nintendo: d.varint(), Gameplay: d.varint()}
+	},
+}
+
+// geoRec and geoAblateRec are the two February midpoints' record kinds
+// (with and without the CDN exclusion).
+var (
+	geoRec       = midpointRec(func(st *deviceState) **geo.Midpoint { return &st.geo })
+	geoAblateRec = midpointRec(func(st *deviceState) **geo.Midpoint { return &st.geoAblate })
+)
+
+// midpointRec is the record kind of the midpoint that field selects.
+func midpointRec(field func(st *deviceState) **geo.Midpoint) recordKind {
+	return recordKind{
+		name: "midpoint",
+		has:  func(st *deviceState) bool { return *field(st) != nil },
+		enc: func(e *enc, st *deviceState) {
+			mp := *field(st)
+			e.f64(mp.X)
+			e.f64(mp.Y)
+			e.f64(mp.Z)
+			e.f64(mp.Weight)
+			e.uvarint(uint64(mp.N))
+		},
+		dec: func(d *dec, st *deviceState) {
+			*field(st) = &geo.Midpoint{X: d.f64(), Y: d.f64(), Z: d.f64(), Weight: d.f64(), N: int(d.uvarint())}
+		},
 	}
 }
 
-func decSwitchRecords(d *dec) []appsig.SwitchRecord {
-	n := int(d.uvarint())
-	if d.err != nil || n < 0 || n > len(d.b) {
-		d.fail("implausible switch-record count %d", n)
-		return nil
+// encRecords writes one record section over devs (ascending by pseudonym).
+func encRecords(e *enc, devs []*deviceState, k recordKind) {
+	n := 0
+	for _, st := range devs {
+		if k.has(st) {
+			n++
+		}
 	}
-	out := make([]appsig.SwitchRecord, 0, n)
+	e.uvarint(uint64(n))
 	var prev uint64
-	for i := 0; i < n && d.err == nil; i++ {
-		prev += d.uvarint()
-		out = append(out, appsig.SwitchRecord{
-			Device:   prev,
-			Total:    d.varint(),
-			Nintendo: d.varint(),
-			Gameplay: d.varint(),
-		})
-	}
-	return out
-}
-
-func encMidpoints(e *enc, recs []geo.MidpointRecord) {
-	e.uvarint(uint64(len(recs)))
-	var prev uint64
-	for _, r := range recs {
-		e.uvarint(r.Device - prev)
-		prev = r.Device
-		e.f64(r.X)
-		e.f64(r.Y)
-		e.f64(r.Z)
-		e.f64(r.Weight)
-		e.uvarint(uint64(r.N))
+	for _, st := range devs {
+		if k.has(st) {
+			e.uvarint(uint64(st.id) - prev)
+			prev = uint64(st.id)
+			k.enc(e, st)
+		}
 	}
 }
 
-func decMidpoints(d *dec) []geo.MidpointRecord {
-	n := int(d.uvarint())
-	if d.err != nil || n < 0 || n > len(d.b) {
-		d.fail("implausible midpoint count %d", n)
-		return nil
+// decRecords reads one record section and attaches each record to its
+// device. A record for a device missing from the device table, or IDs
+// that are not strictly ascending (a repeated device among them), fail
+// the decode: no record is dropped and none overwrites another.
+func decRecords(d *dec, devices map[anonymize.DeviceID]*deviceState, k recordKind) {
+	n := d.uvarint()
+	if d.err != nil || n > uint64(len(devices)) {
+		d.fail("implausible %s record count %d for %d devices", k.name, n, len(devices))
+		return
 	}
-	out := make([]geo.MidpointRecord, 0, n)
 	var prev uint64
-	for i := 0; i < n && d.err == nil; i++ {
-		prev += d.uvarint()
-		out = append(out, geo.MidpointRecord{
-			Device: prev,
-			X:      d.f64(),
-			Y:      d.f64(),
-			Z:      d.f64(),
-			Weight: d.f64(),
-			N:      int(d.uvarint()),
-		})
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		delta := d.uvarint()
+		id := prev + delta
+		if i > 0 && (delta == 0 || id < prev) {
+			d.fail("%s record device IDs not strictly ascending", k.name)
+			return
+		}
+		prev = id
+		st := devices[anonymize.DeviceID(id)]
+		if st == nil {
+			d.fail("%s record for device %d absent from the device table", k.name, id)
+			return
+		}
+		k.dec(d, st)
 	}
-	return out
 }

@@ -30,6 +30,12 @@ const pinnedCheckpointSHA256 = "06241fe211f62928909fd2428e0018f03d730662a4e679f5
 func pinStream(t *testing.T, reg *universe.Registry, p *Pipeline) {
 	t.Helper()
 	runWindow(t, nil, reg, p, 26, 28)
+	pinEdgeCases(reg, p)
+}
+
+// pinEdgeCases feeds pinStream's hand-made events, on the last day of
+// February.
+func pinEdgeCases(reg *universe.Registry, p *Pipeline) {
 	var cdn netip.Addr
 	for _, pi := range reg.Prefixes() {
 		if pi.GeoExcluded && pi.Prefix.Addr().Is4() {

@@ -123,6 +123,18 @@ func (d *dec) varint() int64 {
 	return v
 }
 
+// count reads an element count, failing on one the rest of the payload
+// cannot hold (every element takes at least a byte), so a corrupt count
+// never sizes an allocation.
+func (d *dec) count(what string) int {
+	n := d.uvarint()
+	if d.err == nil && n > uint64(len(d.b)-d.off) {
+		d.fail("implausible %s count %d", what, n)
+		return 0
+	}
+	return int(n)
+}
+
 func (d *dec) byte() byte {
 	s := d.take(1)
 	if s == nil {
@@ -161,11 +173,11 @@ func (d *dec) f32slice(maxLen int) []float32 {
 	if n == 0 {
 		return nil
 	}
-	ln := int(n - 1)
-	if ln > maxLen {
-		d.fail("f32 slice length %d exceeds bound %d", ln, maxLen)
+	if n-1 > uint64(maxLen) {
+		d.fail("f32 slice length %d exceeds bound %d", n-1, maxLen)
 		return nil
 	}
+	ln := int(n - 1)
 	out := make([]float32, ln)
 	for i := range out {
 		out[i] = d.f32()

@@ -220,15 +220,15 @@ func (p *Pipeline) renderDevice(id anonymize.DeviceID, st *deviceState, snapshot
 		ID:             id,
 		Type:           ty,
 		ClassifiedBy:   by,
-		Geo:            p.geoCls.Classify(uint64(id)),
-		GeoCDNAblation: p.geoClsAblate.Classify(uint64(id)),
+		Geo:            st.geo.Classify(),
+		GeoCDNAblation: st.geoAblate.Classify(),
 		IoTScore:       iotScore,
 		IoTPlatform:    iotPlatform,
 		UAType:         devclass.UAVote(uas),
 		OUIHint:        ouiHint,
-		Resident:       p.presence.Resident(id),
-		PostShutdown:   p.presence.PostShutdownUser(id),
-		IsSwitch:       p.switchDet.IsSwitch(uint64(id)),
+		Resident:       st.days.Resident(),
+		PostShutdown:   st.days.PostShutdownUser(),
+		IsSwitch:       st.switches.IsSwitch(),
 		Daily:          daily,
 		ZoomDaily:      zoom,
 		GameplayDaily:  gameplay,

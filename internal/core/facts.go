@@ -3,7 +3,6 @@ package core
 import (
 	"net/netip"
 
-	"repro/internal/anonymize"
 	"repro/internal/appsig"
 	"repro/internal/dnssim"
 	"repro/internal/geo"
@@ -131,33 +130,15 @@ func (s *serverFacts) app(d *domainFacts) (string, bool) {
 	return "", false
 }
 
-// presenceDays returns the device's presence bitmap, taking it from the
-// tracker on the device's first flow.
-func (p *Pipeline) presenceDays(d *deviceState) *anonymize.DayBitmap {
-	if d.days == nil {
-		d.days = p.presence.Device(d.id)
-	}
-	return d.days
-}
-
-// switchCounters returns the device's Switch-detector counters, taking
-// them from the detector on the device's first flow.
-func (p *Pipeline) switchCounters(d *deviceState) *appsig.SwitchCounters {
-	if d.switches == nil {
-		d.switches = p.switchDet.Device(uint64(d.id))
-	}
-	return d.switches
-}
-
-// foldGeo adds one February flow to a device's midpoint under one
-// classifier. The midpoint is created only for a point the classifier
-// accepts, exactly where Classifier.AddFlow would create it.
-func foldGeo(c *geo.Classifier, mp **geo.Midpoint, id anonymize.DeviceID, g geoPoint, bytes int64) {
+// fold adds one February flow to a device's midpoint under one
+// classifier, creating the midpoint on the first point the classifier
+// accepts.
+func (g *geoPoint) fold(mp **geo.Midpoint, bytes int64) {
 	if !g.ok {
 		return
 	}
 	if *mp == nil {
-		*mp = c.Device(uint64(id))
+		*mp = new(geo.Midpoint)
 	}
 	(*mp).AddPoint(g.pt, float64(bytes))
 }

@@ -200,8 +200,10 @@ func zoomPrefixes(reg *universe.Registry) []netip.Prefix {
 // TestFactTablesRestoreMidStream checkpoints a pipeline whose tables are
 // warm, in February so both midpoint classifiers are in play, restores
 // it, and feeds both the rest of the stream into March: the restored
-// pipeline starts with empty tables and slots, and its next checkpoint and
-// final Dataset are byte-identical to the uninterrupted run's.
+// pipeline starts with empty tables, each device holds the live device's
+// verdict evidence (nil where the live one has none), and its next
+// checkpoint and final Dataset are byte-identical to the uninterrupted
+// run's.
 func TestFactTablesRestoreMidStream(t *testing.T) {
 	reg, err := universe.New()
 	if err != nil {
@@ -230,8 +232,9 @@ func TestFactTablesRestoreMidStream(t *testing.T) {
 		t.Fatal("restore carried derived tables")
 	}
 	for id, d := range restored.devices {
-		if d.id != id || d.days != nil || d.switches != nil || d.geo != nil || d.geoAblate != nil {
-			t.Fatalf("restored device %v: id %v, slots filled", id, d.id)
+		l := live.devices[id]
+		if d.id != id || l == nil || !sameEvidence(d, l) {
+			t.Fatalf("restored device %v: id %v, verdict evidence differs from the live device's", id, d.id)
 		}
 	}
 	again, err := restored.EncodeCheckpoint()
@@ -259,4 +262,15 @@ func TestFactTablesRestoreMidStream(t *testing.T) {
 	if !bytes.Equal(EncodeDataset(live.Finalize()), EncodeDataset(restored.Finalize())) {
 		t.Fatal("post-restore Dataset not byte-identical to the uninterrupted run's")
 	}
+}
+
+// sameEvidence reports whether two devices hold equal verdict evidence,
+// with the same nil pointers.
+func sameEvidence(a, b *deviceState) bool {
+	return eqPtr(a.days, b.days) && eqPtr(a.switches, b.switches) &&
+		eqPtr(a.geo, b.geo) && eqPtr(a.geoAblate, b.geoAblate)
+}
+
+func eqPtr[T comparable](a, b *T) bool {
+	return a == nil && b == nil || a != nil && b != nil && *a == *b
 }

@@ -73,23 +73,20 @@ type Stats struct {
 type Pipeline struct {
 	opts    Options
 	reg     *universe.Registry
-	geoDB   *geo.DB
 	matcher *appsig.Matcher
 	pseudo  *anonymize.Pseudonymizer
 
 	// join is the pipeline's DNS/DHCP tables (join.go).
-	join      *localJoin
-	presence  *anonymize.PresenceTracker
-	stitcher  *appsig.Stitcher
-	switchDet *appsig.SwitchDetector
-	geoCls    *geo.Classifier
-	// geoClsAblate runs the same midpoints with CDN answers included, so
-	// the §4.2 ablation is available from every Dataset.
-	geoClsAblate *geo.Classifier
-	iotDet       *devclass.IoTDetector
-	classifier   *devclass.Classifier
-	sigDomains   map[string]bool // union of IoT signature domains
-	domainBit    map[string]int  // registered domain -> bitmap index
+	join     *localJoin
+	stitcher *appsig.Stitcher
+	// geoCls resolves a server's February midpoint point; geoClsAblate
+	// resolves it with CDN answers included, so the §4.2 ablation is
+	// available from every Dataset.
+	geoCls, geoClsAblate *geo.Classifier
+	iotDet               *devclass.IoTDetector
+	classifier           *devclass.Classifier
+	sigDomains           map[string]bool // union of IoT signature domains
+	domainBit            map[string]int  // registered domain -> bitmap index
 
 	// servers and domains are the per-run fact tables (facts.go), indexed
 	// by the labeler's server and domain numbering.
@@ -168,11 +165,10 @@ func groupOfCategory(c universe.Category) CategoryGroup {
 	}
 }
 
-// deviceState is everything accumulated for one device, and its slot in
-// the per-device trackers: the presence bitmap, the Switch-detector
-// counters and the two February midpoints live in their trackers (which
-// own export and classification) and are held here from the point the
-// tracker would create them, so a flow reaches them without a lookup.
+// deviceState is everything accumulated for one device, including the
+// evidence behind its three verdicts: the presence bitmap (visitor filter,
+// post-shutdown membership), the Switch counters and the two February
+// midpoints.
 type deviceState struct {
 	id          anonymize.DeviceID
 	mac         packet.MAC
@@ -194,8 +190,10 @@ type deviceState struct {
 	// list for the day in progress.
 	sealEpoch int
 
-	// Tracker slots (facts.go); nil until the device's first flow, or for
-	// a midpoint until its first February flow the classifier accepts.
+	// The verdict evidence is nil until the device's first admitted flow,
+	// or for a midpoint until its first February flow the classifier
+	// accepts. Only the checkpoint reads the nil: a device gets a record
+	// in a verdict's section from that point on (checkpoint.go).
 	days           *anonymize.DayBitmap
 	switches       *appsig.SwitchCounters
 	geo, geoAblate *geo.Midpoint
@@ -277,12 +275,9 @@ func NewPipeline(reg *universe.Registry, opts Options) (*Pipeline, error) {
 	p := &Pipeline{
 		opts:       opts,
 		reg:        reg,
-		geoDB:      geo.FromRegistry(reg),
 		matcher:    appsig.NewMatcher(zoomNets),
 		pseudo:     pseudo,
 		join:       newLocalJoin(),
-		presence:   anonymize.NewPresenceTracker(),
-		switchDet:  appsig.NewSwitchDetector(),
 		iotDet:     iotDet,
 		classifier: devclass.NewClassifier(iotDet),
 		sigDomains: sigDomains,
@@ -291,8 +286,9 @@ func NewPipeline(reg *universe.Registry, opts Options) (*Pipeline, error) {
 		byMAC:      make(map[packet.MAC]*deviceState),
 		om:         opts.Obs,
 	}
-	p.geoCls = geo.NewClassifier(p.geoDB)
-	p.geoClsAblate = geo.NewClassifier(p.geoDB)
+	geoDB := geo.FromRegistry(reg)
+	p.geoCls = geo.NewClassifier(geoDB)
+	p.geoClsAblate = geo.NewClassifier(geoDB)
 	p.geoClsAblate.IncludeCDNs = true
 	p.stitcher = appsig.NewStitcher(opts.SessionGap, p.onSession)
 	for i, anchor := range campus.FigureWeeks {
@@ -427,7 +423,10 @@ func (p *Pipeline) account(r *flow.Record, a *admission, t time.Time) {
 	m.Add(obs.StageDHCPNormalize, 0)
 	m.Add(obs.StageAggregate, bytes)
 	t = m.Lap(obs.StageDHCPNormalize, t)
-	p.presenceDays(d).Set(day)
+	if d.days == nil {
+		d.days = new(anonymize.DayBitmap)
+	}
+	d.days.Set(day)
 	d.flows++
 	d.daily[day] += float32(bytes)
 
@@ -466,8 +465,8 @@ func (p *Pipeline) account(r *flow.Record, a *admission, t time.Time) {
 
 	// February geolocation midpoint (§4.2), plus its ablation twin.
 	if month == campus.February {
-		foldGeo(p.geoCls, &d.geo, d.id, srv.geo, bytes)
-		foldGeo(p.geoClsAblate, &d.geoAblate, d.id, srv.geoAblate, bytes)
+		srv.geo.fold(&d.geo, bytes)
+		srv.geoAblate.fold(&d.geoAblate, bytes)
 	}
 
 	// IoT signature evidence.
@@ -480,7 +479,10 @@ func (p *Pipeline) account(r *flow.Record, a *admission, t time.Time) {
 
 	// Switch detection sees every flow (it needs the total-bytes
 	// denominator).
-	p.switchCounters(d).Add(dom.nintendo, bytes)
+	if d.switches == nil {
+		d.switches = new(appsig.SwitchCounters)
+	}
+	d.switches.Add(dom.nintendo, bytes)
 	t = m.Lap(obs.StageAggregate, t)
 
 	// Application accounting.

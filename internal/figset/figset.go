@@ -84,7 +84,7 @@ func Compute(ds *core.Dataset, p Params) (*Results, map[string]float64, float64)
 		{Name: "zoom_weekend", Run: func() { r.ZoomWknd = experiments.ZoomWeekend(ds) }},
 		{Name: "convergence", Run: func() { r.Convergence = experiments.DiurnalConvergence(ds) }},
 	}
-	figMS, figWallMS := obs.RunTimedParallel(0, tasks)
+	figMS, figWallMS := obs.RunTimedParallel(tasks)
 	return r, figMS, figWallMS
 }
 

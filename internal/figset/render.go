@@ -13,8 +13,6 @@ import (
 	"repro/internal/viz"
 )
 
-func siBytes(v float64) string { return viz.SIBytes(v) }
-
 func dayLabels() []string {
 	labels := make([]string, campus.NumDays)
 	for d := campus.Day(0); d < campus.NumDays; d++ {
@@ -220,7 +218,7 @@ func (r *Results) Report(w io.Writer) error {
 	p("Pipeline: %d flows processed, %d tap-dropped, %d unattributed, %d unlabeled",
 		r.Stats.FlowsProcessed, r.Stats.FlowsTapDropped, r.Stats.FlowsUnattributed, r.Stats.FlowsUnlabeled)
 	p("          %s total, %d DNS entries, %d leases, %d HTTP metadata entries",
-		siBytes(float64(r.Stats.BytesProcessed)), r.Stats.DNSEntries, r.Stats.Leases, r.Stats.HTTPEntries)
+		viz.SIBytes(float64(r.Stats.BytesProcessed)), r.Stats.DNSEntries, r.Stats.Leases, r.Stats.HTTPEntries)
 	p("")
 
 	p("— Figure 1: active devices per day by type —")
@@ -250,8 +248,8 @@ func (r *Results) Report(w io.Writer) error {
 	febDay, mayDay := campus.Day(12), campus.FirstDay(campus.May)+5
 	for _, ty := range devclass.Types {
 		p("  %-18s Feb: mean %9s median %9s | May: mean %9s median %9s", ty.String(),
-			siBytes(r.Fig2.Mean[ty][febDay]), siBytes(r.Fig2.Median[ty][febDay]),
-			siBytes(r.Fig2.Mean[ty][mayDay]), siBytes(r.Fig2.Median[ty][mayDay]))
+			viz.SIBytes(r.Fig2.Mean[ty][febDay]), viz.SIBytes(r.Fig2.Median[ty][febDay]),
+			viz.SIBytes(r.Fig2.Mean[ty][mayDay]), viz.SIBytes(r.Fig2.Median[ty][mayDay]))
 	}
 	p("")
 
@@ -270,7 +268,7 @@ func (r *Results) Report(w io.Writer) error {
 		for _, grp := range []string{"mobile-desktop", "unclassified"} {
 			if series := r.Fig4.Median[pop][grp]; series != nil {
 				p("  %-13s %-14s n=%4d Feb=%9s May=%9s", pop, grp, r.Fig4.N[pop][grp],
-					siBytes(series[febDay]), siBytes(series[mayDay]))
+					viz.SIBytes(series[febDay]), viz.SIBytes(series[mayDay]))
 			}
 		}
 	}
@@ -278,9 +276,9 @@ func (r *Results) Report(w io.Writer) error {
 
 	p("— Figure 5: daily aggregate Zoom traffic (post-shutdown users) —")
 	p("  peak %s on %v (paper: ≈600 GB at full scale → %s at this scale)",
-		siBytes(r.Fig5.Peak), r.Fig5.PeakDay, siBytes(600*(1<<30)*r.Scale))
+		viz.SIBytes(r.Fig5.Peak), r.Fig5.PeakDay, viz.SIBytes(600*(1<<30)*r.Scale))
 	p("  online-term weekday mean %s vs weekend mean %s",
-		siBytes(r.Fig5.WeekdayMean), siBytes(r.Fig5.WeekendMean))
+		viz.SIBytes(r.Fig5.WeekdayMean), viz.SIBytes(r.Fig5.WeekendMean))
 	if err := (viz.Chart{Title: "  zoom bytes/day", Height: 8, Width: 60}).Render(w, labels,
 		map[string][]float64{"zoom": r.Fig5.Bytes}, []string{"zoom"}); err != nil {
 		return err
@@ -306,7 +304,7 @@ func (r *Results) Report(w io.Writer) error {
 		b, c := r.Fig7.Bytes[pop], r.Fig7.Connections[pop]
 		line := fmt.Sprintf("  %-13s", pop)
 		for m := campus.February; m < campus.NumMonths; m++ {
-			line += fmt.Sprintf(" | %s n=%-3d %8s %4.0f conns", m.String()[:3], b[m].N, siBytes(b[m].Median), c[m].Median)
+			line += fmt.Sprintf(" | %s n=%-3d %8s %4.0f conns", m.String()[:3], b[m].N, viz.SIBytes(b[m].Median), c[m].Median)
 		}
 		p("%s", line)
 	}

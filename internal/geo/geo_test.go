@@ -189,8 +189,8 @@ func TestMidpointDegenerate(t *testing.T) {
 	m2.Add(Location{10, 10}, -5)
 	m2.Add(Location{10, 10}, math.NaN())
 	m2.Add(Location{10, 10}, math.Inf(1))
-	if m2.N() != 0 {
-		t.Errorf("invalid weights accepted: n=%d", m2.N())
+	if m2.N != 0 {
+		t.Errorf("invalid weights accepted: n=%d", m2.N)
 	}
 }
 
@@ -214,6 +214,24 @@ func TestMidpointInvariantToScale(t *testing.T) {
 	}
 }
 
+// flowTo is one flow of a test device: its server and byte count.
+type flowTo struct {
+	server netip.Addr
+	bytes  int64
+}
+
+// fold is a device's midpoint over the given flows, each folded when the
+// classifier accepts its server.
+func fold(c *Classifier, flows ...flowTo) *Midpoint {
+	var m Midpoint
+	for _, f := range flows {
+		if p, ok := c.Point(f.server); ok {
+			m.AddPoint(p, float64(f.bytes))
+		}
+	}
+	return &m
+}
+
 func TestClassifierEndToEnd(t *testing.T) {
 	db, reg := testDB(t)
 	c := NewClassifier(db)
@@ -223,25 +241,23 @@ func TestClassifierEndToEnd(t *testing.T) {
 	wechat, _ := reg.ResolveIP("weixin.qq.com", 1)
 
 	// Device 1: overwhelmingly US traffic → domestic.
-	c.AddFlow(1, fb, 1<<30)
-	c.AddFlow(1, bili, 1<<20)
+	dev1 := fold(c, flowTo{fb, 1 << 30}, flowTo{bili, 1 << 20})
 	// Device 2: overwhelmingly Chinese traffic → international.
-	c.AddFlow(2, bili, 1<<30)
-	c.AddFlow(2, wechat, 1<<30)
-	c.AddFlow(2, fb, 1<<20)
-	// Device 3: nothing.
+	dev2 := fold(c, flowTo{bili, 1 << 30}, flowTo{wechat, 1 << 30}, flowTo{fb, 1 << 20})
 
-	if got := c.Classify(1); got != Domestic {
+	if got := dev1.Classify(); got != Domestic {
 		t.Errorf("device 1 = %v", got)
 	}
-	if got := c.Classify(2); got != International {
+	if got := dev2.Classify(); got != International {
 		t.Errorf("device 2 = %v", got)
 	}
-	if got := c.Classify(3); got != Unknown {
-		t.Errorf("device 3 = %v", got)
+	// Device 3: nothing — no midpoint, or an empty one.
+	var dev3 *Midpoint
+	if got := dev3.Classify(); got != Unknown {
+		t.Errorf("device 3 (nil) = %v", got)
 	}
-	if c.Devices() != 2 {
-		t.Errorf("devices = %d", c.Devices())
+	if got := fold(c).Classify(); got != Unknown {
+		t.Errorf("device 3 (empty) = %v", got)
 	}
 }
 
@@ -254,10 +270,7 @@ func TestClassifierConservativeOnMixedTraffic(t *testing.T) {
 	bili, _ := reg.ResolveIP("bilibili.com", 1)
 	ytb, _ := reg.ResolveIP("googlevideo.com", 1) // US west
 	hulu, _ := reg.ResolveIP("hulustream.com", 1) // US east
-	c.AddFlow(1, bili, 1<<28)
-	c.AddFlow(1, ytb, 3<<28)
-	c.AddFlow(1, hulu, 3<<28)
-	if got := c.Classify(1); got != Domestic {
+	if got := fold(c, flowTo{bili, 1 << 28}, flowTo{ytb, 3 << 28}, flowTo{hulu, 3 << 28}).Classify(); got != Domestic {
 		t.Errorf("mixed-traffic device = %v, want Domestic (conservative undercount)", got)
 	}
 }
@@ -268,15 +281,16 @@ func TestClassifierCDNExclusion(t *testing.T) {
 	// (excluded). A device talking only to akamai must stay Unknown.
 	c := NewClassifier(db)
 	cnn, _ := reg.ResolveIP("cnn.com", 1)
-	c.AddFlow(1, cnn, 1<<30)
-	if got := c.Classify(1); got != Unknown {
+	if _, ok := c.Point(cnn); ok {
+		t.Error("akamai server resolved to a point with the CDN exclusion on")
+	}
+	if got := fold(c, flowTo{cnn, 1 << 30}).Classify(); got != Unknown {
 		t.Errorf("akamai-only device = %v, want Unknown (CDN excluded)", got)
 	}
 	// Ablation: including CDNs classifies it domestic (akamai is US).
 	c2 := NewClassifier(db)
 	c2.IncludeCDNs = true
-	c2.AddFlow(1, cnn, 1<<30)
-	if got := c2.Classify(1); got != Domestic {
+	if got := fold(c2, flowTo{cnn, 1 << 30}).Classify(); got != Domestic {
 		t.Errorf("ablation = %v, want Domestic", got)
 	}
 }

@@ -3,18 +3,21 @@ package geo
 import (
 	"math"
 	"net/netip"
-	"sort"
 )
 
 // Midpoint computes the weighted geographic midpoint of a set of locations:
 // each point is mapped to a unit vector on the sphere, vectors are averaged
 // with the given weights, and the mean vector is projected back to
 // latitude/longitude. This is the computation §4.2 runs over each device's
-// February destinations, weighting each connection by its bytes.
+// February destinations, weighting each connection by its bytes. The
+// fields are the raw sums: X, Y and Z the weighted unit-vector components,
+// Weight their total weight and N the number of points folded in. A
+// checkpoint codec persists their exact bit patterns, so a restored
+// midpoint reproduces every later verdict bit for bit.
 type Midpoint struct {
-	x, y, z float64
-	weight  float64
-	n       int
+	X, Y, Z float64
+	Weight  float64
+	N       int
 }
 
 // Point is a location's unit-vector terms, the trigonometry Add would
@@ -44,27 +47,21 @@ func (m *Midpoint) AddPoint(p Point, weight float64) {
 	if weight <= 0 || math.IsNaN(weight) || math.IsInf(weight, 0) {
 		return
 	}
-	m.x += weight * p.cosLat * p.cosLon
-	m.y += weight * p.cosLat * p.sinLon
-	m.z += weight * p.sinLat
-	m.weight += weight
-	m.n++
+	m.X += weight * p.cosLat * p.cosLon
+	m.Y += weight * p.cosLat * p.sinLon
+	m.Z += weight * p.sinLat
+	m.Weight += weight
+	m.N++
 }
-
-// N returns the number of points folded in.
-func (m *Midpoint) N() int { return m.n }
-
-// Weight returns the total weight folded in.
-func (m *Midpoint) Weight() float64 { return m.weight }
 
 // Result returns the weighted midpoint. ok is false when no points were
 // added or the weighted vectors cancel (antipodal inputs), in which case
 // the midpoint is undefined.
 func (m *Midpoint) Result() (Location, bool) {
-	if m.weight <= 0 {
+	if m.Weight <= 0 {
 		return Location{}, false
 	}
-	x, y, z := m.x/m.weight, m.y/m.weight, m.z/m.weight
+	x, y, z := m.X/m.Weight, m.Y/m.Weight, m.Z/m.Weight
 	norm := math.Sqrt(x*x + y*y + z*z)
 	if norm < 1e-9 {
 		return Location{}, false
@@ -99,65 +96,14 @@ func (c Classification) String() string {
 	}
 }
 
-// Classifier accumulates per-device midpoints from flows and classifies
-// each device, implementing §4.2 end to end: CDN prefixes are excluded,
-// each destination is weighted by bytes, and a midpoint outside the US
-// marks the device international.
-type Classifier struct {
-	db *DB
-	// IncludeCDNs disables the CDN exclusion (ablation only — §4.2
-	// explains why production keeps it on: CDN answers are near the user,
-	// not the visited site, dragging every midpoint toward campus).
-	IncludeCDNs bool
-
-	points map[uint64]*Midpoint
-}
-
-// NewClassifier returns a classifier over the database.
-func NewClassifier(db *DB) *Classifier {
-	return &Classifier{db: db, points: make(map[uint64]*Midpoint)}
-}
-
-// AddFlow folds one flow: the device's pseudonymous ID, the server address,
-// and the flow's byte count.
-func (c *Classifier) AddFlow(device uint64, server netip.Addr, bytes int64) {
-	if p, ok := c.Point(server); ok {
-		c.Device(device).AddPoint(p, float64(bytes))
-	}
-}
-
-// Point resolves a server address to the point AddFlow folds for it. ok is
-// false when AddFlow skips the server: no database entry, or a CDN prefix
-// while the exclusion is on. The answer never changes for an address, so a
-// caller may resolve each server once.
-func (c *Classifier) Point(server netip.Addr) (Point, bool) {
-	e, ok := c.db.Lookup(server)
-	if !ok || e.CDNExcluded && !c.IncludeCDNs {
-		return Point{}, false
-	}
-	return e.Loc.Point(), true
-}
-
-// Device returns the device's midpoint accumulator, creating it on first
-// call. AddFlow creates it on the device's first resolved flow; a caller
-// that folds points itself must call Device at that same point, or Export
-// would carry an accumulator AddFlow never made.
-func (c *Classifier) Device(device uint64) *Midpoint {
-	mp := c.points[device]
-	if mp == nil {
-		mp = &Midpoint{}
-		c.points[device] = mp
-	}
-	return mp
-}
-
-// Classify returns the device's population label.
-func (c *Classifier) Classify(device uint64) Classification {
-	mp := c.points[device]
-	if mp == nil {
+// Classify returns the population label of the midpoint: Unknown for a
+// nil midpoint (a device without geolocatable traffic) or an undefined
+// one, else Domestic or International by whether it falls in the US.
+func (m *Midpoint) Classify() Classification {
+	if m == nil {
 		return Unknown
 	}
-	loc, ok := mp.Result()
+	loc, ok := m.Result()
 	if !ok {
 		return Unknown
 	}
@@ -167,51 +113,32 @@ func (c *Classifier) Classify(device uint64) Classification {
 	return International
 }
 
-// MidpointOf exposes the raw midpoint for a device (diagnostics, examples).
-func (c *Classifier) MidpointOf(device uint64) (Location, bool) {
-	mp := c.points[device]
-	if mp == nil {
-		return Location{}, false
-	}
-	return mp.Result()
+// Classifier resolves the points §4.2 folds into a device's midpoint:
+// each destination is looked up in the database and CDN prefixes are
+// excluded. The caller owns the midpoints (one per device), folds each
+// accepted point weighted by the flow's bytes, and classifies them with
+// Midpoint.Classify.
+type Classifier struct {
+	db *DB
+	// IncludeCDNs disables the CDN exclusion (ablation only — §4.2
+	// explains why production keeps it on: CDN answers are near the user,
+	// not the visited site, dragging every midpoint toward campus).
+	IncludeCDNs bool
 }
 
-// Devices returns the number of devices with at least one geolocated flow.
-func (c *Classifier) Devices() int { return len(c.points) }
-
-// MidpointRecord is one device's raw accumulator state. The vector
-// components are transported as exact float64 values (checkpoint codecs
-// persist their bit patterns), so a restored classifier reproduces every
-// later Classify verdict bit-for-bit.
-type MidpointRecord struct {
-	Device  uint64
-	X, Y, Z float64
-	Weight  float64
-	N       int
+// NewClassifier returns a classifier over the database.
+func NewClassifier(db *DB) *Classifier {
+	return &Classifier{db: db}
 }
 
-// Export returns every device's accumulator in ascending device order.
-func (c *Classifier) Export() []MidpointRecord {
-	devs := make([]uint64, 0, len(c.points))
-	for dev := range c.points {
-		devs = append(devs, dev)
+// Point resolves a server address to the point a device's midpoint folds
+// for it. ok is false when the server is skipped: no database entry, or a
+// CDN prefix while the exclusion is on. The answer never changes for an
+// address, so a caller may resolve each server once.
+func (c *Classifier) Point(server netip.Addr) (Point, bool) {
+	e, ok := c.db.Lookup(server)
+	if !ok || e.CDNExcluded && !c.IncludeCDNs {
+		return Point{}, false
 	}
-	sort.Slice(devs, func(i, j int) bool { return devs[i] < devs[j] })
-	out := make([]MidpointRecord, 0, len(devs))
-	for _, dev := range devs {
-		mp := c.points[dev]
-		out = append(out, MidpointRecord{Device: dev, X: mp.x, Y: mp.y, Z: mp.z, Weight: mp.weight, N: mp.n})
-	}
-	return out
-}
-
-// Restore reinstates accumulators exported by Export into an empty
-// classifier (panics otherwise).
-func (c *Classifier) Restore(recs []MidpointRecord) {
-	if len(c.points) != 0 {
-		panic("geo: Restore on a Classifier with state")
-	}
-	for _, r := range recs {
-		c.points[r.Device] = &Midpoint{x: r.X, y: r.Y, z: r.Z, weight: r.Weight, n: r.N}
-	}
+	return e.Loc.Point(), true
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/trace"
 )
 
-// TailSentinel is the default marker file name: its existence under a
+// TailSentinel is the marker file name: its existence under a
 // rotated dataset root declares the dataset complete (the writer will
 // append no further bytes and create no further day directories).
 const TailSentinel = "COMPLETE"
@@ -35,9 +35,6 @@ type TailOptions struct {
 	// Stop, when closed, aborts the tail with ErrTailStopped at the next
 	// poll boundary.
 	Stop <-chan struct{}
-	// Sentinel overrides the completion marker file name (default
-	// TailSentinel).
-	Sentinel string
 	// OnDaySealed, when non-nil, is called after each day directory has
 	// been fully replayed into the sink. final is true when the dataset is
 	// complete: this was the last day.
@@ -67,11 +64,7 @@ func TailRotated(root string, sink trace.Sink, opts TailOptions) error {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
 	}
-	sentinel := opts.Sentinel
-	if sentinel == "" {
-		sentinel = TailSentinel
-	}
-	sentinelPath := filepath.Join(root, sentinel)
+	sentinelPath := filepath.Join(root, TailSentinel)
 
 	// A root not created yet is an empty dataset still to arrive.
 	dayDirs := func() ([]string, error) {

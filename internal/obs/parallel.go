@@ -16,23 +16,21 @@ type TimedTask struct {
 	Run  func()
 }
 
-// RunTimedParallel executes tasks over a bounded worker pool and returns
-// each task's wall time in milliseconds, keyed by name, plus the wall time
-// of the whole fan-out. The per-task times answer "which analysis got
-// slower" (they sum to roughly the serial cost); the fan-out wall time is
-// what the run actually paid — on a multi-core host it is the max lane, not
-// the sum. workers ≤ 0 selects GOMAXPROCS; a single worker degrades to the
-// serial loop this replaces, same timings, same order.
+// RunTimedParallel executes tasks over a pool of GOMAXPROCS workers and
+// returns each task's wall time in milliseconds, keyed by name, plus the
+// wall time of the whole fan-out. The per-task times answer "which analysis
+// got slower" (they sum to roughly the serial cost); the fan-out wall time
+// is what the run actually paid — on a multi-core host it is the max lane,
+// not the sum. A single worker degrades to the serial loop, same timings,
+// same order.
 //
 // This lives in obs rather than next to the experiments because timing is
 // wall-clock observability: the analysis packages themselves are
 // deterministic by policy (no time.Now in internal/experiments — enforced
 // by the determinism analyzer), and the pool is the one place allowed to
 // hold the stopwatch.
-func RunTimedParallel(workers int, tasks []TimedTask) (perTaskMS map[string]float64, wallMS float64) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func RunTimedParallel(tasks []TimedTask) (perTaskMS map[string]float64, wallMS float64) {
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}

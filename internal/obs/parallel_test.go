@@ -2,16 +2,25 @@ package obs
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// setProcs sets GOMAXPROCS, the pool size, for the rest of the test (0
+// leaves it unchanged) and restores the old value afterwards.
+func setProcs(t *testing.T, procs int) {
+	prev := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // TestRunTimedParallelRunsEveryTaskOnce: every task executes exactly once
 // regardless of worker count, and every task gets a timing entry.
 func TestRunTimedParallelRunsEveryTaskOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4, 16} {
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
+			setProcs(t, workers)
 			const n = 23
 			var counts [n]atomic.Int64
 			tasks := make([]TimedTask, n)
@@ -22,7 +31,7 @@ func TestRunTimedParallelRunsEveryTaskOnce(t *testing.T) {
 					Run:  func() { counts[i].Add(1) },
 				}
 			}
-			perTask, wallMS := RunTimedParallel(workers, tasks)
+			perTask, wallMS := RunTimedParallel(tasks)
 			for i := range counts {
 				if got := counts[i].Load(); got != 1 {
 					t.Errorf("task %d ran %d times", i, got)
@@ -48,6 +57,7 @@ func TestRunTimedParallelRunsEveryTaskOnce(t *testing.T) {
 // run concurrently (a serial executor would deadlock; the test would hang
 // and time out).
 func TestRunTimedParallelConcurrent(t *testing.T) {
+	setProcs(t, 2)
 	rendezvous := make(chan struct{}, 2)
 	meet := func() {
 		rendezvous <- struct{}{}
@@ -58,7 +68,7 @@ func TestRunTimedParallelConcurrent(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		RunTimedParallel(2, []TimedTask{
+		RunTimedParallel([]TimedTask{
 			{Name: "a", Run: meet},
 			{Name: "b", Run: meet},
 		})
@@ -72,7 +82,7 @@ func TestRunTimedParallelConcurrent(t *testing.T) {
 
 // TestRunTimedParallelEmpty: zero tasks is a no-op, not a hang.
 func TestRunTimedParallelEmpty(t *testing.T) {
-	perTask, wallMS := RunTimedParallel(4, nil)
+	perTask, wallMS := RunTimedParallel(nil)
 	if len(perTask) != 0 || wallMS != 0 {
 		t.Fatalf("empty run: (%v, %v)", perTask, wallMS)
 	}
@@ -82,7 +92,8 @@ func TestRunTimedParallelEmpty(t *testing.T) {
 // its cost, and the fan-out wall time is bounded below by the slowest task.
 func TestRunTimedParallelTimings(t *testing.T) {
 	const sleep = 20 * time.Millisecond
-	perTask, wallMS := RunTimedParallel(4, []TimedTask{
+	setProcs(t, 4)
+	perTask, wallMS := RunTimedParallel([]TimedTask{
 		{Name: "fast", Run: func() {}},
 		{Name: "slow", Run: func() { time.Sleep(sleep) }},
 	})
