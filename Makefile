@@ -67,7 +67,7 @@ lint-custom:
 	$(GO) run ./cmd/lintlock -suppressions ./...
 
 # Short negative-input fuzz pass over the external-format parsers and
-# the pipeline checkpoint decoder;
+# the pipeline checkpoint and dataset decoders;
 # CI runs this on every push (see the fuzz-smoke job).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 30s ./internal/dnswire
@@ -77,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDNSLogReader -fuzztime 30s ./internal/dnssim
 	$(GO) test -run '^$$' -fuzz FuzzFieldBytes -fuzztime 30s ./internal/zeeklog
 	$(GO) test -run '^$$' -fuzz FuzzRestoreCheckpoint -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzDecodeDataset -fuzztime 30s ./internal/core
 
 # Corruption-replay smoke: generate a 5%-scale dataset, replay it with 0.1%
 # seeded corruption under the skip policy, and audit the guard's books

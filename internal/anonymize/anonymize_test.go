@@ -106,9 +106,9 @@ func TestPresenceVisitorFilter(t *testing.T) {
 	if visitor.count() != 5 || resident.count() != 20 {
 		t.Errorf("days = %d, %d", visitor.count(), resident.count())
 	}
-	var unseen *DayBitmap
+	var unseen DayBitmap
 	if unseen.Resident() || unseen.PostShutdownUser() {
-		t.Error("a device never seen (nil bitmap) passed the filter")
+		t.Error("a device never seen (zero bitmap) passed the filter")
 	}
 }
 

@@ -13,7 +13,7 @@ const MinResidentDays = 14
 
 // DayBitmap is one device's set of active study days (121 < 128 bits),
 // the evidence for the visitor filter and the post-shutdown-user
-// definition. A nil bitmap is a device never seen on the network.
+// definition. The zero bitmap is a device never seen on the network.
 type DayBitmap [2]uint64
 
 // Set marks the device active on the given study day; days outside the
@@ -52,7 +52,7 @@ func (b *DayBitmap) anyAtOrAfter(d campus.Day) bool {
 // Resident reports whether the device passes the visitor filter (present at
 // least MinResidentDays distinct days).
 func (b *DayBitmap) Resident() bool {
-	return b != nil && b.count() >= MinResidentDays
+	return b.count() >= MinResidentDays
 }
 
 // PostShutdownUser reports whether the device is in the paper's analysis

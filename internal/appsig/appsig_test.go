@@ -248,11 +248,9 @@ func TestSwitchCounters(t *testing.T) {
 	if !devs[3].IsSwitch() {
 		t.Error("device 3 at exactly 50% should match (≥ threshold)")
 	}
-	if devs[99].IsSwitch() {
-		t.Error("unknown device (nil counters) matched")
-	}
-	if (&SwitchCounters{}).IsSwitch() {
-		t.Error("device without bytes matched")
+	var unseen SwitchCounters
+	if unseen.IsSwitch() {
+		t.Error("device without bytes (zero counters) matched")
 	}
 	if got := devs[1].Gameplay; got != 400 {
 		t.Errorf("gameplay bytes = %d, want 400 (update traffic filtered)", got)

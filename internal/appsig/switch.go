@@ -7,8 +7,8 @@ const SwitchThreshold = 0.5
 
 // SwitchCounters is one device's byte counters: all its traffic, the
 // Nintendo share, and the gameplay part of that. The counters see every
-// flow (the verdict needs the total-bytes denominator); a nil value is a
-// device without flows.
+// flow (the verdict needs the total-bytes denominator); the zero value is
+// a device without flows.
 type SwitchCounters struct {
 	Total    int64
 	Nintendo int64
@@ -31,7 +31,7 @@ func (c *SwitchCounters) Add(class NintendoClass, bytes int64) {
 
 // IsSwitch reports whether the device crosses SwitchThreshold.
 func (c *SwitchCounters) IsSwitch() bool {
-	if c == nil || c.Total == 0 {
+	if c.Total == 0 {
 		return false
 	}
 	return float64(c.Nintendo)/float64(c.Total) >= SwitchThreshold

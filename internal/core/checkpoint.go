@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -21,16 +20,15 @@ import (
 // version. It enters every per-day stage-cache key, so any wire-format
 // change cleanly invalidates cached checkpoints; a stale payload that
 // slips past the key is still rejected by the header check.
-const CheckpointCodecVersion = 1
-
-var checkpointMagic = [4]byte{'L', 'K', 'C', 'P'}
+const CheckpointCodecVersion = 2
 
 // EncodeCheckpoint serializes the pipeline's complete mutable state — run
-// stats, every device accumulator, the DNS label index, the DHCP lease
-// index, presence bitmaps, open stitcher sessions, Switch counters, and
-// both February midpoints — so that a pipeline restored from the payload
-// and fed the remaining days produces bit-for-bit the Dataset a
-// monolithic run would. This is the unit the per-day stats cache
+// stats, one record per device (its accumulators, then its verdict
+// evidence: presence bitmap, Switch counters and both February
+// midpoints), the DNS label index, the DHCP lease index and the open
+// stitcher sessions — so that a pipeline restored from the payload and
+// fed the remaining days produces bit-for-bit the Dataset a monolithic
+// run would. This is the unit the per-day stats cache
 // stores: one checkpoint per sealed day, replay only the days that follow.
 //
 // A pipeline can be checkpointed only at a seal boundary (nothing
@@ -44,7 +42,8 @@ var checkpointMagic = [4]byte{'L', 'K', 'C', 'P'}
 // exactly), nil-vs-empty-preserving slices, times as UnixNano (all
 // pipeline time handling is absolute or via explicit campus.Timezone
 // conversion, so the wall-clock location is irrelevant), a domain string
-// table for the label index, and a sha256 trailer.
+// table for the label index, and the header and sha256 trailer all three
+// codecs share (frame).
 func (p *Pipeline) EncodeCheckpoint() ([]byte, error) {
 	if p.finalized {
 		return nil, fmt.Errorf("core: checkpoint: pipeline already finalized")
@@ -54,14 +53,7 @@ func (p *Pipeline) EncodeCheckpoint() ([]byte, error) {
 	}
 	lj := p.join
 
-	e := &enc{b: make([]byte, 0, 1<<20)}
-	e.b = append(e.b, checkpointMagic[:]...)
-	e.uvarint(CheckpointCodecVersion)
-	e.uvarint(campus.NumDays)
-	e.uvarint(uint64(campus.NumMonths))
-	e.uvarint(uint64(NumGroups))
-	e.uvarint(campus.HoursPerWeek)
-
+	e := checkpointFrame.header(1 << 20)
 	devs := make([]*deviceState, 0, len(p.devices))
 	for _, st := range p.devices {
 		devs = append(devs, st)
@@ -72,15 +64,8 @@ func (p *Pipeline) EncodeCheckpoint() ([]byte, error) {
 	encDevices(e, devs)
 	encLabelIndex(e, lj.labeler.ExportSpans())
 	encLeaseIndex(e, lj.leaseIdx)
-	encRecords(e, devs, presenceRec)
 	encOpenSessions(e, p.stitcher.ExportOpen())
-	encRecords(e, devs, switchRec)
-	encRecords(e, devs, geoRec)
-	encRecords(e, devs, geoAblateRec)
-
-	sum := sha256.Sum256(e.b)
-	e.b = append(e.b, sum[:]...)
-	return e.b, nil
+	return seal(e.b), nil
 }
 
 // RestoreCheckpoint builds a fresh pipeline over the given registry and
@@ -90,34 +75,10 @@ func (p *Pipeline) EncodeCheckpoint() ([]byte, error) {
 // cannot happen through it). The restored pipeline continues exactly where
 // the original sealed: feed it the next day, SealDay, Finalize.
 func RestoreCheckpoint(reg *universe.Registry, opts Options, b []byte) (*Pipeline, error) {
-	if len(b) < len(checkpointMagic)+sha256.Size {
-		return nil, fmt.Errorf("core: decode checkpoint: payload too short (%d bytes)", len(b))
+	d, err := checkpointFrame.open(b)
+	if err != nil {
+		return nil, err
 	}
-	body, trailer := b[:len(b)-sha256.Size], b[len(b)-sha256.Size:]
-	if sum := sha256.Sum256(body); string(sum[:]) != string(trailer) {
-		return nil, fmt.Errorf("core: decode checkpoint: checksum mismatch")
-	}
-	d := &dec{b: body, scope: "checkpoint"}
-	if string(d.take(4)) != string(checkpointMagic[:]) {
-		return nil, fmt.Errorf("core: decode checkpoint: bad magic")
-	}
-	if v := d.uvarint(); v != CheckpointCodecVersion {
-		return nil, fmt.Errorf("core: decode checkpoint: codec version %d, want %d", v, CheckpointCodecVersion)
-	}
-	for _, dim := range []struct {
-		name string
-		want uint64
-	}{
-		{"num_days", campus.NumDays},
-		{"num_months", uint64(campus.NumMonths)},
-		{"num_groups", uint64(NumGroups)},
-		{"hours_per_week", campus.HoursPerWeek},
-	} {
-		if got := d.uvarint(); d.err == nil && got != dim.want {
-			return nil, fmt.Errorf("core: decode checkpoint: dimension %s=%d, want %d", dim.name, got, dim.want)
-		}
-	}
-
 	p, err := NewPipeline(reg, opts)
 	if err != nil {
 		return nil, err
@@ -125,22 +86,15 @@ func RestoreCheckpoint(reg *universe.Registry, opts Options, b []byte) (*Pipelin
 	lj := p.join
 
 	decStats(d, &p.stats)
-	devices, err2 := decDevices(d)
-	if err2 != nil {
-		return nil, err2
+	devices, err := decDevices(d)
+	if err != nil {
+		return nil, err
 	}
 	labelIdx := decLabelIndex(d)
 	leaseIdx := decLeaseIndex(d)
-	decRecords(d, devices, presenceRec)
-	open := decOpenSessions(d)
-	decRecords(d, devices, switchRec)
-	decRecords(d, devices, geoRec)
-	decRecords(d, devices, geoAblateRec)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(body) {
-		return nil, fmt.Errorf("core: decode checkpoint: %d trailing bytes", len(body)-d.off)
+	open := decOpenSessions(d, devices)
+	if err := d.end(); err != nil {
+		return nil, err
 	}
 
 	p.devices = devices
@@ -152,26 +106,6 @@ func RestoreCheckpoint(reg *universe.Registry, opts Options, b []byte) (*Pipelin
 	// newPipeline already set up).
 	p.lastSealStats = p.stats
 	return p, nil
-}
-
-func encStats(e *enc, st *Stats) {
-	for _, v := range []int64{
-		st.FlowsProcessed, st.FlowsTapDropped, st.FlowsUnattributed,
-		st.FlowsUnlabeled, st.FlowsOutOfWindow, st.DNSEntries,
-		st.HTTPEntries, st.Leases, st.BytesProcessed,
-	} {
-		e.varint(v)
-	}
-}
-
-func decStats(d *dec, st *Stats) {
-	for _, p := range []*int64{
-		&st.FlowsProcessed, &st.FlowsTapDropped, &st.FlowsUnattributed,
-		&st.FlowsUnlabeled, &st.FlowsOutOfWindow, &st.DNSEntries,
-		&st.HTTPEntries, &st.Leases, &st.BytesProcessed,
-	} {
-		*p = d.varint()
-	}
 }
 
 // decSeries reads a per-day or per-hour accumulator, which the accounting
@@ -223,9 +157,9 @@ func decAddr(d *dec) netip.Addr {
 	}
 }
 
-// encDevices writes the per-device accumulators (devs ascending by
-// pseudonym), delta-coded, each field in a fixed order. The verdict
-// evidence is not among them: it follows in its own record sections.
+// encDevices writes one record per device (devs ascending by pseudonym,
+// delta-coded): the accumulators, then the verdict evidence, each field in
+// a fixed order.
 func encDevices(e *enc, devs []*deviceState) {
 	e.uvarint(uint64(len(devs)))
 	var prev uint64
@@ -284,7 +218,26 @@ func encDevices(e *enc, devs []*deviceState) {
 			e.uvarint(uint64(st.steam[m].Connections))
 		}
 		e.varint(st.flows)
+		e.uvarint(st.days[0])
+		e.uvarint(st.days[1])
+		e.varint(st.switches.Total)
+		e.varint(st.switches.Nintendo)
+		e.varint(st.switches.Gameplay)
+		encMidpoint(e, &st.geo)
+		encMidpoint(e, &st.geoAblate)
 	}
+}
+
+func encMidpoint(e *enc, mp *geo.Midpoint) {
+	e.f64(mp.X)
+	e.f64(mp.Y)
+	e.f64(mp.Z)
+	e.f64(mp.Weight)
+	e.uvarint(uint64(mp.N))
+}
+
+func decMidpoint(d *dec) geo.Midpoint {
+	return geo.Midpoint{X: d.f64(), Y: d.f64(), Z: d.f64(), Weight: d.f64(), N: int(d.uvarint())}
 }
 
 func decDevices(d *dec) (map[anonymize.DeviceID]*deviceState, error) {
@@ -347,6 +300,10 @@ func decDevices(d *dec) (map[anonymize.DeviceID]*deviceState, error) {
 			st.steam[m].Connections = int(d.uvarint())
 		}
 		st.flows = d.varint()
+		st.days = anonymize.DayBitmap{d.uvarint(), d.uvarint()}
+		st.switches = appsig.SwitchCounters{Total: d.varint(), Nintendo: d.varint(), Gameplay: d.varint()}
+		st.geo = decMidpoint(d)
+		st.geoAblate = decMidpoint(d)
 		if d.err != nil {
 			return nil, d.err
 		}
@@ -483,7 +440,9 @@ func encOpenSessions(e *enc, sessions []appsig.OpenSession) {
 	}
 }
 
-func decOpenSessions(d *dec) []appsig.OpenSession {
+// decOpenSessions reads the open sessions; one whose device is missing
+// from the device table fails the decode (its flush would invent a device).
+func decOpenSessions(d *dec, devices map[anonymize.DeviceID]*deviceState) []appsig.OpenSession {
 	n := d.count("open-session")
 	if d.err != nil {
 		return nil
@@ -499,119 +458,10 @@ func decOpenSessions(d *dec) []appsig.OpenSession {
 			Flows:  int(d.uvarint()),
 		}
 		s.Instagram = d.byte() == 1
+		if d.err == nil && devices[anonymize.DeviceID(s.Device)] == nil {
+			d.fail("open session for device %d absent from the device table", s.Device)
+		}
 		out = append(out, s)
 	}
 	return out
-}
-
-// recordKind is one section of per-device verdict evidence: the devices
-// that hold the evidence each get a record, ascending by pseudonym and
-// delta-coded. A device holds it from the creation point the accounting
-// decides (a non-nil pointer on its state), so the sections list exactly
-// the devices that reached that point.
-type recordKind struct {
-	name string
-	// has reports whether the device holds the evidence.
-	has func(st *deviceState) bool
-	// enc writes the evidence; dec reads it onto a device without it.
-	enc func(e *enc, st *deviceState)
-	dec func(d *dec, st *deviceState)
-}
-
-var presenceRec = recordKind{
-	name: "presence",
-	has:  func(st *deviceState) bool { return st.days != nil },
-	enc: func(e *enc, st *deviceState) {
-		e.uvarint(st.days[0])
-		e.uvarint(st.days[1])
-	},
-	dec: func(d *dec, st *deviceState) {
-		st.days = &anonymize.DayBitmap{d.uvarint(), d.uvarint()}
-	},
-}
-
-var switchRec = recordKind{
-	name: "switch",
-	has:  func(st *deviceState) bool { return st.switches != nil },
-	enc: func(e *enc, st *deviceState) {
-		e.varint(st.switches.Total)
-		e.varint(st.switches.Nintendo)
-		e.varint(st.switches.Gameplay)
-	},
-	dec: func(d *dec, st *deviceState) {
-		st.switches = &appsig.SwitchCounters{Total: d.varint(), Nintendo: d.varint(), Gameplay: d.varint()}
-	},
-}
-
-// geoRec and geoAblateRec are the two February midpoints' record kinds
-// (with and without the CDN exclusion).
-var (
-	geoRec       = midpointRec(func(st *deviceState) **geo.Midpoint { return &st.geo })
-	geoAblateRec = midpointRec(func(st *deviceState) **geo.Midpoint { return &st.geoAblate })
-)
-
-// midpointRec is the record kind of the midpoint that field selects.
-func midpointRec(field func(st *deviceState) **geo.Midpoint) recordKind {
-	return recordKind{
-		name: "midpoint",
-		has:  func(st *deviceState) bool { return *field(st) != nil },
-		enc: func(e *enc, st *deviceState) {
-			mp := *field(st)
-			e.f64(mp.X)
-			e.f64(mp.Y)
-			e.f64(mp.Z)
-			e.f64(mp.Weight)
-			e.uvarint(uint64(mp.N))
-		},
-		dec: func(d *dec, st *deviceState) {
-			*field(st) = &geo.Midpoint{X: d.f64(), Y: d.f64(), Z: d.f64(), Weight: d.f64(), N: int(d.uvarint())}
-		},
-	}
-}
-
-// encRecords writes one record section over devs (ascending by pseudonym).
-func encRecords(e *enc, devs []*deviceState, k recordKind) {
-	n := 0
-	for _, st := range devs {
-		if k.has(st) {
-			n++
-		}
-	}
-	e.uvarint(uint64(n))
-	var prev uint64
-	for _, st := range devs {
-		if k.has(st) {
-			e.uvarint(uint64(st.id) - prev)
-			prev = uint64(st.id)
-			k.enc(e, st)
-		}
-	}
-}
-
-// decRecords reads one record section and attaches each record to its
-// device. A record for a device missing from the device table, or IDs
-// that are not strictly ascending (a repeated device among them), fail
-// the decode: no record is dropped and none overwrites another.
-func decRecords(d *dec, devices map[anonymize.DeviceID]*deviceState, k recordKind) {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(len(devices)) {
-		d.fail("implausible %s record count %d for %d devices", k.name, n, len(devices))
-		return
-	}
-	var prev uint64
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		delta := d.uvarint()
-		id := prev + delta
-		if i > 0 && (delta == 0 || id < prev) {
-			d.fail("%s record device IDs not strictly ascending", k.name)
-			return
-		}
-		prev = id
-		st := devices[anonymize.DeviceID(id)]
-		if st == nil {
-			d.fail("%s record for device %d absent from the device table", k.name, id)
-			return
-		}
-		k.dec(d, st)
-	}
 }

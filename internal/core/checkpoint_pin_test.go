@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/anonymize"
 	"repro/internal/campus"
+	"repro/internal/devclass"
 	"repro/internal/dhcp"
 	"repro/internal/dnssim"
 	"repro/internal/httplog"
@@ -15,12 +17,11 @@ import (
 	"repro/internal/universe"
 )
 
-// pinnedCheckpointSHA256 is EncodeCheckpoint's digest over pinStream,
-// computed before the per-run fact tables existed. The tables are derived
-// state, so the bytes must not move: a presence bitmap, Switch counter or
-// midpoint created earlier (or later) than the per-flow calls created
-// them shows here.
-const pinnedCheckpointSHA256 = "06241fe211f62928909fd2428e0018f03d730662a4e679f5c5932d86e83d36bb"
+// pinnedCheckpointSHA256 is EncodeCheckpoint's digest over pinStream in
+// codec version 2, where each device record carries its verdict evidence.
+// It guards the v2 layout: derived-state work on the hot path (the per-run
+// fact tables) and any change to what a device accumulates show here.
+const pinnedCheckpointSHA256 = "6ea37fdb90ca9b1b9272c67bde4495ef2b0977b476a01df40f7ca77e601bd274"
 
 // pinStream feeds two February days of generated traffic, then hand-made
 // edge cases: a device whose only February flow goes to a CDN-excluded
@@ -84,5 +85,50 @@ func TestCheckpointBytesPinned(t *testing.T) {
 	sum := sha256.Sum256(ckpt)
 	if got := hex.EncodeToString(sum[:]); got != pinnedCheckpointSHA256 {
 		t.Errorf("checkpoint sha256 = %s, want %s (%d bytes)", got, pinnedCheckpointSHA256, len(ckpt))
+	}
+}
+
+// pinnedDatasetSHA256 and pinnedTruthSHA256 are EncodeDataset's digest
+// over pinStream's snapshot and EncodeTruth's over pinTruth, computed
+// before the three codecs shared one frame and one Stats field list: the
+// shared code must not move a byte of dataset.bin or truth.bin.
+const (
+	pinnedDatasetSHA256 = "400e2576812662b82f9468fea7a249b6457972799efd842a87efe2511ced7dd6"
+	pinnedTruthSHA256   = "1987f0f5ba9ad98a0a2479d40a7c8422c0869b56897109afb899a567efa7cbe7"
+)
+
+// pinTruth is a fixed ground-truth map with every device type and ID
+// deltas from one varint byte to ten.
+var pinTruth = map[anonymize.DeviceID]devclass.Type{
+	0:         devclass.Unknown,
+	1:         devclass.Mobile,
+	300:       devclass.LaptopDesktop,
+	1 << 40:   devclass.IoT,
+	1<<64 - 1: devclass.Mobile,
+}
+
+// TestDatasetBytesPinned pins the dataset and truth codecs' output.
+func TestDatasetBytesPinned(t *testing.T) {
+	reg, err := universe.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPipeline(reg, Options{Key: sealTestKey})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinStream(t, reg, p)
+	for _, c := range []struct {
+		name string
+		b    []byte
+		want string
+	}{
+		{"dataset", EncodeDataset(p.Snapshot()), pinnedDatasetSHA256},
+		{"truth", EncodeTruth(pinTruth), pinnedTruthSHA256},
+	} {
+		sum := sha256.Sum256(c.b)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s sha256 = %s, want %s (%d bytes)", c.name, got, c.want, len(c.b))
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/anonymize"
 	"repro/internal/campus"
 	"repro/internal/dhcp"
 	"repro/internal/dnssim"
@@ -16,14 +17,11 @@ import (
 	"repro/internal/universe"
 )
 
-// recordKinds lists the verdict-evidence sections in checkpoint order
-// (the open sessions sit between the first two).
-var recordKinds = []recordKind{presenceRec, switchRec, geoRec, geoAblateRec}
-
 // smallCheckpointPipeline is a pipeline small enough to fuzz, sealed at a
 // checkpoint boundary: pinEdgeCases' devices plus a client that fetches
-// Facebook and talks to Nintendo in February, so every section holds a
-// record (presence, an open session, Switch counters, both midpoints).
+// Facebook and talks to Nintendo in February, so it holds every kind of
+// verdict evidence (presence, Switch counters, both midpoints) and an open
+// session.
 func smallCheckpointPipeline(tb testing.TB) (*Pipeline, *universe.Registry) {
 	tb.Helper()
 	reg, err := universe.New()
@@ -52,37 +50,16 @@ func smallCheckpointPipeline(tb testing.TB) (*Pipeline, *universe.Registry) {
 }
 
 // craftCheckpoint encodes p as EncodeCheckpoint does, except that the
-// device table lists table and the record section recordKinds[kind] lists
-// rec, whose devices need not be in the table or distinct; the other
-// sections list the table's devices that hold their evidence. The result
-// carries a valid trailer.
-func craftCheckpoint(p *Pipeline, table, rec []*deviceState, kind int) []byte {
-	e := &enc{}
-	e.b = append(e.b, checkpointMagic[:]...)
-	for _, v := range []uint64{CheckpointCodecVersion, campus.NumDays, uint64(campus.NumMonths), uint64(NumGroups), campus.HoursPerWeek} {
-		e.uvarint(v)
-	}
+// device table lists table, whose devices need not be p's or distinct.
+// The result carries a valid trailer.
+func craftCheckpoint(p *Pipeline, table []*deviceState) []byte {
+	e := checkpointFrame.header(0)
 	encStats(e, &p.stats)
 	encDevices(e, table)
 	encLabelIndex(e, p.join.labeler.ExportSpans())
 	encLeaseIndex(e, p.join.leaseIdx)
-	for i, k := range recordKinds {
-		if i == 1 {
-			encOpenSessions(e, p.stitcher.ExportOpen())
-		}
-		devs := table
-		if i == kind {
-			devs = rec
-		}
-		encRecords(e, devs, k)
-	}
+	encOpenSessions(e, p.stitcher.ExportOpen())
 	return seal(e.b)
-}
-
-// seal appends the sha256 trailer RestoreCheckpoint verifies.
-func seal(body []byte) []byte {
-	sum := sha256.Sum256(body)
-	return append(body[:len(body):len(body)], sum[:]...)
 }
 
 // sortedDevices returns p's devices ascending by pseudonym, and the
@@ -94,16 +71,15 @@ func sortedDevices(t *testing.T, p *Pipeline) (all []*deviceState, client *devic
 	}
 	slices.SortFunc(all, func(a, b *deviceState) int { return cmp.Compare(a.id, b.id) })
 	client = p.byMAC[testMAC]
-	if client == nil || client.days == nil || client.switches == nil || client.geo == nil || client.geoAblate == nil {
-		t.Fatal("the Facebook client lacks a record kind")
+	if client == nil || client.days == (anonymize.DayBitmap{}) || client.switches.Total == 0 || client.geo.N == 0 || client.geoAblate.N == 0 {
+		t.Fatal("the Facebook client lacks verdict evidence")
 	}
 	return all, client
 }
 
 // TestCraftCheckpointMatchesEncoder keeps craftCheckpoint honest: with
-// the real device table in every section it reproduces EncodeCheckpoint
-// byte for byte, so the rejections below come from the one change each
-// test makes.
+// the real device table it reproduces EncodeCheckpoint byte for byte, so
+// the rejections below come from the one change each test makes.
 func TestCraftCheckpointMatchesEncoder(t *testing.T) {
 	p, _ := smallCheckpointPipeline(t)
 	all, _ := sortedDevices(t, p)
@@ -111,35 +87,36 @@ func TestCraftCheckpointMatchesEncoder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for kind := range recordKinds {
-		if got := craftCheckpoint(p, all, all, kind); !bytes.Equal(got, want) {
-			t.Fatalf("kind %d: crafted checkpoint differs from EncodeCheckpoint's", kind)
-		}
+	if got := craftCheckpoint(p, all); !bytes.Equal(got, want) {
+		t.Fatal("crafted checkpoint differs from EncodeCheckpoint's")
 	}
 }
 
-// TestRestoreRejectsOrphanRecords: a presence, Switch or midpoint record
-// whose device is missing from the device table fails the restore.
+// TestRestoreRejectsOrphanRecords: an open-session record whose device is
+// missing from the device table fails the restore; its flush would
+// otherwise invent a device with no flows. (The verdict evidence sits in
+// the device records, so it cannot be orphaned.)
 func TestRestoreRejectsOrphanRecords(t *testing.T) {
 	p, reg := smallCheckpointPipeline(t)
 	all, client := sortedDevices(t, p)
+	open := p.stitcher.ExportOpen()
+	if len(open) != 1 || open[0].Device != uint64(client.id) {
+		t.Fatalf("open sessions %+v, want the client's one", open)
+	}
 	var table []*deviceState
 	for _, st := range all {
 		if st != client {
 			table = append(table, st)
 		}
 	}
-	for kind, k := range recordKinds {
-		b := craftCheckpoint(p, table, all, kind)
-		_, err := RestoreCheckpoint(reg, Options{Key: sealTestKey}, b)
-		if err == nil || !strings.Contains(err.Error(), "absent from the device table") {
-			t.Errorf("%s record for a device not in the table (kind %d): err = %v", k.name, kind, err)
-		}
+	_, err := RestoreCheckpoint(reg, Options{Key: sealTestKey}, craftCheckpoint(p, table))
+	if err == nil || !strings.Contains(err.Error(), "absent from the device table") {
+		t.Errorf("open session for a device not in the table: err = %v", err)
 	}
 }
 
-// TestRestoreRejectsRepeatedRecords: a presence, Switch or midpoint record
-// listed twice for one device fails the restore instead of overwriting.
+// TestRestoreRejectsRepeatedRecords: a device record listed twice in the
+// device table fails the restore instead of overwriting the first.
 func TestRestoreRejectsRepeatedRecords(t *testing.T) {
 	p, reg := smallCheckpointPipeline(t)
 	all, client := sortedDevices(t, p)
@@ -150,12 +127,9 @@ func TestRestoreRejectsRepeatedRecords(t *testing.T) {
 			twice = append(twice, st)
 		}
 	}
-	for kind, k := range recordKinds {
-		b := craftCheckpoint(p, all, twice, kind)
-		_, err := RestoreCheckpoint(reg, Options{Key: sealTestKey}, b)
-		if err == nil || !strings.Contains(err.Error(), "not strictly ascending") {
-			t.Errorf("%s record repeated (kind %d): err = %v", k.name, kind, err)
-		}
+	_, err := RestoreCheckpoint(reg, Options{Key: sealTestKey}, craftCheckpoint(p, twice))
+	if err == nil || !strings.Contains(err.Error(), "not strictly ascending") {
+		t.Errorf("device repeated in the table: err = %v", err)
 	}
 }
 
@@ -172,12 +146,12 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 	}
 	f.Add(ckpt[:len(ckpt)-sha256.Size])
 	f.Add([]byte{})
-	f.Add(checkpointMagic[:])
+	f.Add(checkpointFrame.magic[:])
 	server, _ := reg.ResolveIP("facebook.com", 1)
 	next := flowAt(campus.FirstDay(campus.March).Time().Add(-4*time.Hour), server, 1000)
 	opts := Options{Key: sealTestKey}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		r, err := RestoreCheckpoint(reg, opts, seal(body))
+		r, err := RestoreCheckpoint(reg, opts, seal(slices.Clip(body)))
 		if (r == nil) == (err == nil) {
 			t.Fatalf("pipeline %v with error %v: want exactly one", r != nil, err)
 		}

@@ -20,11 +20,81 @@ import (
 // still rejected by the header check in DecodeDataset.
 const DatasetCodecVersion = 1
 
-// datasetMagic / truthMagic head the two payload formats.
+// frame is what the dataset, truth and checkpoint payloads share: a header
+// (magic, codec version and, for the formats whose arrays are sized by
+// them, the campus dimensions) and a sha256 trailer over everything
+// before it.
+type frame struct {
+	magic   [4]byte
+	version uint64
+	// scope names the payload in error messages.
+	scope string
+	// dims: the header carries the campus dimensions, so a payload written
+	// by a build with different campus constants fails the header check
+	// instead of misparsing fixed-size arrays.
+	dims bool
+}
+
 var (
-	datasetMagic = [4]byte{'L', 'K', 'D', 'S'}
-	truthMagic   = [4]byte{'L', 'K', 'T', 'R'}
+	datasetFrame    = frame{[4]byte{'L', 'K', 'D', 'S'}, DatasetCodecVersion, "dataset", true}
+	truthFrame      = frame{[4]byte{'L', 'K', 'T', 'R'}, DatasetCodecVersion, "truth", false}
+	checkpointFrame = frame{[4]byte{'L', 'K', 'C', 'P'}, CheckpointCodecVersion, "checkpoint", true}
 )
+
+// dimensions are the campus constants a dims header records, in order.
+var dimensions = []struct {
+	name string
+	v    uint64
+}{
+	{"num_days", campus.NumDays},
+	{"num_months", uint64(campus.NumMonths)},
+	{"num_groups", uint64(NumGroups)},
+	{"hours_per_week", campus.HoursPerWeek},
+}
+
+// header starts a payload of about size bytes with the frame's header.
+func (f frame) header(size int) *enc {
+	e := &enc{b: make([]byte, 0, size)}
+	e.b = append(e.b, f.magic[:]...)
+	e.uvarint(f.version)
+	if f.dims {
+		for _, dim := range dimensions {
+			e.uvarint(dim.v)
+		}
+	}
+	return e
+}
+
+// seal appends the sha256 trailer over b.
+func seal(b []byte) []byte {
+	sum := sha256.Sum256(b)
+	return append(b, sum[:]...)
+}
+
+// open checks a sealed payload's length, trailer, magic, version and
+// dimensions, and returns a cursor over the body after the header.
+func (f frame) open(b []byte) (*dec, error) {
+	if len(b) < len(f.magic)+sha256.Size {
+		return nil, fmt.Errorf("core: decode %s: payload too short (%d bytes)", f.scope, len(b))
+	}
+	body, trailer := b[:len(b)-sha256.Size], b[len(b)-sha256.Size:]
+	if sum := sha256.Sum256(body); string(sum[:]) != string(trailer) {
+		return nil, fmt.Errorf("core: decode %s: checksum mismatch", f.scope)
+	}
+	d := &dec{b: body, scope: f.scope}
+	if string(d.take(len(f.magic))) != string(f.magic[:]) {
+		return nil, fmt.Errorf("core: decode %s: bad magic", f.scope)
+	}
+	if v := d.uvarint(); d.err == nil && v != f.version {
+		d.fail("codec version %d, want %d", v, f.version)
+	}
+	for i := 0; f.dims && i < len(dimensions); i++ {
+		if got := d.uvarint(); d.err == nil && got != dimensions[i].v {
+			d.fail("dimension %s=%d, want %d", dimensions[i].name, got, dimensions[i].v)
+		}
+	}
+	return d, d.err
+}
 
 // The encoding is columnar: after a self-describing header (magic,
 // version, the campus dimensions the arrays are sized by, the device
@@ -65,8 +135,7 @@ func (e *enc) f32slice(s []float32) {
 
 // dec is the matching cursor with error latching: after the first
 // malformed read every subsequent read fails fast. scope names the payload
-// kind in error messages ("dataset" when empty — the original format; the
-// checkpoint codec sets its own).
+// kind in error messages.
 type dec struct {
 	b     []byte
 	off   int
@@ -76,11 +145,7 @@ type dec struct {
 
 func (d *dec) fail(format string, args ...any) {
 	if d.err == nil {
-		scope := d.scope
-		if scope == "" {
-			scope = "dataset"
-		}
-		d.err = fmt.Errorf("core: decode "+scope+": "+format, args...)
+		d.err = fmt.Errorf("core: decode "+d.scope+": "+format, args...)
 	}
 }
 
@@ -97,12 +162,15 @@ func (d *dec) take(n int) []byte {
 	return s
 }
 
+// uvarint and varint accept only the minimal encoding (no zero last
+// byte after the first), the one the encoder writes, so a decoded payload
+// re-encodes to its own bytes.
 func (d *dec) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && d.b[d.off+n-1] == 0 {
 		d.fail("bad uvarint at offset %d", d.off)
 		return 0
 	}
@@ -115,7 +183,7 @@ func (d *dec) varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && d.b[d.off+n-1] == 0 {
 		d.fail("bad varint at offset %d", d.off)
 		return 0
 	}
@@ -133,6 +201,14 @@ func (d *dec) count(what string) int {
 		return 0
 	}
 	return int(n)
+}
+
+// end is the trailing-bytes check: the body must be consumed exactly.
+func (d *dec) end() error {
+	if d.err == nil && d.off != len(d.b) {
+		d.fail("%d trailing bytes", len(d.b)-d.off)
+	}
+	return d.err
 }
 
 func (d *dec) byte() byte {
@@ -185,30 +261,25 @@ func (d *dec) f32slice(maxLen int) []float32 {
 	return out
 }
 
+func encStats(e *enc, st *Stats) {
+	for _, p := range st.fields() {
+		e.varint(*p)
+	}
+}
+
+func decStats(d *dec, st *Stats) {
+	for _, p := range st.fields() {
+		*p = d.varint()
+	}
+}
+
 // EncodeDataset serializes a finalized Dataset (devices are already
 // sorted by ID — Finalize/Snapshot guarantee it, which makes the encoding
 // canonical: one dataset, one byte sequence).
 func EncodeDataset(ds *Dataset) []byte {
-	e := &enc{b: make([]byte, 0, 1<<16)}
-	e.b = append(e.b, datasetMagic[:]...)
-	e.uvarint(DatasetCodecVersion)
-	// Dimensions the fixed-size arrays are declared with: a binary written
-	// by a build with different campus constants fails the header check
-	// instead of misparsing columns.
-	e.uvarint(campus.NumDays)
-	e.uvarint(uint64(campus.NumMonths))
-	e.uvarint(uint64(NumGroups))
-	e.uvarint(campus.HoursPerWeek)
+	e := datasetFrame.header(1 << 16)
 	e.uvarint(uint64(len(ds.Devices)))
-
-	st := &ds.Stats
-	for _, v := range []int64{
-		st.FlowsProcessed, st.FlowsTapDropped, st.FlowsUnattributed,
-		st.FlowsUnlabeled, st.FlowsOutOfWindow, st.DNSEntries,
-		st.HTTPEntries, st.Leases, st.BytesProcessed,
-	} {
-		e.varint(v)
-	}
+	encStats(e, &ds.Stats)
 
 	devs := ds.Devices
 	// Column 1: IDs, delta-coded (sorted ascending).
@@ -323,10 +394,7 @@ func EncodeDataset(ds *Dataset) []byte {
 	for _, d := range devs {
 		e.varint(d.Flows)
 	}
-
-	sum := sha256.Sum256(e.b)
-	e.b = append(e.b, sum[:]...)
-	return e.b
+	return seal(e.b)
 }
 
 // DecodeDataset parses an EncodeDataset payload, verifying the sha256
@@ -334,48 +402,15 @@ func EncodeDataset(ds *Dataset) []byte {
 // single column. Any mismatch returns an error — the stage cache treats it
 // as a verify failure and recomputes.
 func DecodeDataset(b []byte) (*Dataset, error) {
-	if len(b) < len(datasetMagic)+sha256.Size {
-		return nil, fmt.Errorf("core: decode dataset: payload too short (%d bytes)", len(b))
+	d, err := datasetFrame.open(b)
+	if err != nil {
+		return nil, err
 	}
-	body, trailer := b[:len(b)-sha256.Size], b[len(b)-sha256.Size:]
-	if sum := sha256.Sum256(body); string(sum[:]) != string(trailer) {
-		return nil, fmt.Errorf("core: decode dataset: checksum mismatch")
-	}
-	d := &dec{b: body}
-	if string(d.take(4)) != string(datasetMagic[:]) {
-		return nil, fmt.Errorf("core: decode dataset: bad magic")
-	}
-	if v := d.uvarint(); v != DatasetCodecVersion {
-		return nil, fmt.Errorf("core: decode dataset: codec version %d, want %d", v, DatasetCodecVersion)
-	}
-	for _, dim := range []struct {
-		name string
-		want uint64
-	}{
-		{"num_days", campus.NumDays},
-		{"num_months", uint64(campus.NumMonths)},
-		{"num_groups", uint64(NumGroups)},
-		{"hours_per_week", campus.HoursPerWeek},
-	} {
-		if got := d.uvarint(); d.err == nil && got != dim.want {
-			return nil, fmt.Errorf("core: decode dataset: dimension %s=%d, want %d", dim.name, got, dim.want)
-		}
-	}
-	n := int(d.uvarint())
+	n := d.count("device")
+	ds := &Dataset{byID: make(map[anonymize.DeviceID]*DeviceData, n)}
+	decStats(d, &ds.Stats)
 	if d.err != nil {
 		return nil, d.err
-	}
-	if n < 0 || n > len(body) {
-		return nil, fmt.Errorf("core: decode dataset: implausible device count %d", n)
-	}
-
-	ds := &Dataset{byID: make(map[anonymize.DeviceID]*DeviceData, n)}
-	for _, p := range []*int64{
-		&ds.Stats.FlowsProcessed, &ds.Stats.FlowsTapDropped, &ds.Stats.FlowsUnattributed,
-		&ds.Stats.FlowsUnlabeled, &ds.Stats.FlowsOutOfWindow, &ds.Stats.DNSEntries,
-		&ds.Stats.HTTPEntries, &ds.Stats.Leases, &ds.Stats.BytesProcessed,
-	} {
-		*p = d.varint()
 	}
 
 	devs := make([]*DeviceData, n)
@@ -413,6 +448,9 @@ func DecodeDataset(b []byte) (*Dataset, error) {
 	}
 	for _, dd := range devs {
 		f := d.byte()
+		if f > 7 {
+			d.fail("device flags %#x", f)
+		}
 		dd.Resident = f&1 != 0
 		dd.PostShutdown = f&2 != 0
 		dd.IsSwitch = f&4 != 0
@@ -460,22 +498,25 @@ func DecodeDataset(b []byte) (*Dataset, error) {
 		}
 	}
 	for _, dd := range devs {
-		if d.byte() == 1 {
+		switch present := d.byte(); {
+		case present == 1:
 			for k := range dd.ZoomHourly {
 				for h := range dd.ZoomHourly[k] {
 					dd.ZoomHourly[k][h] = d.f32()
 				}
 			}
+			if dd.ZoomHourly == ([2][24]float32{}) {
+				d.fail("zoom-hourly row present but zero")
+			}
+		case present != 0:
+			d.fail("zoom-hourly presence byte %d", present)
 		}
 	}
 	for _, dd := range devs {
 		dd.Flows = d.varint()
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(body) {
-		return nil, fmt.Errorf("core: decode dataset: %d trailing bytes", len(body)-d.off)
+	if err := d.end(); err != nil {
+		return nil, err
 	}
 	for i, dd := range devs {
 		if i > 0 && devs[i-1].ID >= dd.ID {
@@ -495,9 +536,7 @@ func EncodeTruth(truth map[anonymize.DeviceID]devclass.Type) []byte {
 		ids = append(ids, uint64(id))
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e := &enc{b: make([]byte, 0, 1024)}
-	e.b = append(e.b, truthMagic[:]...)
-	e.uvarint(DatasetCodecVersion)
+	e := truthFrame.header(1024)
 	e.uvarint(uint64(len(ids)))
 	var prev uint64
 	for _, id := range ids {
@@ -505,45 +544,28 @@ func EncodeTruth(truth map[anonymize.DeviceID]devclass.Type) []byte {
 		prev = id
 		e.uvarint(uint64(truth[anonymize.DeviceID(id)]))
 	}
-	sum := sha256.Sum256(e.b)
-	e.b = append(e.b, sum[:]...)
-	return e.b
+	return seal(e.b)
 }
 
 // DecodeTruth parses an EncodeTruth payload.
 func DecodeTruth(b []byte) (map[anonymize.DeviceID]devclass.Type, error) {
-	if len(b) < len(truthMagic)+sha256.Size {
-		return nil, fmt.Errorf("core: decode truth: payload too short (%d bytes)", len(b))
+	d, err := truthFrame.open(b)
+	if err != nil {
+		return nil, err
 	}
-	body, trailer := b[:len(b)-sha256.Size], b[len(b)-sha256.Size:]
-	if sum := sha256.Sum256(body); string(sum[:]) != string(trailer) {
-		return nil, fmt.Errorf("core: decode truth: checksum mismatch")
-	}
-	d := &dec{b: body}
-	if string(d.take(4)) != string(truthMagic[:]) {
-		return nil, fmt.Errorf("core: decode truth: bad magic")
-	}
-	if v := d.uvarint(); v != DatasetCodecVersion {
-		return nil, fmt.Errorf("core: decode truth: codec version %d, want %d", v, DatasetCodecVersion)
-	}
-	n := int(d.uvarint())
-	if d.err != nil {
-		return nil, d.err
-	}
-	if n < 0 || n > len(body) {
-		return nil, fmt.Errorf("core: decode truth: implausible entry count %d", n)
-	}
+	n := d.count("entry")
 	truth := make(map[anonymize.DeviceID]devclass.Type, n)
 	var prev uint64
 	for i := 0; i < n; i++ {
-		prev += d.uvarint()
-		truth[anonymize.DeviceID(prev)] = devclass.Type(d.uvarint())
+		id := prev + d.uvarint()
+		if i > 0 && id <= prev {
+			d.fail("device IDs not strictly ascending")
+		}
+		prev = id
+		truth[anonymize.DeviceID(id)] = devclass.Type(d.uvarint())
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(body) {
-		return nil, fmt.Errorf("core: decode truth: %d trailing bytes", len(body)-d.off)
+	if err := d.end(); err != nil {
+		return nil, err
 	}
 	return truth, nil
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/anonymize"
@@ -136,6 +138,14 @@ func TestTruthCodecRoundTrip(t *testing.T) {
 			t.Fatalf("flipped bit at offset %d decoded without error", off)
 		}
 	}
+	// A repeated ID would collapse two entries into one.
+	e := truthFrame.header(0)
+	for _, v := range []uint64{2, 7, uint64(devclass.Mobile), 0, uint64(devclass.IoT)} {
+		e.uvarint(v)
+	}
+	if _, err := DecodeTruth(seal(e.b)); err == nil {
+		t.Error("repeated device ID decoded without error")
+	}
 }
 
 // TestEmptyDatasetRoundTrip pins the degenerate end of the codec: a
@@ -162,5 +172,91 @@ func TestEmptyDatasetRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeTruth(EncodeTruth(nil)); err != nil {
 		t.Fatalf("empty truth map: %v", err)
+	}
+}
+
+// FuzzDecodeDataset mutates the body of a real dataset payload and
+// re-seals the trailer over it, so the column checks run rather than only
+// the checksum. Every input must give either a dataset or an error, and an
+// accepted payload must re-encode to its own bytes: the encoding is
+// canonical, so a cache entry has one content digest.
+func FuzzDecodeDataset(f *testing.F) {
+	p, _ := smallCheckpointPipeline(f)
+	b := EncodeDataset(p.Snapshot())
+	f.Add(b[:len(b)-sha256.Size])
+	b = EncodeDataset(&Dataset{})
+	f.Add(b[:len(b)-sha256.Size])
+	f.Add([]byte{})
+	f.Add(datasetFrame.magic[:])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		b := seal(slices.Clip(body))
+		ds, err := DecodeDataset(b)
+		if (ds == nil) == (err == nil) {
+			t.Fatalf("dataset %v with error %v: want exactly one", ds != nil, err)
+		}
+		if ds != nil && !bytes.Equal(EncodeDataset(ds), b) {
+			t.Fatal("accepted payload re-encodes to different bytes")
+		}
+	})
+}
+
+// TestStatsFieldsListEveryCounter: fields, the one list Add, Sub and the
+// codecs walk, names every Stats counter exactly once.
+func TestStatsFieldsListEveryCounter(t *testing.T) {
+	var s Stats
+	v := reflect.ValueOf(&s).Elem()
+	listed := make(map[*int64]bool)
+	for _, p := range s.fields() {
+		listed[p] = true
+	}
+	if len(listed) != v.NumField() {
+		t.Errorf("fields lists %d distinct counters, Stats has %d", len(listed), v.NumField())
+	}
+	for i := 0; i < v.NumField(); i++ {
+		if !listed[v.Field(i).Addr().Interface().(*int64)] {
+			t.Errorf("Stats.%s is not in fields", v.Type().Field(i).Name)
+		}
+	}
+}
+
+// TestDecodeDatasetRejectsNonCanonical: the encodings EncodeDataset never
+// writes fail the decode, so every accepted payload re-encodes to its own
+// bytes.
+func TestDecodeDatasetRejectsNonCanonical(t *testing.T) {
+	encode := func(mod func(d *DeviceData)) []byte {
+		d := &DeviceData{ID: 5}
+		mod(d)
+		b := EncodeDataset(&Dataset{Devices: []*DeviceData{d}})
+		return b[:len(b)-sha256.Size]
+	}
+	plain := encode(func(*DeviceData) {})
+	// offset is where a one-field change first moves the body.
+	offset := func(mod func(d *DeviceData)) int {
+		b := encode(mod)
+		i := 0
+		for plain[i] == b[i] {
+			i++
+		}
+		return i
+	}
+	flags := offset(func(d *DeviceData) { d.Resident = true })
+	zoom := offset(func(d *DeviceData) { d.ZoomHourly[0][0] = 1 })
+	count := len(datasetFrame.header(0).b)
+	splice := func(at int, with ...byte) []byte {
+		return slices.Concat(plain[:at], with, plain[at+1:])
+	}
+	if _, err := DecodeDataset(seal(slices.Clone(plain))); err != nil {
+		t.Fatalf("plain payload: %v", err)
+	}
+	for name, body := range map[string][]byte{
+		"flags byte with an unknown bit":        splice(flags, 8),
+		"zoom-hourly presence byte 2":           splice(zoom, 2),
+		"zoom-hourly row present but zero":      splice(zoom, append([]byte{1}, make([]byte, 2*24*4)...)...),
+		"device count as an overlong varint":    splice(count, 0x81, 0x00),
+		"a Stats counter as an overlong varint": splice(count+1, 0x80, 0x00),
+	} {
+		if _, err := DecodeDataset(seal(body)); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
 	}
 }

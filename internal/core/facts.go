@@ -131,14 +131,9 @@ func (s *serverFacts) app(d *domainFacts) (string, bool) {
 }
 
 // fold adds one February flow to a device's midpoint under one
-// classifier, creating the midpoint on the first point the classifier
-// accepts.
-func (g *geoPoint) fold(mp **geo.Midpoint, bytes int64) {
-	if !g.ok {
-		return
+// classifier, if the classifier accepts the server.
+func (g *geoPoint) fold(mp *geo.Midpoint, bytes int64) {
+	if g.ok {
+		mp.AddPoint(g.pt, float64(bytes))
 	}
-	if *mp == nil {
-		*mp = new(geo.Midpoint)
-	}
-	(*mp).AddPoint(g.pt, float64(bytes))
 }

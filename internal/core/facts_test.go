@@ -201,7 +201,7 @@ func zoomPrefixes(reg *universe.Registry) []netip.Prefix {
 // warm, in February so both midpoint classifiers are in play, restores
 // it, and feeds both the rest of the stream into March: the restored
 // pipeline starts with empty tables, each device holds the live device's
-// verdict evidence (nil where the live one has none), and its next
+// verdict evidence, and its next
 // checkpoint and final Dataset are byte-identical to the uninterrupted
 // run's.
 func TestFactTablesRestoreMidStream(t *testing.T) {
@@ -264,13 +264,8 @@ func TestFactTablesRestoreMidStream(t *testing.T) {
 	}
 }
 
-// sameEvidence reports whether two devices hold equal verdict evidence,
-// with the same nil pointers.
+// sameEvidence reports whether two devices hold equal verdict evidence.
 func sameEvidence(a, b *deviceState) bool {
-	return eqPtr(a.days, b.days) && eqPtr(a.switches, b.switches) &&
-		eqPtr(a.geo, b.geo) && eqPtr(a.geoAblate, b.geoAblate)
-}
-
-func eqPtr[T comparable](a, b *T) bool {
-	return a == nil && b == nil || a != nil && b != nil && *a == *b
+	return a.days == b.days && a.switches == b.switches &&
+		a.geo == b.geo && a.geoAblate == b.geoAblate
 }

@@ -21,36 +21,34 @@ type DayPartial struct {
 	Touched []anonymize.DeviceID
 }
 
+// fields lists the counters in their one order, the codecs' varint
+// order.
+func (s *Stats) fields() [9]*int64 {
+	return [...]*int64{
+		&s.FlowsProcessed, &s.FlowsTapDropped, &s.FlowsUnattributed,
+		&s.FlowsUnlabeled, &s.FlowsOutOfWindow, &s.DNSEntries,
+		&s.HTTPEntries, &s.Leases, &s.BytesProcessed,
+	}
+}
+
 // Add returns the field-wise sum of two Stats — the merge of two disjoint
 // event-range deltas.
 func (s Stats) Add(o Stats) Stats {
-	return Stats{
-		FlowsProcessed:    s.FlowsProcessed + o.FlowsProcessed,
-		FlowsTapDropped:   s.FlowsTapDropped + o.FlowsTapDropped,
-		FlowsUnattributed: s.FlowsUnattributed + o.FlowsUnattributed,
-		FlowsUnlabeled:    s.FlowsUnlabeled + o.FlowsUnlabeled,
-		FlowsOutOfWindow:  s.FlowsOutOfWindow + o.FlowsOutOfWindow,
-		DNSEntries:        s.DNSEntries + o.DNSEntries,
-		HTTPEntries:       s.HTTPEntries + o.HTTPEntries,
-		Leases:            s.Leases + o.Leases,
-		BytesProcessed:    s.BytesProcessed + o.BytesProcessed,
+	of := o.fields()
+	for i, p := range s.fields() {
+		*p += *of[i]
 	}
+	return s
 }
 
 // Sub returns the field-wise difference — the delta accumulated between
 // two cumulative readings.
 func (s Stats) Sub(o Stats) Stats {
-	return Stats{
-		FlowsProcessed:    s.FlowsProcessed - o.FlowsProcessed,
-		FlowsTapDropped:   s.FlowsTapDropped - o.FlowsTapDropped,
-		FlowsUnattributed: s.FlowsUnattributed - o.FlowsUnattributed,
-		FlowsUnlabeled:    s.FlowsUnlabeled - o.FlowsUnlabeled,
-		FlowsOutOfWindow:  s.FlowsOutOfWindow - o.FlowsOutOfWindow,
-		DNSEntries:        s.DNSEntries - o.DNSEntries,
-		HTTPEntries:       s.HTTPEntries - o.HTTPEntries,
-		Leases:            s.Leases - o.Leases,
-		BytesProcessed:    s.BytesProcessed - o.BytesProcessed,
+	of := o.fields()
+	for i, p := range s.fields() {
+		*p -= *of[i]
 	}
+	return s
 }
 
 // MergeDayPartials reduces day partials into one aggregate covering their

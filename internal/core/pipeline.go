@@ -168,7 +168,7 @@ func groupOfCategory(c universe.Category) CategoryGroup {
 // deviceState is everything accumulated for one device, including the
 // evidence behind its three verdicts: the presence bitmap (visitor filter,
 // post-shutdown membership), the Switch counters and the two February
-// midpoints.
+// midpoints. A checkpoint writes it as one device record.
 type deviceState struct {
 	id          anonymize.DeviceID
 	mac         packet.MAC
@@ -190,13 +190,13 @@ type deviceState struct {
 	// list for the day in progress.
 	sealEpoch int
 
-	// The verdict evidence is nil until the device's first admitted flow,
-	// or for a midpoint until its first February flow the classifier
-	// accepts. Only the checkpoint reads the nil: a device gets a record
-	// in a verdict's section from that point on (checkpoint.go).
-	days           *anonymize.DayBitmap
-	switches       *appsig.SwitchCounters
-	geo, geoAblate *geo.Midpoint
+	// The verdict evidence. A zero value is a device without admitted
+	// flows (for a midpoint, without a February flow the classifier
+	// accepts), and gives that device's verdicts: not resident, not a
+	// Switch, Unknown.
+	days           anonymize.DayBitmap
+	switches       appsig.SwitchCounters
+	geo, geoAblate geo.Midpoint
 }
 
 // SocialMonth is one device's monthly usage of one social platform.
@@ -423,9 +423,6 @@ func (p *Pipeline) account(r *flow.Record, a *admission, t time.Time) {
 	m.Add(obs.StageDHCPNormalize, 0)
 	m.Add(obs.StageAggregate, bytes)
 	t = m.Lap(obs.StageDHCPNormalize, t)
-	if d.days == nil {
-		d.days = new(anonymize.DayBitmap)
-	}
 	d.days.Set(day)
 	d.flows++
 	d.daily[day] += float32(bytes)
@@ -479,9 +476,6 @@ func (p *Pipeline) account(r *flow.Record, a *admission, t time.Time) {
 
 	// Switch detection sees every flow (it needs the total-bytes
 	// denominator).
-	if d.switches == nil {
-		d.switches = new(appsig.SwitchCounters)
-	}
 	d.switches.Add(dom.nintendo, bytes)
 	t = m.Lap(obs.StageAggregate, t)
 

@@ -251,13 +251,10 @@ func TestClassifierEndToEnd(t *testing.T) {
 	if got := dev2.Classify(); got != International {
 		t.Errorf("device 2 = %v", got)
 	}
-	// Device 3: nothing — no midpoint, or an empty one.
-	var dev3 *Midpoint
+	// Device 3: nothing — the zero midpoint.
+	var dev3 Midpoint
 	if got := dev3.Classify(); got != Unknown {
-		t.Errorf("device 3 (nil) = %v", got)
-	}
-	if got := fold(c).Classify(); got != Unknown {
-		t.Errorf("device 3 (empty) = %v", got)
+		t.Errorf("device 3 (zero) = %v", got)
 	}
 }
 

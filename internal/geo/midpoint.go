@@ -96,13 +96,10 @@ func (c Classification) String() string {
 	}
 }
 
-// Classify returns the population label of the midpoint: Unknown for a
-// nil midpoint (a device without geolocatable traffic) or an undefined
-// one, else Domestic or International by whether it falls in the US.
+// Classify returns the population label of the midpoint: Unknown for an
+// undefined one (the zero midpoint is a device without geolocatable
+// traffic), else Domestic or International by whether it falls in the US.
 func (m *Midpoint) Classify() Classification {
-	if m == nil {
-		return Unknown
-	}
 	loc, ok := m.Result()
 	if !ok {
 		return Unknown
