@@ -50,7 +50,9 @@ func writeRotatedTestLogs(t *testing.T, from, to campus.Day, seed int64) string 
 // day appears, the rerun must replay exactly that day (one probe missed at
 // the new final key, the next hit the previous run's checkpoint) and still
 // emit outputs byte-identical to a cache-free run over the full dataset.
-// The append run's full cache accounting is pinned too.
+// The append run's full cache accounting is pinned too, and so is its
+// keying line: the digest memo the prefix run wrote vouches for every
+// prefix file, so only the new day's files are read.
 func TestStatsdayAppendIncremental(t *testing.T) {
 	logsDir := writeRotatedTestLogs(t, 40, 46, 1)
 	days, err := logsink.DayDirs(logsDir)
@@ -69,6 +71,7 @@ func TestStatsdayAppendIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	waitPastCtime(t, logsDir)
 	prefixDir := t.TempDir()
 	prefix := base
 	prefix.Out = prefixDir
@@ -91,6 +94,9 @@ func TestStatsdayAppendIncremental(t *testing.T) {
 	// holds its own counters to these, so a reordered or added probe fails
 	// here first.
 	statusHas(t, "append", incrStatus, "hits=1 misses=3 invalidations=3 verify_failures=0 stats=miss figures=miss")
+	files, size := treeFiles(t, logsDir)
+	dayFiles, daySize := treeFiles(t, filepath.Join(logsDir, last))
+	statusHas(t, "append", incrStatus, keyingLine(files, dayFiles, daySize, size))
 
 	// Byte identity against a cache-free run over the full dataset.
 	refDir := t.TempDir()
@@ -105,8 +111,38 @@ func TestStatsdayAppendIncremental(t *testing.T) {
 	againDir := t.TempDir()
 	again := base
 	again.Out = againDir
-	statusHas(t, "unchanged rerun", runCached(t, again), "stats=hit")
+	againStatus := runCached(t, again)
+	statusHas(t, "unchanged rerun", againStatus, "stats=hit")
+	statusHas(t, "unchanged rerun", againStatus, keyingLine(files, 0, 0, size))
 	wantIdenticalOutputs(t, "unchanged rerun", readOutputs(t, refDir), readOutputs(t, againDir))
+}
+
+// treeFiles counts the regular files under dir and their bytes.
+func treeFiles(t *testing.T, dir string) (int, int64) {
+	t.Helper()
+	var n int
+	var size int64
+	err := filepath.Walk(dir, func(_ string, fi os.FileInfo, err error) error {
+		if err == nil && fi.Mode().IsRegular() {
+			n, size = n+1, size+fi.Size()
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, size
+}
+
+// keyingLine is the status line of a cached run over a tree of files
+// whose digest memo vouched for all but hashed files of read bytes. Where
+// the memo is inert the run reads the whole tree, size bytes.
+func keyingLine(files, hashed int, read, size int64) string {
+	if !memoActive {
+		hashed, read = files, size
+	}
+	return fmt.Sprintf("keying: files=%d hashed=%d reused=%d read_mb=%.1f memo=ok",
+		files, hashed, files-hashed, float64(read)/(1<<20))
 }
 
 // TestStatsdayMidHistoryEdit pins the other half of the chain's contract:
@@ -115,9 +151,10 @@ func TestStatsdayAppendIncremental(t *testing.T) {
 // with day 4 replaced by a version that still parses, the rerun must miss
 // days 6, 5 and 4, restore day 3's checkpoint and replay three days, with outputs byte-identical to a cache-free run
 // over the edited tree. A key chain that paired day i with day i-1's
-// content would hit at day 4 and replay two. The run's bench report must
-// also say it hashed the tree exactly once: its hashed bytes equal an
-// independent stat walk of the tree.
+// content would hit at day 4 and replay two. The bench reports must say
+// what the content keying read: the cold first run reads its whole tree,
+// and the edit run, whose digest memo vouches for every unchanged file,
+// reads exactly the edited day's bytes.
 func TestStatsdayMidHistoryEdit(t *testing.T) {
 	logsDir := writeRotatedTestLogs(t, 40, 46, 1)
 	days, err := logsink.DayDirs(logsDir)
@@ -136,6 +173,8 @@ func TestStatsdayMidHistoryEdit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	cold := filepath.Join(t.TempDir(), "cold.json")
+	_, coldSize := treeFiles(t, logsDir)
 	for i, d := range days {
 		if i > 0 {
 			if err := os.Rename(filepath.Join(hold, d), filepath.Join(logsDir, d)); err != nil {
@@ -144,6 +183,13 @@ func TestStatsdayMidHistoryEdit(t *testing.T) {
 		}
 		seeded := base
 		seeded.Out = t.TempDir()
+		if i == 0 {
+			seeded.benchJSON = cold
+		}
+		if i == len(days)-1 {
+			// The last seeding run writes the memo the edit run reads.
+			waitPastCtime(t, logsDir)
+		}
 		statusHas(t, "seed "+d, runCached(t, seeded),
 			fmt.Sprintf("statsday: days=%d replayed=1 misses=1 hits=%d", i+1, min(i, 1)))
 	}
@@ -169,29 +215,25 @@ func TestStatsdayMidHistoryEdit(t *testing.T) {
 	runCached(t, ref)
 	wantIdenticalOutputs(t, "edit vs cache-free", readOutputs(t, ref.Out), readOutputs(t, incr.Out))
 
-	br, err := obs.LoadBench(incr.benchJSON)
-	if err != nil {
-		t.Fatal(err)
+	_, editSize := treeFiles(t, filepath.Join(logsDir, edited))
+	_, size := treeFiles(t, logsDir)
+	if !memoActive {
+		editSize = size
 	}
-	var want int64
-	for _, d := range days {
-		ents, err := os.ReadDir(filepath.Join(logsDir, d))
+	for _, c := range []struct {
+		name, path string
+		want       int64
+	}{{"cold", cold, coldSize}, {"edit", incr.benchJSON, editSize}} {
+		br, err := obs.LoadBench(c.path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range ents {
-			fi, err := os.Stat(filepath.Join(logsDir, d, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want += fi.Size()
+		if got := br.HashedMB * (1 << 20); got != float64(c.want) {
+			t.Errorf("%s run's bench report hashed %.0f bytes, want %d", c.name, got, c.want)
 		}
-	}
-	if got := br.HashedMB * (1 << 20); got != float64(want) {
-		t.Errorf("bench report hashed %.0f bytes, the tree holds %d", got, want)
-	}
-	if br.KeyingMS <= 0 {
-		t.Errorf("bench report keying_ms = %v, want > 0", br.KeyingMS)
+		if br.KeyingMS <= 0 {
+			t.Errorf("%s run's bench report keying_ms = %v, want > 0", c.name, br.KeyingMS)
+		}
 	}
 }
 

@@ -57,8 +57,9 @@ type BenchReport struct {
 	// omitted otherwise, with the usual ≤0-skip baseline compatibility.
 	SealMS float64 `json:"seal_ms,omitempty"`
 	// KeyingMS is the content-keying layer's wall time and HashedMB the
-	// replayed tree it read, in MiB (runs with -cache-dir; HashedMB only
-	// with -logs). They sit beside Cache rather than in it: lockbench's
+	// part of the replayed tree it read, in MiB: the files the digest
+	// memo could not vouch for (runs with -cache-dir; HashedMB only with
+	// -logs). They sit beside Cache rather than in it: lockbench's
 	// traced append compares a whole CacheBench against its own probe
 	// counters. Neither is gated.
 	KeyingMS float64         `json:"keying_ms,omitempty"`

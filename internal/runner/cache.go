@@ -45,15 +45,17 @@ func OpenCache(cfg Config, reg *universe.Registry, metrics *obs.Metrics) (*Cache
 		return rc, nil
 	}
 	var err error
-	rc.Code, err = stagecache.CodeDigest()
-	if err != nil {
-		return nil, fmt.Errorf("stage cache: code digest: %w", err)
-	}
-	rc.Rules = stagecache.RulesDigest(reg, appsig.TableRows())
 	rc.Store, err = stagecache.Open(cfg.CacheDir, stagecache.ModeReadWrite, metrics)
 	if err != nil {
 		return nil, fmt.Errorf("stage cache: %w", err)
 	}
+	// The store's digest memo spares a process whose binary it has seen
+	// from reading the executable again.
+	rc.Code, err = rc.Store.CodeDigest()
+	if err != nil {
+		return nil, fmt.Errorf("stage cache: code digest: %w", err)
+	}
+	rc.Rules = stagecache.RulesDigest(reg, appsig.TableRows())
 	return rc, nil
 }
 

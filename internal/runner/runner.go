@@ -82,7 +82,8 @@ type Result struct {
 	// KeyingMS is the content-keying layer's cost: the replayed tree's
 	// one hashing pass plus the stats and figures keys (the per-day keys
 	// reuse the tree's day digests). HashedBytes is what the tree pass
-	// read (cached -logs runs only).
+	// read: the files whose stat moved since the digest memo's last pass
+	// (cached -logs runs only).
 	KeyingMS    float64
 	HashedBytes int64
 }
@@ -213,20 +214,25 @@ func Run(cfg Config, env Env) (*Result, error) {
 	// Stats stage: the finalized Dataset plus the ground truth. A verified
 	// cache hit replaces the entire ingest (and, in logs mode, the
 	// truth-rebuild generator pass). Replayed datasets enter the key by
-	// content: hashing the whole tree is what makes a single flipped input
-	// byte a different key. The tree is hashed once; the per-day path keys
-	// each day on its subdirectory's digest from the same pass.
+	// content: the tree's digest covers every byte, so a single flipped
+	// input byte is a different key. The store's digest memo reads only
+	// the files whose stat moved since its last pass; the per-day path
+	// keys each day on its subdirectory's digest from the same pass.
 	var logsDigest, statsKey stagecache.Digest
 	if rc.Store != nil {
 		t0 := time.Now()
 		if cfg.Logs != "" {
-			if b.tree, err = stagecache.HashTree(cfg.Logs); err != nil {
+			if b.tree, err = rc.Store.HashTree(cfg.Logs); err != nil {
 				return nil, err
 			}
-			logsDigest, res.HashedBytes = b.tree.Root, b.tree.Bytes
+			logsDigest, res.HashedBytes = b.tree.Root, b.tree.Read
 		}
 		statsKey = rc.StatsKey(cfg, logsDigest, false)
 		res.KeyingMS += msSince(t0)
+	}
+	if t := b.tree; t != nil {
+		fmt.Fprintf(env.Status, "keying: files=%d hashed=%d reused=%d read_mb=%.1f memo=%s\n",
+			t.Files, t.Hashed, t.Files-t.Hashed, float64(t.Read)/(1<<20), t.Memo)
 	}
 	start := time.Now()
 	stats, err := rc.stats(statsKey, true,

@@ -14,6 +14,16 @@
 // invalidates everything. Over-invalidation costs time; under-invalidation
 // would cost correctness.
 //
+// Content digests read a file only when its stat changed: the store's
+// digest memo (memo.go) maps each file's device, inode, size, mtime and
+// ctime to its sha256, as git's index does, and Store.HashTree and
+// Store.CodeDigest reuse a sum whose stat still matches. Keys do not
+// change with it. An entry counts only when the file's mtime and ctime
+// are strictly older than the pass that wrote it, and a write always
+// moves the ctime, so only a ctime set back (with the system clock, or by
+// restoring a filesystem image) can fool the memo, as it fools git. The
+// package-level HashTree, TreeDigest and CodeDigest read everything.
+//
 // The store never trusts what it reads back: every payload is verified
 // against the manifest's per-file checksum on the read path, and any
 // mismatch — corruption, truncation, version skew, a torn write — is
@@ -128,6 +138,8 @@ var codeOnce struct {
 // (a comment-only rebuild flushes the cache) but can never reuse an entry
 // produced by different logic. Go builds are reproducible for identical
 // inputs, so the digest is stable across processes of the same build.
+// It reads the executable once per process; Store.CodeDigest reads it
+// only when the store's digest memo cannot vouch for it.
 func CodeDigest() (Digest, error) {
 	codeOnce.Do(func() {
 		exe, err := os.Executable()

@@ -302,12 +302,18 @@ func (s *Store) updateIndex(stage string, key Digest) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.tmpDir(), "index-")
+	return s.writeRenamed(filepath.Join(s.stageDir(stage), "index.json"), "index-", append(b, '\n'))
+}
+
+// writeRenamed writes b to dst through a temp file under tmp/ and a
+// rename, so dst is never seen half-written.
+func (s *Store) writeRenamed(dst, pattern string, b []byte) error {
+	tmp, err := os.CreateTemp(s.tmpDir(), pattern)
 	if err != nil {
 		return err
 	}
 	name := tmp.Name()
-	_, werr := tmp.Write(append(b, '\n'))
+	_, werr := tmp.Write(b)
 	if cerr := tmp.Close(); werr == nil {
 		werr = cerr
 	}
@@ -315,7 +321,7 @@ func (s *Store) updateIndex(stage string, key Digest) error {
 		os.Remove(name)
 		return werr
 	}
-	return os.Rename(name, filepath.Join(s.stageDir(stage), "index.json"))
+	return os.Rename(name, dst)
 }
 
 // Summary renders the store's accounting for an end-of-run status line,

@@ -21,18 +21,27 @@ import (
 const treeVersion = "stagecache/tree/v2\x00"
 
 // Tree is one pass over a dataset directory: the root's digest, the bytes
-// hashed, and the digest of every subdirectory under it.
+// it covers and read, and the digest of every subdirectory under it.
 type Tree struct {
-	Root  Digest
-	Bytes int64
+	Root Digest
+	// Bytes is the size of every file the digest covers. Read is what the
+	// pass read to get there: all of Bytes without a digest memo, and only
+	// the files whose stat moved with one (Store.HashTree).
+	Bytes, Read int64
+	// Files counts the regular files under the root, Hashed those read.
+	Files, Hashed int
+	// Memo is the digest memo's state as the pass found it: "ok",
+	// "missing" or "corrupt"; "" for a memo-less pass.
+	Memo string
 	// Dirs maps each subdirectory's slash-separated path, relative to the
 	// root, to its digest: the value TreeDigest returns for that
 	// subdirectory on its own.
 	Dirs map[string]Digest
 }
 
-// TreeDigest digests a dataset directory (HashTree's root). The second
-// return is the total byte count (for status lines).
+// TreeDigest digests a dataset directory (HashTree's root) and returns
+// the bytes it covers. It reads every file; lockbench calls it as the
+// memo-less reference for the keys a run derives.
 func TreeDigest(dir string) (Digest, int64, error) {
 	t, err := HashTree(dir)
 	if err != nil {
@@ -50,14 +59,25 @@ func TreeDigest(dir string) (Digest, int64, error) {
 // skipped. The first error aborts the pass: no digest is returned and no
 // worker outlives the call.
 func HashTree(dir string) (*Tree, error) {
-	var w treeWalk
+	t, _, err := hashTree(dir, nil)
+	return t, err
+}
+
+// hashTree is HashTree over an optional digest memo: a file the memo
+// vouches for takes its sum from it and is not read. It also returns the
+// pass's files, for the memo's next version.
+func hashTree(dir string, m *digestMemo) (*Tree, []treeFile, error) {
+	w := treeWalk{memo: m}
 	if _, err := w.scan(dir, ""); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := hashFiles(w.files); err != nil {
-		return nil, err
+	if err := hashFiles(w.files, w.todo); err != nil {
+		return nil, nil, err
 	}
-	t := &Tree{Dirs: make(map[string]Digest, len(w.dirs)-1)}
+	t := &Tree{Files: len(w.files), Hashed: len(w.todo), Dirs: make(map[string]Digest, len(w.dirs)-1)}
+	for _, i := range w.todo {
+		t.Read += w.files[i].st.size
+	}
 	sums := make([][sha256.Size]byte, len(w.dirs))
 	h := sha256.New()
 	var buf [binary.MaxVarintLen64]byte
@@ -72,11 +92,11 @@ func HashTree(dir string) (*Tree, error) {
 			io.WriteString(h, e.name)
 			if e.file >= 0 {
 				f := &w.files[e.file]
-				n = binary.PutUvarint(buf[:], uint64(f.size))
+				n = binary.PutUvarint(buf[:], uint64(f.st.size))
 				h.Write([]byte{'F'})
 				h.Write(buf[:n])
 				h.Write(f.sum[:])
-				t.Bytes += f.size
+				t.Bytes += f.st.size
 			} else {
 				h.Write([]byte{'D'})
 				h.Write(sums[e.dir][:])
@@ -88,14 +108,17 @@ func HashTree(dir string) (*Tree, error) {
 		}
 	}
 	t.Root = Digest(hex.EncodeToString(sums[len(sums)-1][:]))
-	return t, nil
+	return t, w.files, nil
 }
 
 // treeWalk is the serial half of HashTree: the directory structure in
-// post-order and the flat list of files the workers hash.
+// post-order, the flat list of files, and the indices of those the memo
+// did not vouch for, which the workers hash.
 type treeWalk struct {
+	memo  *digestMemo
 	dirs  []treeDir
 	files []treeFile
+	todo  []int
 }
 
 type treeDir struct {
@@ -111,9 +134,10 @@ type treeEntry struct {
 }
 
 type treeFile struct {
-	path string
-	size int64
-	sum  [sha256.Size]byte
+	path    string
+	st      stamp // st.size is always set, the rest only when stamped
+	stamped bool
+	sum     [sha256.Size]byte
 }
 
 // scan records dir (at rel under the root) after all of its
@@ -138,8 +162,13 @@ func (w *treeWalk) scan(dir, rel string) (int, error) {
 			if err != nil {
 				return 0, err
 			}
+			f := treeFile{path: p}
+			f.st, f.stamped = fileStamp(fi)
+			if !w.memo.reuse(&f) {
+				w.todo = append(w.todo, len(w.files))
+			}
 			entries = append(entries, treeEntry{name: e.Name(), file: len(w.files)})
-			w.files = append(w.files, treeFile{path: p, size: fi.Size()})
+			w.files = append(w.files, f)
 		}
 	}
 	w.dirs = append(w.dirs, treeDir{rel: rel, entries: entries})
@@ -149,10 +178,10 @@ func (w *treeWalk) scan(dir, rel string) (int, error) {
 // openFile opens a file for hashing; tests replace it to fault the read.
 var openFile = os.Open
 
-// hashFiles fills every file's content sum on a pool of GOMAXPROCS
-// workers. The first error stops the pool; hashFiles returns it once every
-// worker has exited.
-func hashFiles(files []treeFile) error {
+// hashFiles fills the content sum of every file todo names on a pool of
+// GOMAXPROCS workers. The first error stops the pool; hashFiles returns it
+// once every worker has exited.
+func hashFiles(files []treeFile, todo []int) error {
 	var (
 		next   atomic.Int64
 		failed atomic.Bool
@@ -160,17 +189,17 @@ func hashFiles(files []treeFile) error {
 		once   sync.Once
 		wg     sync.WaitGroup
 	)
-	for range min(runtime.GOMAXPROCS(0), len(files)) {
+	for range min(runtime.GOMAXPROCS(0), len(todo)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			h, buf := sha256.New(), make([]byte, 64<<10)
 			for !failed.Load() {
 				i := int(next.Add(1) - 1)
-				if i >= len(files) {
+				if i >= len(todo) {
 					return
 				}
-				if err := files[i].hash(h, buf); err != nil {
+				if err := files[todo[i]].hash(h, buf); err != nil {
 					once.Do(func() { first = err })
 					failed.Store(true)
 					return
@@ -196,7 +225,7 @@ func (f *treeFile) hash(h hash.Hash, buf []byte) error {
 	if err != nil {
 		return err
 	}
-	if n != f.size {
+	if n != f.st.size {
 		return fmt.Errorf("stagecache: %s changed while hashing", f.path)
 	}
 	h.Sum(f.sum[:0])

@@ -5,8 +5,10 @@
 # rerun must (a) replay exactly one day (statsday: replayed=1 misses=1
 # hits=1 — one probe missed at the new final day, the next hit the
 # previous run's checkpoint), (b) emit outputs byte-identical to a
-# cache-free run over the full dataset, and (c) land within a fixed
-# multiple of the full run's single-day cost.
+# cache-free run over the full dataset, (c) land within a fixed
+# multiple of the full run's single-day cost, and (d) read at most half of
+# the 15-day tree to key it: the digest memo the prefix run wrote vouches
+# for every unchanged file, so the rerun reads about one day of fifteen.
 #
 # Usage: append_smoke.sh <lockdown-binary> <tracegen-binary> <work-dir> <key-hex> <scale> [day-budget]
 set -eu
@@ -80,6 +82,19 @@ awk -v cold="$COLD_WALL" -v incr="$INCR_WALL" -v budget="$DAY_BUDGET" 'BEGIN {
         exit 1;
     }
     printf "incremental wall %.2fs within the %.2fs gate\n", incr, limit;
+}' || exit 1
+
+# Keying gate: the rerun's hashed_mb (bytes read to key the tree, in MiB;
+# omitted when nothing was read) may be at most half of the tree's size.
+TREE_BYTES=$(find "$WORK/trunc" -type f -exec wc -c {} + | awk '$2 != "total" {s += $1} END {print s + 0}')
+HASHED_MB=$(sed -n 's/.*"hashed_mb": *\([0-9.eE+-]*\).*/\1/p' "$WORK/BENCH_append_incr.json" | head -1)
+awk -v hashed="${HASHED_MB:-0}" -v tree="$TREE_BYTES" 'BEGIN {
+    read = hashed * 1048576;
+    if (read > tree / 2) {
+        printf "append-smoke: keying read %.0f bytes, above half of the %d-byte tree\n", read, tree;
+        exit 1;
+    }
+    printf "keying read %.0f of %d tree bytes (gate: half)\n", read, tree;
 }' || exit 1
 
 echo "append-smoke: OK"
